@@ -70,21 +70,14 @@ class BallFamily:
 
 
 def enumerate_ballean(space: FiniteUltrametricSpace) -> Ballean:
-    """Every closed ball of the space, one entry per distinct member set.
-
-    Radii only need to range over zero and the distances realized from each
-    center: any other radius reproduces one of those balls.
-    """
-    by_members: dict[tuple[int, ...], Ball] = {}
-    for c in range(space.n):
-        radii = set(space.dist[c])
-        radii.add(ZERO)
-        for r in radii:
-            b = closed_ball(space, c, r)
-            by_members[b.members] = b
-    balls = tuple(sorted(by_members.values(), key=lambda b: (len(b.members), b.members)))
-    assert len(balls) <= 2 * space.n - 1, "ballean exceeded the 2n-1 bound"
-    return Ballean(balls, space)
+    """Every closed ball of the space, one entry per distinct member set."""
+    table = space.ball_table
+    if table.error is not None:
+        error_type, message = table.error
+        raise error_type(message)
+    if len(table.balls) > 2 * space.n - 1:
+        raise AssertionError("ballean exceeded the 2n-1 bound")
+    return Ballean(table.balls, space)
 
 
 def hausdorff_oracle(
@@ -127,7 +120,9 @@ def hausdorff_balls(
     if b1.members == b2.members:
         result = ZERO
     else:
-        result = diam(space, b1.members + b2.members)
+        # In an ultrametric space diam(A | B) = max(diam A, diam B, d(a, b))
+        # for any a in A and b in B.
+        result = max(b1.diameter, b2.diameter, space.dist[b1.members[0]][b2.members[0]])
     if _debug_enabled(debug):
         cases = hausdorff_by_cases(space, b1, b2)
         oracle = hausdorff_oracle(space, b1.members, b2.members)
@@ -197,8 +192,10 @@ def iterate_ballean(
 ) -> FiniteUltrametricSpace:
     """Apply the ballean-space construction `depth` times.
 
-    Sizes roughly double each round, so depth is capped (default 3); raise
-    the cap explicitly if you really want a deeper tower.
+    Each round adds one point per internal node of the merge tree (a binary
+    10-point space grows 10, 19, 28, 37), so a round costs more than the
+    last; depth is capped (default 3), raise the cap explicitly if you
+    really want a deeper tower.
     """
     if depth < 0 or depth > cap:
         raise BadParamsError(f"iteration depth must be between 0 and {cap}, got {depth}")
@@ -248,7 +245,8 @@ def b0_set(space: FiniteUltrametricSpace) -> set[Ball]:
     iso = isolated_points(space)
     result = {b for b in bl.balls if b.diameter > 0}
     result.update(closed_ball(space, x, ZERO) for x in iso)
-    assert result == set(bl.balls), "finite-scale positive-radius balls must exhaust the ballean"
+    if result != set(bl.balls):
+        raise AssertionError("finite-scale positive-radius balls must exhaust the ballean")
     return result
 
 

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .ballean import enumerate_ballean, hausdorff_balls, iterate_ballean
+from .ballean import ballean_space, enumerate_ballean, hausdorff_balls, iterate_ballean
 from .core import (
     BadParamsError,
     Ball,
@@ -81,9 +81,7 @@ def _cmd_ballean(args: argparse.Namespace) -> int:
     base = iterate_ballean(space, args.iterate - 1)
     bl = enumerate_ballean(base)
     balls = [list(member_labels(base, b.members)) for b in bl.balls]
-    matrix = [
-        [rational_str(hausdorff_balls(base, b1, b2)) for b2 in bl.balls] for b1 in bl.balls
-    ]
+    matrix = [[rational_str(d) for d in row] for row in ballean_space(base).dist]
     _emit({"balls": balls, "hausdorff": matrix}, args.out)
     return 0
 
@@ -165,7 +163,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.replay:
         loaded = _load_json(args.replay)
         entries = loaded if isinstance(loaded, list) else [loaded]
-        replay = [e.get("space", e) for e in entries]
+        replay = [e.get("space", e) if isinstance(e, dict) else e for e in entries]
     report = run_suite(_config_from_args(args), replay_spaces=replay)
     _emit(report.to_json_dict(), args.out)
     return 0 if report.passed else 1

@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 ZERO = Fraction(0)
 
@@ -116,6 +117,9 @@ class FiniteUltrametricSpace:
     the raw constructor trusts its input (used when the matrix is built from
     structures that guarantee validity, and by replay tooling that must be
     able to carry known-bad matrices).
+
+    The closed balls are tabulated once, on first use, in :attr:`ball_table`.
+    The table can never go stale because the dataclass is frozen.
     """
 
     points: tuple[PointId, ...]
@@ -150,6 +154,38 @@ class FiniteUltrametricSpace:
         vals = {self.dist[i][j] for i in range(self.n) for j in range(i + 1, self.n)}
         return tuple(sorted(v for v in vals if v > 0))
 
+    @cached_property
+    def ball_table(self) -> "BallTable":
+        """Every closed ball, from one pass over each center and each radius
+        realized from it, plus zero; any other radius repeats one of those
+        balls.  Works on any square matrix, valid or not."""
+        dist, n = self.dist, self.n
+        balls: dict[tuple[int, ...], Ball] = {}
+        canonical: dict[tuple[int, ...], Ball] = {}
+        error = None
+        for c in range(n):
+            row = dist[c]
+            radii = set(row)
+            radii.add(ZERO)
+            for r in radii:
+                if r < 0:
+                    error = error or (NegativeRadiusError, f"radius must be nonnegative, got {r}")
+                    continue
+                members = tuple(x for x in range(n) if row[x] <= r)
+                if not members:
+                    error = error or (EmptySubsetError, "subset must be nonempty")
+                    continue
+                ball = balls.get(members)
+                if ball is None:
+                    first = dist[members[0]]
+                    ball = balls[members] = Ball(members, max(first[p] for p in members))
+                # closed_ball(members[0], diameter) reproduces the ball exactly
+                # when its first member produces it at a nonnegative diameter.
+                if members[0] == c and ball.diameter >= 0:
+                    canonical[members] = ball
+        ordered = tuple(sorted(balls.values(), key=lambda b: (len(b.members), b.members)))
+        return BallTable(ordered, canonical, error)
+
 
 @dataclass(frozen=True)
 class Ball:
@@ -164,6 +200,21 @@ class Ball:
     diameter: Fraction
 
 
+class BallTable(NamedTuple):
+    """The closed balls of one space.
+
+    ``balls`` lists every distinct ball, sorted by (size, members).
+    ``canonical`` maps member tuples to the balls that ``closed_ball(space,
+    members[0], diameter)`` reproduces.  ``error`` is the first bad radius
+    met in the pass (a negative distance, or a radius that leaves a center's
+    ball empty) as (exception type, message); it is None for a valid space.
+    """
+
+    balls: tuple[Ball, ...]
+    canonical: dict[tuple[int, ...], Ball]
+    error: tuple[type[UltraballError], str] | None
+
+
 def _as_index_tuple(space: FiniteUltrametricSpace, subset: Iterable[int]) -> tuple[int, ...]:
     idx = sorted(set(subset))
     if not idx:
@@ -176,12 +227,31 @@ def _as_index_tuple(space: FiniteUltrametricSpace, subset: Iterable[int]) -> tup
 def _make_labels(n: int, labels: Sequence[str] | None) -> tuple[str, ...]:
     if labels is None:
         return tuple(f"p{i}" for i in range(n))
+    if not isinstance(labels, (list, tuple)):
+        raise BadParamsError(f"labels must be a list, got {type(labels).__name__}")
     out = tuple(str(s) for s in labels)
     if len(out) != n:
         raise BadParamsError(f"{len(out)} labels for a {n}x{n} matrix")
     if len(set(out)) != n:
         raise BadParamsError("labels must be unique within a space")
     return out
+
+
+def _parse_space(
+    matrix: Sequence[Sequence[RationalLike]], labels: Sequence[str] | None
+) -> FiniteUltrametricSpace:
+    """Check the shape of a matrix and its labels, and parse every entry once."""
+    if not isinstance(matrix, (list, tuple)):
+        raise BadParamsError(f"distance matrix must be a list of rows, got {type(matrix).__name__}")
+    n = len(matrix)
+    if n == 0:
+        raise BadParamsError("a space must contain at least one point")
+    for row in matrix:
+        if not isinstance(row, (list, tuple)) or len(row) != n:
+            raise BadParamsError("distance matrix must be square")
+    rows = tuple(tuple(parse_rational(v) for v in row) for row in matrix)
+    labs = _make_labels(n, labels)
+    return FiniteUltrametricSpace(tuple(PointId(i, labs[i]) for i in range(n)), rows)
 
 
 def find_violation(
@@ -195,15 +265,8 @@ def find_violation(
     scan reports its lexicographically first witness, so the result is
     deterministic.
     """
-    n = len(matrix)
-    if n == 0:
-        raise BadParamsError("a space must contain at least one point")
-    rows = [[parse_rational(v) for v in row] for row in matrix]
-    for row in rows:
-        if len(row) != n:
-            raise BadParamsError("distance matrix must be square")
-    labs = _make_labels(n, labels)
-
+    space = _parse_space(matrix, labels)
+    n, rows, labs = space.n, space.dist, space.labels
     for i in range(n):
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
@@ -242,14 +305,12 @@ def validate_ultrametric(
     labels: Sequence[str] | None = None,
 ) -> FiniteUltrametricSpace:
     """Build a space from a matrix, raising UltrametricViolation on bad input."""
-    violation = find_violation(matrix, labels)
+    space = _parse_space(matrix, labels)
+    # The entries are Fractions by now, so this pass converts nothing again.
+    violation = find_violation(space.dist, space.labels)
     if violation is not None:
         raise violation
-    n = len(matrix)
-    labs = _make_labels(n, labels)
-    rows = tuple(tuple(parse_rational(v) for v in row) for row in matrix)
-    points = tuple(PointId(i, labs[i]) for i in range(n))
-    return FiniteUltrametricSpace(points, rows)
+    return space
 
 
 def diam(space: FiniteUltrametricSpace, subset: Iterable[int]) -> Fraction:
@@ -293,13 +354,15 @@ def smallest_ball(space: FiniteUltrametricSpace, subset: Iterable[int]) -> Ball:
 
 def require_canonical(space: FiniteUltrametricSpace, ball: Ball) -> None:
     """Raise ForeignBallError unless ball is a canonical ball of the space."""
+    if space.ball_table.canonical.get(ball.members) == ball:
+        return
     if not ball.members:
         raise ForeignBallError("a ball must have at least one member")
     members = _as_index_tuple(space, ball.members)
     if members != tuple(ball.members):
         raise ForeignBallError(f"ball members must be sorted distinct indices: {ball.members}")
-    if closed_ball(space, members[0], ball.diameter) != ball:
-        raise ForeignBallError(f"{ball} is not a canonical ball of this space")
+    closed_ball(space, members[0], ball.diameter)  # raises on a malformed radius
+    raise ForeignBallError(f"{ball} is not a canonical ball of this space")
 
 
 class BallRelation(Enum):
@@ -371,9 +434,9 @@ def space_to_json_dict(space: FiniteUltrametricSpace) -> dict:
 def space_from_json_dict(data: dict, validate: bool = True) -> FiniteUltrametricSpace:
     """Load a space from its JSON form.
 
-    With ``validate=False`` the matrix is taken as-is, which is what replay
+    With ``validate=False`` the axioms are not checked, which is what replay
     tooling needs in order to carry a known-bad matrix to the check that
-    should reject it.
+    should reject it; the shape of the matrix and labels is checked either way.
     """
     try:
         labels = data["labels"]
@@ -382,8 +445,4 @@ def space_from_json_dict(data: dict, validate: bool = True) -> FiniteUltrametric
         raise BadParamsError(f"space JSON needs 'labels' and 'matrix': {exc}") from exc
     if validate:
         return validate_ultrametric(matrix, labels)
-    n = len(matrix)
-    labs = _make_labels(n, labels)
-    rows = tuple(tuple(parse_rational(v) for v in row) for row in matrix)
-    points = tuple(PointId(i, labs[i]) for i in range(n))
-    return FiniteUltrametricSpace(points, rows)
+    return _parse_space(matrix, labels)

@@ -136,7 +136,8 @@ def build_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
             children = sorted((nodes.pop(r) for r in olds), key=_min_leaf)
             nodes[new_root] = Merge(level, tuple(children))
     root = find(0)
-    assert len(nodes) == 1 and root in nodes, "distance matrix did not merge into one cluster"
+    if len(nodes) != 1 or root not in nodes:
+        raise AssertionError("distance matrix did not merge into one cluster")
     return Dendrogram(nodes[root], space.labels)
 
 
@@ -311,5 +312,6 @@ def random_binary_space(
         b = clusters.pop(j)
         pair = tuple(sorted((a, b), key=_min_leaf))
         clusters.append(Merge(level, pair))
-    assert len(clusters) == 1
+    if len(clusters) != 1:
+        raise AssertionError()
     return dendrogram_to_space(Dendrogram(clusters[0], labels))

@@ -120,7 +120,8 @@ def _int_exponents(n: int, basis: Sequence[int]) -> list[int]:
             n //= b
             e += 1
         out.append(e)
-    assert n == 1, "value does not factor over the basis it was built from"
+    if n != 1:
+        raise AssertionError("value does not factor over the basis it was built from")
     return out
 
 
@@ -232,7 +233,8 @@ class DlpsSpace:
             best = self.finite_points[-1] if best is None else max(best, self.finite_points[-1])
         for t in self.tails:
             best = t.first if best is None else max(best, t.first)
-        assert best is not None
+        if best is None:
+            raise AssertionError()
         return best
 
     def max_at_most(self, r: Fraction) -> Fraction | None:
@@ -477,7 +479,8 @@ def dlps_ballean_analysis(space: DlpsSpace) -> DlpsBalleanReport:
     ballean_acc = frozenset(Singleton(x) for x in acc)
     ballean_metrically_discrete = dlps_is_metrically_discrete(space)
 
-    assert ballean_discrete == dlps_is_discrete(space)
+    if ballean_discrete != dlps_is_discrete(space):
+        raise AssertionError()
     if space.has_zero and ballean_metrically_discrete != ballean_discrete:
         raise AssertionError(
             "with 0 present, ball-space discreteness and metrical discreteness must coincide"

@@ -58,6 +58,29 @@ def test_ballean_iterated_and_out_file(space_file, tmp_path, capsys):
     assert len(data["balls"]) == 7
 
 
+def test_ballean_out_file_pinned(tmp_path):
+    source = tmp_path / "four.json"
+    source.write_text(json.dumps({
+        "labels": ["a", "b", "c", "d"],
+        "matrix": [[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, "3/2"], [2, 2, "3/2", 0]],
+    }))
+    target = tmp_path / "ballean.json"
+    assert cli_main(["ballean", str(source), "--out", str(target)]) == 0
+    expected = {
+        "balls": [["a"], ["b"], ["c"], ["d"], ["a", "b"], ["c", "d"], ["a", "b", "c", "d"]],
+        "hausdorff": [
+            ["0", "1", "2", "2", "1", "2", "2"],
+            ["1", "0", "2", "2", "1", "2", "2"],
+            ["2", "2", "0", "3/2", "2", "3/2", "2"],
+            ["2", "2", "3/2", "0", "2", "3/2", "2"],
+            ["1", "1", "2", "2", "0", "2", "2"],
+            ["2", "2", "3/2", "3/2", "2", "0", "2"],
+            ["2", "2", "2", "2", "2", "2", "0"],
+        ],
+    }
+    assert target.read_text() == json.dumps(expected, indent=2) + "\n"
+
+
 def test_ballean_iterate_cap(space_file):
     assert cli_main(["ballean", space_file, "--iterate", "9"]) == 1
 
@@ -133,6 +156,29 @@ def test_verify_replay_corrupted(bad_file, tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "fail"
     assert "StrongTriangleViolation" in out["checks"][0]["failures"][0]["detail"]
+
+
+@pytest.mark.parametrize(
+    "replay",
+    [
+        {"labels": ["a", "b"], "matrix": [[0, 1], [1]]},  # ragged matrix
+        [[[0, 1], [1, 0]]],  # a bare matrix where a space object belongs
+    ],
+)
+def test_verify_replay_malformed_space_is_bad_params(replay, tmp_path, capsys):
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps(replay))
+    assert cli_main(["verify", "--trials", "1", "--checks", "H2", "--replay", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BadParamsError"
+
+
+def test_validate_string_labels_is_bad_params(tmp_path, capsys):
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps({"labels": "ab", "matrix": [[0, 1], [1, 0]]}))
+    assert cli_main(["validate", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BadParamsError"
 
 
 def test_probe_q63_cli(capsys):

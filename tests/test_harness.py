@@ -1,10 +1,18 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ultraball
 from ultraball.core import ConfigError, space_to_json_dict, validate_ultrametric
+from ultraball.dendrogram import random_space
 from ultraball.harness import (
     CHECKS,
+    DEFAULT_LEVEL_POOL,
     TrialConfig,
     _enumerate_small_spaces,
     probe_q63,
@@ -72,6 +80,48 @@ def test_failure_record_replays_in_isolation():
         TrialConfig(seed=99, trials=1, checks=("H2",)), replay_spaces=[record["space"]]
     )
     assert second.outcome("H2").failures[0]["detail"] == record["detail"]
+
+
+def _corrupted_corpus(count=60, seed=7):
+    """Seeded 3- to 5-point spaces, each with one symmetric pair of distances
+    moved to another level of the pool."""
+    corpus = []
+    for k in range(count):
+        rng = random.Random(seed * 1000 + k)
+        n = rng.randint(3, 5)
+        data = space_to_json_dict(random_space(rng.getrandbits(32), n, DEFAULT_LEVEL_POOL))
+        i, j = rng.sample(range(n), 2)
+        old = data["matrix"][i][j]
+        new = rng.choice([str(v) for v in DEFAULT_LEVEL_POOL if str(v) != old])
+        data["matrix"][i][j] = data["matrix"][j][i] = new
+        corpus.append(data)
+    return corpus
+
+
+_REPLAY_UNDER_O = """
+import json, sys
+from ultraball.harness import TrialConfig, run_suite
+report = run_suite(TrialConfig(seed=1, trials=1), replay_spaces=json.load(sys.stdin))
+print(json.dumps({"optimize": sys.flags.optimize,
+                  "report": report.to_json_dict(include_elapsed=False)}))
+"""
+
+
+def test_replay_report_unchanged_under_python_O():
+    # The invariants the checks rely on must not live in bare asserts.
+    corpus = _corrupted_corpus()
+    config = TrialConfig(seed=1, trials=1)
+    expected = run_suite(config, replay_spaces=corpus).to_json_dict(include_elapsed=False)
+    assert expected["status"] == "fail"
+    src = str(Path(ultraball.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _REPLAY_UNDER_O],
+        input=json.dumps(corpus), capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    out = json.loads(result.stdout)
+    assert out["optimize"] == 1
+    assert out["report"] == expected
 
 
 def test_valid_replay_space_passes():
