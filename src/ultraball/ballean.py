@@ -8,7 +8,6 @@ split so the three routes can be checked against each other.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -21,7 +20,6 @@ from .core import (
     EqualBallsError,
     FamilyTooSmallError,
     FiniteUltrametricSpace,
-    PointId,
     _as_index_tuple,
     closed_ball,
     diam,
@@ -30,23 +28,11 @@ from .core import (
     smallest_ball,
 )
 
-DEBUG_ENV_VAR = "ULTRABALL_DEBUG_ASSERT"
-
-
-def _debug_enabled(flag: bool | None) -> bool:
-    # The environment variable forces the cross-check on everywhere, no
-    # matter what individual call sites ask for.
-    if os.environ.get(DEBUG_ENV_VAR, "") == "1":
-        return True
-    return bool(flag)
-
-
 @dataclass(frozen=True)
 class Ballean:
     """All distinct closed balls of a space, sorted by (size, members)."""
 
     balls: tuple[Ball, ...]
-    host: FiniteUltrametricSpace
 
     def __iter__(self) -> Iterator[Ball]:
         return iter(self.balls)
@@ -77,7 +63,7 @@ def enumerate_ballean(space: FiniteUltrametricSpace) -> Ballean:
         raise error_type(message)
     if len(table.balls) > 2 * space.n - 1:
         raise AssertionError("ballean exceeded the 2n-1 bound")
-    return Ballean(table.balls, space)
+    return Ballean(table.balls)
 
 
 def hausdorff_oracle(
@@ -108,12 +94,12 @@ def hausdorff_by_cases(space: FiniteUltrametricSpace, b1: Ball, b2: Ball) -> Fra
 
 
 def hausdorff_balls(
-    space: FiniteUltrametricSpace, b1: Ball, b2: Ball, *, debug: bool | None = None
+    space: FiniteUltrametricSpace, b1: Ball, b2: Ball, *, debug: bool = False
 ) -> Fraction:
     """Hausdorff distance between two balls: the diameter of their union.
 
-    With debug on (or ULTRABALL_DEBUG_ASSERT=1) the case-split form and the
-    sup-inf definition are evaluated too and all three must agree exactly.
+    With debug on, the case-split form and the sup-inf definition are
+    evaluated too and all three must agree exactly.
     """
     require_canonical(space, b1)
     require_canonical(space, b2)
@@ -123,12 +109,12 @@ def hausdorff_balls(
         # In an ultrametric space diam(A | B) = max(diam A, diam B, d(a, b))
         # for any a in A and b in B.
         result = max(b1.diameter, b2.diameter, space.dist[b1.members[0]][b2.members[0]])
-    if _debug_enabled(debug):
+    if debug:
         cases = hausdorff_by_cases(space, b1, b2)
         oracle = hausdorff_oracle(space, b1.members, b2.members)
         if not (result == cases == oracle):
             raise AssertionError(
-                f"Hausdorff routes disagree on {b1} vs {b2}: "
+                f"Hausdorff routes disagree on {b1.members} vs {b2.members}: "
                 f"union-diam={result}, cases={cases}, sup-inf={oracle}"
             )
     return result
@@ -150,12 +136,10 @@ def smallest_ball_distance(
 
 
 def ball_label(space: FiniteUltrametricSpace, ball: Ball) -> str:
-    return "+".join(sorted(space.points[m].label for m in ball.members))
+    return "+".join(sorted(space.labels[m] for m in ball.members))
 
 
-def ballean_space(
-    space: FiniteUltrametricSpace, *, debug: bool | None = None
-) -> FiniteUltrametricSpace:
+def ballean_space(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
     """The ballean as a space of its own: points are balls, distances are
     Hausdorff distances.
 
@@ -169,13 +153,11 @@ def ballean_space(
     rows = [[ZERO] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            d = hausdorff_balls(space, balls[i], balls[j], debug=debug)
-            rows[i][j] = rows[j][i] = d
-    points = tuple(PointId(i, labels[i]) for i in range(m))
-    return FiniteUltrametricSpace(points, tuple(tuple(row) for row in rows))
+            rows[i][j] = rows[j][i] = hausdorff_balls(space, balls[i], balls[j])
+    return FiniteUltrametricSpace(labels, tuple(tuple(row) for row in rows))
 
 
-def _dedupe_labels(labels: list[str]) -> list[str]:
+def _dedupe_labels(labels: list[str]) -> tuple[str, ...]:
     # "+"-joined member labels are unique unless the input labels themselves
     # embed "+"; disambiguate deterministically in that corner.
     seen: dict[str, int] = {}
@@ -184,11 +166,11 @@ def _dedupe_labels(labels: list[str]) -> list[str]:
         count = seen.get(lab, 0) + 1
         seen[lab] = count
         out.append(lab if count == 1 else f"{lab}#{count}")
-    return out
+    return tuple(out)
 
 
 def iterate_ballean(
-    space: FiniteUltrametricSpace, depth: int, *, cap: int = 3, debug: bool | None = None
+    space: FiniteUltrametricSpace, depth: int, *, cap: int = 3
 ) -> FiniteUltrametricSpace:
     """Apply the ballean-space construction `depth` times.
 
@@ -201,7 +183,7 @@ def iterate_ballean(
         raise BadParamsError(f"iteration depth must be between 0 and {cap}, got {depth}")
     out = space
     for _ in range(depth):
-        out = ballean_space(out, debug=debug)
+        out = ballean_space(out)
     return out
 
 
@@ -255,16 +237,15 @@ def b0_set(space: FiniteUltrametricSpace) -> set[Ball]:
 iso_of_ballean = b0_set
 
 
-def singleton_embedding(space: FiniteUltrametricSpace) -> dict[PointId, Ball]:
-    """Map each point to its singleton ball and check the map is an isometry."""
-    mapping = {p: closed_ball(space, p.index, ZERO) for p in space.points}
-    pts = space.points
+def singleton_embedding(space: FiniteUltrametricSpace) -> dict[int, Ball]:
+    """Map each point index to its singleton ball and check the map is an isometry."""
+    mapping = {i: closed_ball(space, i, ZERO) for i in range(space.n)}
+    labels = space.labels
     for i in range(space.n):
         for j in range(i + 1, space.n):
-            dh = hausdorff_balls(space, mapping[pts[i]], mapping[pts[j]])
-            if dh != space.dist[i][j]:
+            if hausdorff_balls(space, mapping[i], mapping[j]) != space.dist[i][j]:
                 raise AssertionError(
-                    f"singleton embedding failed to preserve d({pts[i].label},{pts[j].label})"
+                    f"singleton embedding failed to preserve d({labels[i]},{labels[j]})"
                 )
     return mapping
 

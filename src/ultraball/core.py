@@ -102,17 +102,10 @@ def rational_str(value: Fraction) -> str:
 
 
 @dataclass(frozen=True)
-class PointId:
-    """A point of a finite space: dense index plus a unique label."""
-
-    index: int
-    label: str
-
-
-@dataclass(frozen=True)
 class FiniteUltrametricSpace:
     """A finite set of labeled points with an exact symmetric distance matrix.
 
+    Point ``i`` carries ``labels[i]``; labels are unique within a space.
     Construct through :func:`validate_ultrametric` to get the axioms checked;
     the raw constructor trusts its input (used when the matrix is built from
     structures that guarantee validity, and by replay tooling that must be
@@ -122,32 +115,31 @@ class FiniteUltrametricSpace:
     The table can never go stale because the dataclass is frozen.
     """
 
-    points: tuple[PointId, ...]
+    labels: tuple[str, ...]
     dist: tuple[tuple[Fraction, ...], ...]
 
     @property
     def n(self) -> int:
-        return len(self.points)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(p.label for p in self.points)
+        return len(self.labels)
 
     def d(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
 
+    @cached_property
+    def _label_index(self) -> dict[str, int]:
+        return {label: i for i, label in enumerate(self.labels)}
+
     def index_of(self, label: str) -> int:
-        for p in self.points:
-            if p.label == label:
-                return p.index
-        raise BadParamsError(f"no point labeled {label!r}")
+        try:
+            return self._label_index[label]
+        except KeyError:
+            raise BadParamsError(f"no point labeled {label!r}") from None
 
     def restrict(self, indices: Iterable[int]) -> "FiniteUltrametricSpace":
         """Subspace on the given points, reindexed densely, labels kept."""
         idx = tuple(indices)
-        pts = tuple(PointId(i, self.points[p].label) for i, p in enumerate(idx))
         rows = tuple(tuple(self.dist[p][q] for q in idx) for p in idx)
-        return FiniteUltrametricSpace(pts, rows)
+        return FiniteUltrametricSpace(tuple(self.labels[p] for p in idx), rows)
 
     def positive_distances(self) -> tuple[Fraction, ...]:
         """Sorted distinct positive values realized by the matrix."""
@@ -250,8 +242,7 @@ def _parse_space(
         if not isinstance(row, (list, tuple)) or len(row) != n:
             raise BadParamsError("distance matrix must be square")
     rows = tuple(tuple(parse_rational(v) for v in row) for row in matrix)
-    labs = _make_labels(n, labels)
-    return FiniteUltrametricSpace(tuple(PointId(i, labs[i]) for i in range(n)), rows)
+    return FiniteUltrametricSpace(_make_labels(n, labels), rows)
 
 
 def find_violation(
@@ -354,7 +345,13 @@ def smallest_ball(space: FiniteUltrametricSpace, subset: Iterable[int]) -> Ball:
 
 def require_canonical(space: FiniteUltrametricSpace, ball: Ball) -> None:
     """Raise ForeignBallError unless ball is a canonical ball of the space."""
-    if space.ball_table.canonical.get(ball.members) == ball:
+    # A hand-built ball with a float diameter compares equal to a table entry,
+    # and one with list members is unhashable; the miss path rejects both.
+    if (
+        isinstance(ball.members, tuple)
+        and isinstance(ball.diameter, Fraction)
+        and space.ball_table.canonical.get(ball.members) == ball
+    ):
         return
     if not ball.members:
         raise ForeignBallError("a ball must have at least one member")
@@ -420,7 +417,7 @@ def equidistant_space(
 
 
 def member_labels(space: FiniteUltrametricSpace, members: Iterable[int]) -> tuple[str, ...]:
-    return tuple(space.points[m].label for m in members)
+    return tuple(space.labels[m] for m in members)
 
 
 def space_to_json_dict(space: FiniteUltrametricSpace) -> dict:

@@ -20,7 +20,6 @@ from .core import (
     BadParamsError,
     FiniteUltrametricSpace,
     MalformedTreeError,
-    PointId,
     RationalLike,
     parse_rational,
     rational_str,
@@ -145,7 +144,7 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
     """Distance matrix realized by the tree: d(x, y) = LCA level.
 
     Raises MalformedTreeError on unary internal nodes, non-decreasing
-    levels, or leaf indices that are not exactly 0..n-1.
+    levels, leaf indices that are not exactly 0..n-1, or repeated labels.
     """
 
     def check(node: Node, parent_level: Fraction | None) -> None:
@@ -169,6 +168,8 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
         raise MalformedTreeError(f"leaf indices must be exactly 0..{n - 1}, got {sorted(leaves)}")
     if len(d.labels) != n:
         raise MalformedTreeError(f"{len(d.labels)} labels for {n} leaves")
+    if len(set(d.labels)) != n:
+        raise MalformedTreeError("labels must be unique within a space")
 
     rows = [[ZERO] * n for _ in range(n)]
 
@@ -187,8 +188,7 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
         return merged
 
     fill(d.root)
-    points = tuple(PointId(i, d.labels[i]) for i in range(n))
-    return FiniteUltrametricSpace(points, tuple(tuple(row) for row in rows))
+    return FiniteUltrametricSpace(tuple(d.labels), tuple(tuple(row) for row in rows))
 
 
 def canonical_code(d: Dendrogram) -> CanonicalCode:

@@ -444,10 +444,6 @@ def dlps_ball_count_at_most(space: DlpsSpace, threshold: RationalLike) -> int | 
     return 0 if count_elems == 0 else 2 * count_elems - 1
 
 
-def dlps_ballean_locally_finite(space: DlpsSpace) -> bool:
-    return dlps_ball_count_at_most(space, space.max_element()) is not None
-
-
 @dataclass(frozen=True)
 class DlpsBalleanReport:
     ballean_discrete: bool

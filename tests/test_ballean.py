@@ -83,19 +83,6 @@ def test_hausdorff_balls_examples():
     assert hausdorff_by_cases(s, ab, c) == 2  # disjoint: gap between the balls
 
 
-def test_debug_env_forces_cross_check(monkeypatch):
-    s = three_point_space()
-    calls = []
-    monkeypatch.setenv("ULTRABALL_DEBUG_ASSERT", "1")
-    monkeypatch.setattr(
-        "ultraball.ballean.hausdorff_oracle",
-        lambda *a, **k: calls.append(1) or Fraction(1),
-    )
-    a, b = closed_ball(s, 0, 0), closed_ball(s, 1, 0)
-    assert hausdorff_balls(s, a, b, debug=False) == 1  # env overrides the flag
-    assert calls
-
-
 def test_three_way_agreement_random():
     for seed in range(12):
         s = random_space(seed, 8, POOL)
@@ -186,7 +173,7 @@ def test_singleton_embedding_examples():
     mapping = singleton_embedding(s)
     assert len(mapping) == 3
     for p, ball in mapping.items():
-        assert ball.members == (p.index,)
+        assert ball.members == (p,)
     eq = equidistant_space(5, "3/2")
     emb = singleton_embedding(eq)  # would raise if any image distance != 3/2
     assert len(emb) == 5

@@ -1,8 +1,11 @@
 import json
+import time
 
 import pytest
 
 from ultraball.cli import cli_main
+from ultraball.core import space_to_json_dict
+from ultraball.dendrogram import random_binary_space
 
 SPACE = {"labels": ["a", "b", "c"], "matrix": [[0, 1, 2], [1, 0, 2], [2, 2, 0]]}
 BAD = {"labels": ["a", "b", "c"], "matrix": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]}
@@ -97,6 +100,13 @@ def test_hausdorff_foreign_ball(space_file, capsys):
     assert err["error"] == "ForeignBallError"
 
 
+def test_hausdorff_unknown_label_is_bad_params(space_file, capsys):
+    assert cli_main(["hausdorff", space_file, "--ball", "a,zz", "--ball", "c"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BadParamsError"
+    assert "'zz'" in err["message"]
+
+
 def test_smallest_ball(space_file, capsys):
     assert cli_main(["smallest-ball", space_file, "--subset", "a,c"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -156,6 +166,17 @@ def test_verify_replay_corrupted(bad_file, tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "fail"
     assert "StrongTriangleViolation" in out["checks"][0]["failures"][0]["detail"]
+
+
+def test_verify_h11_replay_over_ball_limit_fails_fast(tmp_path, capsys):
+    # 19 balls: the 2^19-subset scan was still running after 30 s.
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps(space_to_json_dict(random_binary_space(0, 10))))
+    start = time.perf_counter()
+    assert cli_main(["verify", "--checks", "H11", "--replay", str(path)]) == 1
+    assert time.perf_counter() - start < 2
+    failure = json.loads(capsys.readouterr().out)["checks"][0]["failures"][0]
+    assert failure["detail"] == "ballean has 19 balls, over the H11 subset-scan limit of 11"
 
 
 @pytest.mark.parametrize(

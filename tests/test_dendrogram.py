@@ -81,6 +81,12 @@ def test_malformed_trees_rejected():
         dendrogram_to_space(Dendrogram(Merge(Fraction(1), (Leaf(0), Leaf(2))), ("a", "b")))
 
 
+def test_repeated_labels_rejected():
+    tree = Merge(Fraction(1), (Leaf(0), Leaf(1)))
+    with pytest.raises(MalformedTreeError, match="unique"):
+        dendrogram_to_space(Dendrogram(tree, ("a", "a")))
+
+
 def test_canonical_code_ignores_labels_and_order():
     left = Merge(Fraction(2), (Merge(Fraction(1), (Leaf(0), Leaf(1))), Leaf(2)))
     right = Merge(Fraction(2), (Leaf(0), Merge(Fraction(1), (Leaf(1), Leaf(2)))))

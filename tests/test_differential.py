@@ -55,7 +55,8 @@ def test_enumerate_ballean_matches_per_center_loop(matrix):
 def test_require_canonical_matches_per_call_check(matrix, data):
     space = _space(matrix)
     n = space.n
-    candidates = list(space.ball_table.balls)
+    # A float diameter and list members: the wrong field types.
+    candidates = list(space.ball_table.balls) + [Ball((0,), 0.0), Ball([0], Fraction(0))]
     for _ in range(8):
         members = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 1))
         if data.draw(st.booleans()):

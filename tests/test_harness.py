@@ -124,6 +124,13 @@ def test_replay_report_unchanged_under_python_O():
     assert out["report"] == expected
 
 
+def test_h11_scans_every_corpus_space():
+    # The corpus balleans have at most 9 balls, under the H11 scan limit.
+    report = run_suite(TrialConfig(seed=1, trials=1, checks=("H11",)), replay_spaces=_corrupted_corpus())
+    assert report.outcome("H11").trials == 60
+    assert not any("subset-scan limit" in f["detail"] for f in report.outcome("H11").failures)
+
+
 def test_valid_replay_space_passes():
     good = space_to_json_dict(validate_ultrametric([[0, 1], [1, 0]], ["a", "b"]))
     report = run_suite(TrialConfig(seed=1, trials=1, checks=("H1", "H2")), replay_spaces=[good])
