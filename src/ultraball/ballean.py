@@ -169,18 +169,18 @@ def _dedupe_labels(labels: list[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def iterate_ballean(
-    space: FiniteUltrametricSpace, depth: int, *, cap: int = 3
-) -> FiniteUltrametricSpace:
-    """Apply the ballean-space construction `depth` times.
+_MAX_DEPTH = 3
+
+
+def iterate_ballean(space: FiniteUltrametricSpace, depth: int) -> FiniteUltrametricSpace:
+    """Apply the ballean-space construction `depth` times, for 0 <= depth <= 3.
 
     Each round adds one point per internal node of the merge tree (a binary
     10-point space grows 10, 19, 28, 37), so a round costs more than the
-    last; depth is capped (default 3), raise the cap explicitly if you
-    really want a deeper tower.
+    last; deeper towers raise BadParamsError.
     """
-    if depth < 0 or depth > cap:
-        raise BadParamsError(f"iteration depth must be between 0 and {cap}, got {depth}")
+    if not 0 <= depth <= _MAX_DEPTH:
+        raise BadParamsError(f"iteration depth must be between 0 and {_MAX_DEPTH}, got {depth}")
     out = space
     for _ in range(depth):
         out = ballean_space(out)
@@ -221,7 +221,8 @@ def b0_set(space: FiniteUltrametricSpace) -> set[Ball]:
 
     Computed set-theoretically as the balls of positive diameter together
     with the singletons at isolated points.  For a finite space every point
-    is isolated, so this is the whole ballean, and that is asserted.
+    is isolated, so this is the whole ballean (which is also the set of
+    isolated points of the ballean), and that is asserted.
     """
     bl = enumerate_ballean(space)
     iso = isolated_points(space)
@@ -230,11 +231,6 @@ def b0_set(space: FiniteUltrametricSpace) -> set[Ball]:
     if result != set(bl.balls):
         raise AssertionError("finite-scale positive-radius balls must exhaust the ballean")
     return result
-
-
-# The positive-radius balls are exactly the isolated points of the ballean,
-# so the same computation serves both names.
-iso_of_ballean = b0_set
 
 
 def singleton_embedding(space: FiniteUltrametricSpace) -> dict[int, Ball]:
@@ -252,10 +248,5 @@ def singleton_embedding(space: FiniteUltrametricSpace) -> dict[int, Ball]:
 
 def min_positive_distance(space: FiniteUltrametricSpace) -> Fraction | None:
     """Smallest positive pairwise distance, or None for a one-point space."""
-    vals = [
-        space.dist[i][j]
-        for i in range(space.n)
-        for j in range(i + 1, space.n)
-        if space.dist[i][j] > 0
-    ]
-    return min(vals) if vals else None
+    positives = space.positive_distances()
+    return positives[0] if positives else None

@@ -412,8 +412,9 @@ def equidistant_space(
         raise BadParamsError("n must be at least 1")
     if t <= 0:
         raise BadParamsError("the common distance must be positive")
+    # Ultrametric by construction; only the labels need checking.
     matrix = [[ZERO if i == j else t for j in range(n)] for i in range(n)]
-    return validate_ultrametric(matrix, labels)
+    return _parse_space(matrix, labels)
 
 
 def member_labels(space: FiniteUltrametricSpace, members: Iterable[int]) -> tuple[str, ...]:

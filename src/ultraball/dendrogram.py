@@ -58,15 +58,6 @@ def _min_leaf(node: Node) -> int:
     return min(_min_leaf(c) for c in node.children)
 
 
-def _leaves(node: Node) -> list[int]:
-    if isinstance(node, Leaf):
-        return [node.point]
-    out: list[int] = []
-    for c in node.children:
-        out.extend(_leaves(c))
-    return out
-
-
 def node_leaf_sets(d: Dendrogram) -> set[tuple[int, ...]]:
     """Leaf sets of all nodes; these coincide with the ball member sets."""
     out: set[tuple[int, ...]] = set()
@@ -147,9 +138,10 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
     levels, leaf indices that are not exactly 0..n-1, or repeated labels.
     """
 
-    def check(node: Node, parent_level: Fraction | None) -> None:
+    def check(node: Node, parent_level: Fraction | None) -> list[int]:
+        """Validate the subtree and return its leaves, left to right."""
         if isinstance(node, Leaf):
-            return
+            return [node.point]
         if len(node.children) < 2:
             raise MalformedTreeError("internal nodes need at least two children")
         if node.level <= 0:
@@ -158,11 +150,12 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
             raise MalformedTreeError(
                 f"levels must strictly decrease from the root: {node.level} under {parent_level}"
             )
+        leaves: list[int] = []
         for c in node.children:
-            check(c, node.level)
+            leaves.extend(check(c, node.level))
+        return leaves
 
-    check(d.root, None)
-    leaves = _leaves(d.root)
+    leaves = check(d.root, None)
     n = len(leaves)
     if sorted(leaves) != list(range(n)):
         raise MalformedTreeError(f"leaf indices must be exactly 0..{n - 1}, got {sorted(leaves)}")
@@ -283,35 +276,22 @@ def random_space(
     return dendrogram_to_space(Dendrogram(root, labels))
 
 
-def random_binary_space(
-    seed: int, n: int, levels: Sequence[RationalLike] | None = None
-) -> FiniteUltrametricSpace:
-    """Random space whose merge tree is binary with all-distinct levels.
+def random_binary_space(seed: int, n: int) -> FiniteUltrametricSpace:
+    """Random space whose merge tree is binary with the levels 1..n-1.
 
-    Such a space realizes the maximal ballean: exactly 2n-1 balls.  The
-    levels default to 1..n-1; a custom list must hold n-1 distinct positive
-    values.
+    Such a space realizes the maximal ballean: exactly 2n-1 balls.
     """
     if n < 1:
         raise BadParamsError("n must be at least 1")
     labels = tuple(f"p{i}" for i in range(n))
-    if n == 1:
-        return dendrogram_to_space(Dendrogram(Leaf(0), labels))
-    if levels is None:
-        lvls = [Fraction(t) for t in range(1, n)]
-    else:
-        lvls = sorted(parse_rational(v) for v in levels)
-        if len(lvls) != n - 1 or len(set(lvls)) != n - 1 or lvls[0] <= 0:
-            raise BadParamsError("need n-1 distinct positive levels")
     rng = random.Random(seed)
     clusters: list[Node] = [Leaf(i) for i in range(n)]
-    for level in lvls:
+    # n-1 merges leave exactly one cluster.
+    for level in range(1, n):
         i = rng.randrange(len(clusters))
         a = clusters.pop(i)
         j = rng.randrange(len(clusters))
         b = clusters.pop(j)
         pair = tuple(sorted((a, b), key=_min_leaf))
-        clusters.append(Merge(level, pair))
-    if len(clusters) != 1:
-        raise AssertionError()
+        clusters.append(Merge(Fraction(level), pair))
     return dendrogram_to_space(Dendrogram(clusters[0], labels))

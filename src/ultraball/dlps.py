@@ -27,7 +27,6 @@ from .core import (
     UltraballError,
     parse_rational,
     rational_str,
-    validate_ultrametric,
 )
 
 
@@ -188,19 +187,10 @@ def _tails_intersect(t1: GeometricTail, t2: GeometricTail) -> bool:
         k0 = 0
     else:
         k0 = (big_r // g) % mod * pow(big_p // g % mod, -1, mod) % mod
-    if big_p > 0:
-        # l grows with k, so push k up until l is nonnegative.
-        k = k0
-        while k * big_p < big_r:
-            k += mod
-        return verify(k, (k * big_p - big_r) // big_q)
-    # big_p < 0: only finitely many k keep l nonnegative.
-    k = k0
-    while k * big_p >= big_r:
-        if verify(k, (k * big_p - big_r) // big_q):
-            return True
-        k += mod
-    return False
+    # r**q == s**p with r, s < 1 forces p > 0, so big_p > 0 and l grows with
+    # k: push k up, in steps of mod, to the least k with l nonnegative.
+    k = k0 + mod * max(0, -((k0 * big_p - big_r) // (mod * big_p)))
+    return verify(k, (k * big_p - big_r) // big_q)
 
 
 @dataclass(frozen=True)
@@ -304,13 +294,23 @@ def dlps_space(
 
 
 def dlps_from_json_dict(data: dict) -> DlpsSpace:
+    """Load {"points": [...], "zero": bool, "tails": [{"first", "ratio"}, ...]}."""
+    if not isinstance(data, dict):
+        raise BadParamsError(f"symbolic-space JSON must be an object, got {type(data).__name__}")
+    points = data.get("points", [])
+    zero = data.get("zero", False)
+    tails = data.get("tails", [])
+    if not isinstance(points, list):
+        raise BadParamsError(f"'points' must be a list, got {type(points).__name__}")
+    if not isinstance(zero, bool):
+        raise BadParamsError(f"'zero' must be true or false, got {zero!r}")
+    if not isinstance(tails, list) or not all(isinstance(t, dict) for t in tails):
+        raise BadParamsError("'tails' must be a list of {\"first\", \"ratio\"} objects")
     try:
-        points = data.get("points", [])
-        zero = data.get("zero", False)
-        tails = [(t["first"], t["ratio"]) for t in data.get("tails", [])]
-    except (KeyError, TypeError) as exc:
+        pairs = [(t["first"], t["ratio"]) for t in tails]
+    except KeyError as exc:
         raise BadParamsError(f"bad symbolic-space JSON: {exc}") from exc
-    return dlps_space(points, zero, tails)
+    return dlps_space(points, zero, pairs)
 
 
 @dataclass(frozen=True)
@@ -475,8 +475,6 @@ def dlps_ballean_analysis(space: DlpsSpace) -> DlpsBalleanReport:
     ballean_acc = frozenset(Singleton(x) for x in acc)
     ballean_metrically_discrete = dlps_is_metrically_discrete(space)
 
-    if ballean_discrete != dlps_is_discrete(space):
-        raise AssertionError()
     if space.has_zero and ballean_metrically_discrete != ballean_discrete:
         raise AssertionError(
             "with 0 present, ball-space discreteness and metrical discreteness must coincide"
@@ -514,7 +512,8 @@ def dlps_sample(space: DlpsSpace, n: int, scale_cut: RationalLike) -> FiniteUltr
     chosen.extend(sorted(positives, reverse=True)[:budget])
     if not chosen:
         chosen = [space.max_element()]
+    # Distinct nonnegative values under the max metric form an ultrametric
+    # space by construction, so the matrix is not re-validated.
     values = sorted(chosen)
-    labels = [rational_str(v) for v in values]
-    matrix = [[dlps_distance(x, y) for y in values] for x in values]
-    return validate_ultrametric(matrix, labels)
+    matrix = tuple(tuple(dlps_distance(x, y) for y in values) for x in values)
+    return FiniteUltrametricSpace(tuple(rational_str(v) for v in values), matrix)

@@ -70,6 +70,17 @@ class TrialConfig:
     level_pool: tuple[Fraction, ...] = DEFAULT_LEVEL_POOL
     checks: tuple[str, ...] = ()  # empty means: run every registered check
 
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ConfigError("trials must be at least 1")
+        if self.max_points < 1:
+            raise ConfigError("max_points must be at least 1")
+        if not self.level_pool or any(parse_rational(v) <= 0 for v in self.level_pool):
+            raise ConfigError("level pool must be nonempty and positive")
+        unknown = [c for c in self.checks if c not in CHECKS]
+        if unknown:
+            raise ConfigError(f"unknown checks: {unknown}; known: {sorted(CHECKS)}")
+
     def selected_checks(self) -> tuple[str, ...]:
         if not self.checks:
             return tuple(CHECKS)
@@ -211,9 +222,7 @@ def _body_h4(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
 
 
 def _body_h5(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
-    bl = enumerate_ballean(space)
-    if len(bl) > 2 * space.n - 1:
-        return f"{len(bl)} balls exceeds 2n-1 = {2 * space.n - 1}"
+    bl = enumerate_ballean(space)  # raises past the 2n-1 bound
     dend = build_dendrogram(space)
     if node_leaf_sets(dend) != bl.member_sets():
         return "merge-tree node leaf sets differ from ball member sets"
@@ -296,9 +305,9 @@ def _body_h11(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
             dense_discrete.append(subset)
     if dense_discrete != [frozenset(universe)]:
         return f"dense discrete subsets are not unique: {len(dense_discrete)} found"
-    # The unique dense discrete subset is the positive-radius ball family.
-    if len(b0_set(space)) != m:
-        return "positive-radius ball family does not exhaust the ballean"
+    # The unique dense discrete subset is the positive-radius ball family:
+    # b0_set raises unless that family is the whole ballean.
+    b0_set(space)
     return None
 
 
@@ -506,16 +515,6 @@ def run_suite(
     validation, so known-bad matrices reach the checks that must reject
     them) is fed to every selected per-space check.
     """
-    if config.trials < 1:
-        raise ConfigError("trials must be at least 1")
-    if config.max_points < 1:
-        raise ConfigError("max_points must be at least 1")
-    if not config.level_pool or any(parse_rational(v) <= 0 for v in config.level_pool):
-        raise ConfigError("level pool must be nonempty and positive")
-    unknown = [c for c in config.selected_checks() if c not in CHECKS]
-    if unknown:
-        raise ConfigError(f"unknown checks: {unknown}; known: {sorted(CHECKS)}")
-
     replay = None
     if replay_spaces is not None:
         replay = [space_from_json_dict(d, validate=False) for d in replay_spaces]
@@ -535,14 +534,14 @@ def run_suite(
     return CheckReport(config, outcomes)
 
 
-def _enumerate_small_spaces(max_n: int = 4) -> list[FiniteUltrametricSpace]:
-    """Every valid distance matrix over small value pools, up to max_n points."""
-    pools = {1: [], 2: [Fraction(1), Fraction(2), Fraction(3)],
+def _enumerate_small_spaces() -> list[FiniteUltrametricSpace]:
+    """Every valid distance matrix over small value pools, up to 4 points."""
+    pools = {2: [Fraction(1), Fraction(2), Fraction(3)],
              3: [Fraction(1), Fraction(2), Fraction(3)], 4: [Fraction(1), Fraction(2)]}
     spaces = [validate_ultrametric([[0]])]
-    for n in range(2, max_n + 1):
+    for n, pool in pools.items():
         slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for values in product(pools[n], repeat=len(slots)):
+        for values in product(pool, repeat=len(slots)):
             matrix = [[ZERO] * n for _ in range(n)]
             for (i, j), v in zip(slots, values):
                 matrix[i][j] = matrix[j][i] = v
@@ -569,11 +568,6 @@ def probe_q63(config: TrialConfig) -> dict:
     visits and reports the (always empty) witness list.  The corresponding
     question for infinite spaces is untouched by any finite search.
     """
-    if config.trials < 1:
-        raise ConfigError("trials must be at least 1")
-    if config.max_points < 1:
-        raise ConfigError("max_points must be at least 1")
-
     witnesses: list[dict] = []
     excess_ok = 0
     one_point_isometric = None

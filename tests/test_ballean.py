@@ -13,7 +13,6 @@ from ultraball.ballean import (
     hausdorff_balls,
     hausdorff_by_cases,
     hausdorff_oracle,
-    iso_of_ballean,
     iterate_ballean,
     min_positive_distance,
     singleton_embedding,
@@ -161,7 +160,6 @@ def test_b0_set_is_whole_ballean():
         s = random_space(seed, 6, POOL)
         bl = enumerate_ballean(s)
         assert b0_set(s) == set(bl.balls)
-        assert iso_of_ballean(s) == set(bl.balls)
     one = validate_ultrametric([[0]], ["x0"])
     assert {b.members for b in b0_set(one)} == {(0,)}
 

@@ -145,6 +145,25 @@ def test_dlps_sample(dlps_file, tmp_path, capsys):
     assert cli_main(["validate", str(target)]) == 0
 
 
+@pytest.mark.parametrize("command", ["analyze", "sample"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [DLPS],  # a list where the object belongs
+        {"points": "12"},  # a string is not a list of points
+        {"points": [1], "zero": "no"},  # a string is not a boolean
+        {"tails": [["1", "1/2"]]},  # a tail must be an object
+    ],
+)
+def test_dlps_malformed_json_is_bad_params(command, doc, tmp_path, capsys):
+    path = tmp_path / "dlps.json"
+    path.write_text(json.dumps(doc))
+    extra = ["-n", "3", "--cut", "1/8"] if command == "sample" else []
+    assert cli_main(["dlps", command, str(path), *extra]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BadParamsError"
+
+
 def test_verify_small(capsys):
     assert cli_main(["verify", "--seed", "5", "--trials", "2", "--max-points", "4"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -263,3 +263,8 @@ def test_equidistant_space_shape():
     s = equidistant_space(4, "3/2")
     assert s.n == 4
     assert {s.dist[i][j] for i in range(4) for j in range(4) if i != j} == {Fraction(3, 2)}
+    for n in range(1, 9):
+        s = equidistant_space(n, "3/2")
+        assert find_violation(s.dist, s.labels) is None
+    with pytest.raises(BadParamsError):
+        equidistant_space(3, 1, labels=["a", "b", "a"])

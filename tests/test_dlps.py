@@ -44,6 +44,10 @@ def bare_tail():
     return dlps_space(tails=[(1, "1/2")])
 
 
+def mixed():
+    return dlps_space(points=(1, 2), has_zero=True, tails=[("1/3", "1/2")])
+
+
 # --- distance ----------------------------------------------------------------
 
 
@@ -113,6 +117,14 @@ def test_tail_solver_agrees_with_term_scan():
         (F(3, 4), F(1, 4)),
         (F(1), F(2, 5)),
         (F(5, 2), F(1, 5)),
+        # Parallel ratios, where the solver's residue class must be pushed up
+        # until both exponents are nonnegative.
+        (F(1), F(1, 4)),
+        (F(1, 8), F(1, 2)),
+        (F(1, 2), F(1, 4)),
+        (F(1), F(1, 16)),
+        (F(1), F(4, 9)),
+        (F(2, 3), F(2, 3)),
     ]
     for t1 in candidates:
         for t2 in candidates:
@@ -273,7 +285,7 @@ def test_sample_examples():
 
 
 def test_sample_always_valid():
-    for factory in (finite_012, zero_tail, bare_tail):
+    for factory in (finite_012, zero_tail, bare_tail, mixed):
         for n in (1, 2, 5, 9):
             s = dlps_sample(factory(), n, "1/64")
             assert find_violation(s.dist, s.labels) is None

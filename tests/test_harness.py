@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ultraball
+from ultraball.cli import cli_main
 from ultraball.core import ConfigError, space_to_json_dict, validate_ultrametric
 from ultraball.dendrogram import random_space
 from ultraball.harness import (
@@ -47,13 +48,19 @@ def test_check_subset_selection():
     assert [c.check_id for c in report.checks] == ["H2", "H5"]
 
 
-def test_config_errors():
+def test_config_errors(capsys):
     with pytest.raises(ConfigError):
         run_suite(TrialConfig(trials=0))
     with pytest.raises(ConfigError):
         run_suite(TrialConfig(max_points=0))
     with pytest.raises(ConfigError):
         run_suite(TrialConfig(checks=("H99",)))
+    with pytest.raises(ConfigError):
+        TrialConfig(level_pool=())
+    with pytest.raises(ConfigError):
+        TrialConfig(level_pool=("0",))
+    assert cli_main(["probe-q63", "--trials", "0"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
 def test_corrupted_replay_space_fails_h2_with_witness():
