@@ -108,7 +108,10 @@ def hausdorff_balls(
     else:
         # In an ultrametric space diam(A | B) = max(diam A, diam B, d(a, b))
         # for any a in A and b in B.
-        result = max(b1.diameter, b2.diameter, space.dist[b1.members[0]][b2.members[0]])
+        levels, ranks, _ = space.ranked
+        rank = space.ball_table.rank
+        top = max(rank[b1.members], rank[b2.members], ranks[b1.members[0]][b2.members[0]])
+        result = levels[top]
     if debug:
         cases = hausdorff_by_cases(space, b1, b2)
         oracle = hausdorff_oracle(space, b1.members, b2.members)
@@ -226,7 +229,8 @@ def b0_set(space: FiniteUltrametricSpace) -> set[Ball]:
     """
     bl = enumerate_ballean(space)
     iso = isolated_points(space)
-    result = {b for b in bl.balls if b.diameter > 0}
+    _, _, zero = space.ranked
+    result = {b for b in bl.balls if space.ball_table.rank[b.members] > zero}
     result.update(closed_ball(space, x, ZERO) for x in iso)
     if result != set(bl.balls):
         raise AssertionError("finite-scale positive-radius balls must exhaust the ballean")

@@ -7,11 +7,13 @@ exact equalities, and a single rounded bit would make them unverifiable.
 
 from __future__ import annotations
 
-import math
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 ZERO = Fraction(0)
@@ -80,20 +82,31 @@ def parse_rational(value: RationalLike) -> Fraction:
 
     Strings may be fractions ("3/2") or decimals ("1.5"); both parse
     exactly.  Floats are rejected outright: a binary float would silently
-    poison every exact comparison downstream.
+    poison every exact comparison downstream.  So is a value that no message
+    could print ("1e-60000": more digits than ``sys.get_int_max_str_digits()``).
     """
     if isinstance(value, bool):
         raise BadParamsError(f"cannot use boolean {value!r} as a rational")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+        out = Fraction(value)
+    elif isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            out = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise BadParamsError(f"cannot parse {value!r} as a rational: {exc}") from exc
-    raise BadParamsError(f"cannot parse {type(value).__name__} value {value!r} as a rational")
+    else:
+        raise BadParamsError(f"cannot parse {type(value).__name__} value {value!r} as a rational")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and not (_fits(out.numerator, limit) and _fits(out.denominator, limit)):
+        raise BadParamsError(f"rational too large: over {limit} digits in numerator or denominator")
+    return out
+
+
+def _fits(x: int, digits: int) -> bool:
+    # x has at most floor(bits * log10(2)) + 1 digits, and 0.30103 > log10(2).
+    return x.bit_length() * 30103 // 100000 < digits or abs(x) < 10**digits
 
 
 def rational_str(value: Fraction) -> str:
@@ -143,40 +156,66 @@ class FiniteUltrametricSpace:
 
     def positive_distances(self) -> tuple[Fraction, ...]:
         """Sorted distinct positive values realized by the matrix."""
-        vals = {self.dist[i][j] for i in range(self.n) for j in range(i + 1, self.n)}
-        return tuple(sorted(v for v in vals if v > 0))
+        levels, ranks, zero = self.ranked
+        present = {k for i, row in enumerate(ranks) for k in row[i + 1 :]}
+        return tuple(levels[k] for k in sorted(present) if k > zero)
+
+    @cached_property
+    def ranked(self) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...], int]:
+        """``(levels, ranks, zero)``: the distinct entries and 0, sorted; the
+        matrix of each entry's index in ``levels``; and the index of 0.
+        Ranks order exactly as the entries do, so order questions compare
+        ints, and ``levels[k]`` maps a rank back to its exact value."""
+        flat = [v for row in self.dist for v in row]
+        # Entries are often shared objects (a tree level fills a whole block),
+        # and a Fraction hash is slow, so each distinct object is hashed once.
+        ids_of: dict[Fraction, list[int]] = {ZERO: []}
+        for i, v in dict(zip(map(id, flat), flat)).items():
+            ids_of.setdefault(v, []).append(i)
+        levels = sorted(ids_of)
+        rank_of_id = {i: k for k, v in enumerate(levels) for i in ids_of[v]}
+        ranks = tuple(tuple(map(rank_of_id.__getitem__, map(id, row))) for row in self.dist)
+        return tuple(levels), ranks, levels.index(ZERO)
 
     @cached_property
     def ball_table(self) -> "BallTable":
         """Every closed ball, from one pass over each center and each radius
         realized from it, plus zero; any other radius repeats one of those
         balls.  Works on any square matrix, valid or not."""
-        dist, n = self.dist, self.n
+        levels, ranks, zero = self.ranked
+        n = self.n
         balls: dict[tuple[int, ...], Ball] = {}
         canonical: dict[tuple[int, ...], Ball] = {}
+        rank: dict[tuple[int, ...], int] = {}
         error = None
         for c in range(n):
-            row = dist[c]
-            radii = set(row)
-            radii.add(ZERO)
-            for r in radii:
-                if r < 0:
-                    error = error or (NegativeRadiusError, f"radius must be nonnegative, got {r}")
-                    continue
-                members = tuple(x for x in range(n) if row[x] <= r)
+            row = ranks[c]
+            for k in set(row) | {zero}:
+                # Members are the points x with k >= row[x].
+                members = tuple(compress(range(n), map(k.__ge__, row))) if k >= zero else ()
                 if not members:
-                    error = error or (EmptySubsetError, "subset must be nonempty")
+                    error = error or _first_radius_error(self.dist[c])
                     continue
-                ball = balls.get(members)
-                if ball is None:
-                    first = dist[members[0]]
-                    ball = balls[members] = Ball(members, max(first[p] for p in members))
+                if members not in balls:
+                    rank[members] = top = max(map(ranks[members[0]].__getitem__, members))
+                    balls[members] = Ball(members, levels[top])
                 # closed_ball(members[0], diameter) reproduces the ball exactly
                 # when its first member produces it at a nonnegative diameter.
-                if members[0] == c and ball.diameter >= 0:
-                    canonical[members] = ball
+                if members[0] == c and rank[members] >= zero:
+                    canonical[members] = balls[members]
         ordered = tuple(sorted(balls.values(), key=lambda b: (len(b.members), b.members)))
-        return BallTable(ordered, canonical, error)
+        return BallTable(ordered, canonical, rank, error)
+
+
+def _first_radius_error(row: tuple[Fraction, ...]) -> tuple[type[UltraballError], str]:
+    """The bad radius a scan of ``set(row)`` meets first.  A set of ranks
+    iterates in another order, and the reported radius must not change."""
+    radii = set(row)
+    radii.add(ZERO)
+    bad = next(r for r in radii if r < 0 or not any(v <= r for v in row))
+    if bad < 0:
+        return NegativeRadiusError, f"radius must be nonnegative, got {bad}"
+    return EmptySubsetError, "subset must be nonempty"
 
 
 @dataclass(frozen=True)
@@ -197,13 +236,16 @@ class BallTable(NamedTuple):
 
     ``balls`` lists every distinct ball, sorted by (size, members).
     ``canonical`` maps member tuples to the balls that ``closed_ball(space,
-    members[0], diameter)`` reproduces.  ``error`` is the first bad radius
-    met in the pass (a negative distance, or a radius that leaves a center's
-    ball empty) as (exception type, message); it is None for a valid space.
+    members[0], diameter)`` reproduces, and ``rank`` maps the member tuple
+    of every ball to the rank of its diameter.  ``error`` is the first bad
+    radius met in the pass (a negative distance, or a radius that leaves a
+    center's ball empty) as (exception type, message); it is None for a
+    valid space.
     """
 
     balls: tuple[Ball, ...]
     canonical: dict[tuple[int, ...], Ball]
+    rank: dict[tuple[int, ...], int]
     error: tuple[type[UltraballError], str] | None
 
 
@@ -257,36 +299,33 @@ def find_violation(
     deterministic.
     """
     space = _parse_space(matrix, labels)
-    n, rows, labs = space.n, space.dist, space.labels
+    n, labs = space.n, space.labels
+    _, rows, zero = space.ranked
     for i in range(n):
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
                 return UltrametricViolation("AsymmetricEntry", (i, j), labs)
     for i in range(n):
-        if rows[i][i] != 0:
+        if rows[i][i] != zero:
             return UltrametricViolation("NonzeroDiagonal", (i,), labs)
     for i in range(n):
         for j in range(i + 1, n):
-            if rows[i][j] < 0:
+            if rows[i][j] < zero:
                 return UltrametricViolation("NegativeEntry", (i, j), labs)
     for i in range(n):
         for j in range(i + 1, n):
-            if rows[i][j] == 0:
+            if rows[i][j] == zero:
                 return UltrametricViolation("ZeroOffDiagonal", (i, j), labs)
-
-    # Rescale to integers for the O(n^3) scan; exact and order-preserving.
-    scale = math.lcm(*(v.denominator for row in rows for v in row))
-    m = [[int(v * scale) for v in row] for row in rows]
     for i in range(n):
-        mi = m[i]
+        ri = rows[i]
         for j in range(n):
             if j == i:
                 continue
-            dij = mi[j]
+            dij = ri[j]
             for k in range(n):
                 if k == i or k == j:
                     continue
-                if dij > mi[k] and dij > m[k][j]:
+                if dij > ri[k] and dij > rows[k][j]:
                     return UltrametricViolation("StrongTriangleViolation", (i, j, k), labs)
     return None
 
@@ -312,8 +351,8 @@ def diam(space: FiniteUltrametricSpace, subset: Iterable[int]) -> Fraction:
     space.
     """
     idx = _as_index_tuple(space, subset)
-    row = space.dist[idx[0]]
-    return max(row[p] for p in idx)
+    levels, ranks, _ = space.ranked
+    return levels[max(map(ranks[idx[0]].__getitem__, idx))]
 
 
 def closed_ball(space: FiniteUltrametricSpace, center: int, radius: RationalLike) -> Ball:
@@ -327,8 +366,9 @@ def closed_ball(space: FiniteUltrametricSpace, center: int, radius: RationalLike
         raise NegativeRadiusError(f"radius must be nonnegative, got {r}")
     if not 0 <= center < space.n:
         raise BadParamsError(f"center {center} out of range")
-    row = space.dist[center]
-    members = tuple(x for x in range(space.n) if row[x] <= r)
+    levels, ranks, _ = space.ranked
+    cut = bisect_right(levels, r) - 1  # the largest rank at most r
+    members = tuple(compress(range(space.n), map(cut.__ge__, ranks[center])))
     return Ball(members, diam(space, members))
 
 
@@ -347,12 +387,10 @@ def require_canonical(space: FiniteUltrametricSpace, ball: Ball) -> None:
     """Raise ForeignBallError unless ball is a canonical ball of the space."""
     # A hand-built ball with a float diameter compares equal to a table entry,
     # and one with list members is unhashable; the miss path rejects both.
-    if (
-        isinstance(ball.members, tuple)
-        and isinstance(ball.diameter, Fraction)
-        and space.ball_table.canonical.get(ball.members) == ball
-    ):
-        return
+    if isinstance(ball.members, tuple):
+        entry = space.ball_table.canonical.get(ball.members)
+        if entry is ball or (entry == ball and isinstance(ball.diameter, Fraction)):
+            return
     if not ball.members:
         raise ForeignBallError("a ball must have at least one member")
     members = _as_index_tuple(space, ball.members)
@@ -395,10 +433,11 @@ def isolated_points(space: FiniteUltrametricSpace) -> tuple[int, ...]:
     In a finite metric space every point qualifies, but the membership is
     still computed from the matrix rather than assumed.
     """
+    _, ranks, zero = space.ranked
     out = []
     for x in range(space.n):
-        others = [space.dist[x][y] for y in range(space.n) if y != x]
-        if not others or min(others) > 0:
+        others = [ranks[x][y] for y in range(space.n) if y != x]
+        if not others or min(others) > zero:
             out.append(x)
     return tuple(out)
 

@@ -88,9 +88,10 @@ def is_binary(d: Dendrogram) -> bool:
 def build_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
     """Single-linkage merge tree of a valid space.
 
-    Clusters are merged bottom-up over the sorted distinct positive
-    distances with a union-find; for an ultrametric matrix the lowest
-    common ancestor level reproduces every distance exactly.
+    Point pairs are bucketed by distance rank in one pass, then clusters
+    are merged bottom-up over the positive distances with a union-find; for
+    an ultrametric matrix the lowest common ancestor level reproduces every
+    distance exactly.
     """
     n = space.n
     if n == 1:
@@ -104,14 +105,14 @@ def build_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
             x = parent[x]
         return x
 
+    levels, ranks, zero = space.ranked
+    edges_at: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for i in range(n):
+        for j in range(i + 1, n):
+            edges_at[ranks[i][j]].append((i, j))
     nodes: dict[int, Node] = {i: Leaf(i) for i in range(n)}
-    for level in space.positive_distances():
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if space.dist[i][j] == level
-        ]
+    for k in sorted(k for k in edges_at if k > zero):
+        edges = edges_at[k]
         old_roots = {find(i) for e in edges for i in e}
         for i, j in edges:
             ri, rj = find(i), find(j)
@@ -124,7 +125,7 @@ def build_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
             if len(olds) < 2:
                 continue
             children = sorted((nodes.pop(r) for r in olds), key=_min_leaf)
-            nodes[new_root] = Merge(level, tuple(children))
+            nodes[new_root] = Merge(levels[k], tuple(children))
     root = find(0)
     if len(nodes) != 1 or root not in nodes:
         raise AssertionError("distance matrix did not merge into one cluster")
@@ -241,8 +242,9 @@ def _split(rng: random.Random, items: list[int]) -> list[list[int]]:
 
 
 def _grow(rng: random.Random, points: list[int], pool: list[Fraction]) -> Node:
-    level = pool[rng.randrange(len(pool))]
-    sub = [v for v in pool if v < level]
+    # The pool is sorted and distinct, so the levels below pool[i] are pool[:i].
+    i = rng.randrange(len(pool))
+    level, sub = pool[i], pool[:i]
     children: list[Node] = []
     for part in _split(rng, points):
         if len(part) == 1:

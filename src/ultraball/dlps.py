@@ -206,6 +206,10 @@ class DlpsSpace:
     has_zero: bool
     tails: tuple[GeometricTail, ...]
 
+    def __post_init__(self) -> None:
+        if not (self.finite_points or self.has_zero or self.tails):
+            raise BadParamsError("the presented set must be nonempty")
+
     def contains(self, x: RationalLike) -> bool:
         xf = parse_rational(x)
         if xf == 0:
@@ -218,14 +222,12 @@ class DlpsSpace:
         return any(t.contains(xf) for t in self.tails)
 
     def max_element(self) -> Fraction:
-        best = ZERO if self.has_zero else None
+        candidates = [t.first for t in self.tails]
         if self.finite_points:
-            best = self.finite_points[-1] if best is None else max(best, self.finite_points[-1])
-        for t in self.tails:
-            best = t.first if best is None else max(best, t.first)
-        if best is None:
-            raise AssertionError()
-        return best
+            candidates.append(self.finite_points[-1])
+        if self.has_zero:
+            candidates.append(ZERO)
+        return max(candidates)
 
     def max_at_most(self, r: Fraction) -> Fraction | None:
         """Largest element of the space that is <= r, if any."""
@@ -278,8 +280,6 @@ def dlps_space(
         if not 0 < rf < 1:
             raise BadParamsError(f"tail ratio must lie strictly between 0 and 1, got {rf}")
         tl.append(GeometricTail(ff, rf))
-    if not pts and not has_zero and not tl:
-        raise BadParamsError("the presented set must be nonempty")
 
     for i, t in enumerate(tl):
         for p in pts:

@@ -4,18 +4,28 @@ These deliberately avoid the shortcuts the library takes: diameters are
 full pairwise maxima, isometry is a search over all bijections, and ball
 detection scans every subset.  They stay slow so they stay trustworthy.
 The per-call ball routes at the end are the ones the ball table replaced;
-they rebuild every ball from ``closed_ball`` on every call.
+they rebuild every ball from a closed-ball scan on every call.  The
+``Fraction`` routes are the ones integer ranks replaced: they compare the
+distances themselves, never their ranks.
 """
 
+import math
+from collections import defaultdict
 from itertools import combinations, permutations
 
 from ultraball.core import (
     ZERO,
+    Ball,
+    BadParamsError,
     FiniteUltrametricSpace,
     ForeignBallError,
+    NegativeRadiusError,
+    UltrametricViolation,
     _as_index_tuple,
-    closed_ball,
+    _parse_space,
+    parse_rational,
 )
+from ultraball.dendrogram import Dendrogram, Leaf, Merge, _min_leaf
 
 
 def diam_pairwise(space: FiniteUltrametricSpace, subset) -> object:
@@ -65,7 +75,7 @@ def enumerate_ballean_reference(space: FiniteUltrametricSpace) -> tuple:
         radii = set(space.dist[c])
         radii.add(ZERO)
         for r in radii:
-            b = closed_ball(space, c, r)
+            b = closed_ball_reference(space, c, r)
             by_members[b.members] = b
     balls = tuple(sorted(by_members.values(), key=lambda b: (len(b.members), b.members)))
     if len(balls) > 2 * space.n - 1:
@@ -80,5 +90,89 @@ def require_canonical_reference(space: FiniteUltrametricSpace, ball) -> None:
     members = _as_index_tuple(space, ball.members)
     if members != tuple(ball.members):
         raise ForeignBallError(f"ball members must be sorted distinct indices: {ball.members}")
-    if closed_ball(space, members[0], ball.diameter) != ball:
+    if closed_ball_reference(space, members[0], ball.diameter) != ball:
         raise ForeignBallError(f"{ball} is not a canonical ball of this space")
+
+
+def diam_reference(space: FiniteUltrametricSpace, subset) -> object:
+    """Max distance from the first point of the subset, compared as Fractions."""
+    idx = _as_index_tuple(space, subset)
+    row = space.dist[idx[0]]
+    return max(row[p] for p in idx)
+
+
+def closed_ball_reference(space: FiniteUltrametricSpace, center: int, radius) -> Ball:
+    """The points within the radius, by comparing each distance to it."""
+    r = parse_rational(radius)
+    if r < 0:
+        raise NegativeRadiusError(f"radius must be nonnegative, got {r}")
+    if not 0 <= center < space.n:
+        raise BadParamsError(f"center {center} out of range")
+    row = space.dist[center]
+    members = tuple(x for x in range(space.n) if row[x] <= r)
+    return Ball(members, diam_reference(space, members))
+
+
+def find_violation_reference(matrix, labels=None):
+    """First broken axiom, with the strong triangle scan on the matrix
+    rescaled to integers by the lcm of its denominators."""
+    space = _parse_space(matrix, labels)
+    n, rows, labs = space.n, space.dist, space.labels
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                return UltrametricViolation("AsymmetricEntry", (i, j), labs)
+    for i in range(n):
+        if rows[i][i] != 0:
+            return UltrametricViolation("NonzeroDiagonal", (i,), labs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] < 0:
+                return UltrametricViolation("NegativeEntry", (i, j), labs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] == 0:
+                return UltrametricViolation("ZeroOffDiagonal", (i, j), labs)
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    m = [[int(v * scale) for v in row] for row in rows]
+    for i in range(n):
+        for j in range(n):
+            if j == i:
+                continue
+            for k in range(n):
+                if k != i and k != j and m[i][j] > m[i][k] and m[i][j] > m[k][j]:
+                    return UltrametricViolation("StrongTriangleViolation", (i, j, k), labs)
+    return None
+
+
+def build_dendrogram_reference(space: FiniteUltrametricSpace) -> Dendrogram:
+    """Single-linkage merge tree, one scan of the matrix per distinct
+    positive distance, edges found by Fraction equality."""
+    n = space.n
+    if n == 1:
+        return Dendrogram(Leaf(0), space.labels)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    values = {space.dist[i][j] for i in range(n) for j in range(i + 1, n)}
+    nodes = {i: Leaf(i) for i in range(n)}
+    for level in sorted(v for v in values if v > 0):
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if space.dist[i][j] == level]
+        old_roots = {find(i) for e in edges for i in e}
+        for i, j in edges:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
+        buckets = defaultdict(list)
+        for r in old_roots:
+            buckets[find(r)].append(r)
+        for new_root, olds in buckets.items():
+            if len(olds) >= 2:
+                children = sorted((nodes.pop(r) for r in olds), key=_min_leaf)
+                nodes[new_root] = Merge(level, tuple(children))
+    (root,) = nodes.values()
+    return Dendrogram(root, space.labels)

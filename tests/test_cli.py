@@ -164,6 +164,19 @@ def test_dlps_malformed_json_is_bad_params(command, doc, tmp_path, capsys):
     assert err["error"] == "BadParamsError"
 
 
+def test_dlps_huge_rational_is_bad_params(tmp_path, capsys):
+    # A 60,001-digit denominator: no message could print it.
+    doc = {"tails": [{"first": "1", "ratio": "1/10"}, {"first": "1e-60000", "ratio": "1/3"}]}
+    path = tmp_path / "dlps.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert cli_main(["dlps", "analyze", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BadParamsError"
+    assert "too large" in err["message"]
+
+
 def test_verify_small(capsys):
     assert cli_main(["verify", "--seed", "5", "--trials", "2", "--max-points", "4"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -56,6 +57,24 @@ def test_parse_rational_exact(raw, expected):
 def test_parse_rational_rejects(raw):
     with pytest.raises(BadParamsError):
         parse_rational(raw)
+
+
+def test_parse_rational_digit_limit():
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int digit limit")
+    limit = sys.get_int_max_str_digits()
+    edge = 10 ** (limit - 1)  # the largest power of ten that can still print
+    assert parse_rational(f"1e{limit - 1}") == edge
+    assert parse_rational(f"-1e-{limit - 1}") == Fraction(-1, edge)
+    assert parse_rational(str(10 * edge - 1)) == 10 * edge - 1
+    for raw in (f"1e{limit}", f"1e-{limit}", f"-3e{limit + 5}", "1e-60000", 10 * edge):
+        with pytest.raises(BadParamsError, match="too large"):
+            parse_rational(raw)
+    sys.set_int_max_str_digits(0)  # 0: no limit
+    try:
+        assert parse_rational(f"1e-{limit}") == Fraction(1, 10 * edge)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # --- validation --------------------------------------------------------------

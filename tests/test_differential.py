@@ -1,6 +1,7 @@
-"""The ball table against the per-call routes it replaced.
+"""The ball table and the integer-rank routes against the routes they
+replaced.
 
-Matrices here are arbitrary square integer matrices, not only ultrametric
+Matrices here are arbitrary square rational matrices, not only ultrametric
 ones: nonzero diagonals, negative and asymmetric entries all reach the
 table through replayed spaces, and there it must fail exactly as the
 per-call routes did.
@@ -12,22 +13,67 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import diam_pairwise, enumerate_ballean_reference, require_canonical_reference
+from oracles import (
+    build_dendrogram_reference,
+    closed_ball_reference,
+    diam_pairwise,
+    diam_reference,
+    enumerate_ballean_reference,
+    find_violation_reference,
+    require_canonical_reference,
+)
 from ultraball.ballean import enumerate_ballean, hausdorff_balls
-from ultraball.core import Ball, require_canonical, space_from_json_dict
-from ultraball.dendrogram import random_space
+from ultraball.core import (
+    Ball,
+    closed_ball,
+    diam,
+    find_violation,
+    require_canonical,
+    space_from_json_dict,
+)
+from ultraball.dendrogram import build_dendrogram, random_binary_space, random_space
 
 POOL = ("1", "3/2", "2", "3", "7/2", "4")
 
+
+def _entries(low):
+    # Rows with two or more negative values (and a non-integer one) decide
+    # which bad radius the ball table reports first.
+    return st.sampled_from(list(range(low, 5)) + ([Fraction(-1, 2)] if low < 0 else []))
+
+
 # Half the matrices draw no negative entry, so that the runs past the
 # radius errors (and the 2n-1 bound) get exercised too.
-square_matrices = st.tuples(st.integers(1, 6), st.sampled_from((-1, 0))).flatmap(
+square_matrices = st.tuples(st.integers(1, 6), st.sampled_from((-3, 0))).flatmap(
     lambda shape: st.lists(
-        st.lists(st.integers(shape[1], 4), min_size=shape[0], max_size=shape[0]),
+        st.lists(_entries(shape[1]), min_size=shape[0], max_size=shape[0]),
         min_size=shape[0],
         max_size=shape[0],
     )
 )
+
+RATIONALS = tuple(
+    Fraction(v) for v in ("-3", "-1/2", "0", "1/3", "1/2", "1", "3/2", "2", "7/3", "4")
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Square rational matrices, made symmetric or given a zero diagonal
+    often enough that every axiom scan, up to the strong triangle, is reached."""
+    n = draw(st.integers(1, 6))
+    values = st.sampled_from(RATIONALS)
+    if draw(st.booleans()):
+        values = st.sampled_from([v for v in RATIONALS if v > 0])
+    rows = [[draw(values) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+    if draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] = Fraction(0)
+    return rows
 
 
 def _space(matrix):
@@ -76,3 +122,60 @@ def test_hausdorff_balls_is_union_diameter(seed, n):
         expected = diam_pairwise(space, b1.members + b2.members)
         assert hausdorff_balls(space, b1, b2) == expected
         assert hausdorff_balls(space, b2, b1) == expected
+
+
+def _verdict(violation):
+    return None if violation is None else (violation.axiom, violation.witness)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(matrix=rational_matrices())
+def test_find_violation_matches_lcm_rescale(matrix):
+    assert _verdict(find_violation(matrix)) == _verdict(find_violation_reference(matrix))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(matrix=square_matrices, data=st.data())
+def test_closed_ball_and_diam_match_fraction_scan(matrix, data):
+    space = _space(matrix)
+    values = sorted({v for row in space.dist for v in row} | {Fraction(0)})
+    between = [(a + b) / 2 for a, b in zip(values, values[1:])]
+    # On a level, between levels, below every level, and negative.
+    radii = values + between + [values[0] - 1, Fraction(-1, 3)]
+    for center in range(space.n):
+        for r in radii:
+            got = _outcome(closed_ball, space, center, r)
+            assert got == _outcome(closed_ball_reference, space, center, r), (center, r)
+    for _ in range(4):
+        subset = data.draw(st.lists(st.integers(0, space.n - 1), max_size=space.n))
+        assert _outcome(diam, space, subset) == _outcome(diam_reference, space, subset)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 12), binary=st.booleans())
+def test_build_dendrogram_matches_per_level_scan(seed, n, binary):
+    space = random_binary_space(seed, n) if binary else random_space(seed, n, POOL)
+    assert build_dendrogram(space) == build_dendrogram_reference(space)
+
+
+def test_ranks_order_huge_near_equal_rationals():
+    scale = 10**300
+    a, b, c, d = (Fraction(scale + k, scale) for k in range(4))
+    matrix = [[0, a, c, d], [a, 0, c, d], [c, c, 0, d], [d, d, d, 0]]
+    space = _space(matrix)
+    levels, ranks, _ = space.ranked
+    assert list(levels) == [0, a, c, d]
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    for p, q in cells:
+        for s, t in cells:
+            assert (ranks[p][q] < ranks[s][t]) == (space.dist[p][q] < space.dist[s][t])
+    assert find_violation(matrix) is None
+    for center in range(4):
+        for r in (a, b, c, d, (a + b) / 2):
+            assert closed_ball(space, center, r) == closed_ball_reference(space, center, r)
+    assert [ball.diameter for ball in enumerate_ballean(space)][-3:] == [a, c, d]
+    # Raising d(0, 1) by 1/10**300 past d(0, 2) = c breaks the strong triangle.
+    broken = [row[:] for row in matrix]
+    broken[0][1] = broken[1][0] = d
+    assert _verdict(find_violation(broken)) == ("StrongTriangleViolation", (0, 1, 2))
+    assert _verdict(find_violation(broken)) == _verdict(find_violation_reference(broken))

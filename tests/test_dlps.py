@@ -6,6 +6,7 @@ from ultraball.ballean import ballean_space, enumerate_ballean, hausdorff_balls,
 from ultraball.core import BadParamsError, NegativeRadiusError, find_violation
 from ultraball.dlps import (
     CenterNotInSpaceError,
+    DlpsSpace,
     GeometricTail,
     NegativeInputError,
     Singleton,
@@ -68,6 +69,9 @@ def test_distance_rejects_negative():
 def test_empty_presentation_rejected():
     with pytest.raises(BadParamsError):
         dlps_space()
+    # The raw constructor refuses it too, worded as dlps_space words it.
+    with pytest.raises(BadParamsError, match="the presented set must be nonempty"):
+        DlpsSpace((), False, ())
 
 
 def test_bad_ratio_rejected():
