@@ -21,6 +21,7 @@ from .core import (
     FamilyTooSmallError,
     FiniteUltrametricSpace,
     _as_index_tuple,
+    _over_levels_of,
     closed_ball,
     diam,
     isolated_points,
@@ -93,6 +94,18 @@ def hausdorff_by_cases(space: FiniteUltrametricSpace, b1: Ball, b2: Ball) -> Fra
     return min(dist[x][y] for x in b1.members for y in b2.members)
 
 
+def _hausdorff_rank(space: FiniteUltrametricSpace, b1: Ball, b2: Ball) -> int:
+    """The rank of the Hausdorff distance between two balls of the space."""
+    require_canonical(space, b1)
+    require_canonical(space, b2)
+    if b1.members == b2.members:
+        return space.zero
+    # In an ultrametric space diam(A | B) = max(diam A, diam B, d(a, b))
+    # for any a in A and b in B.
+    rank = space.ball_table.rank
+    return max(rank[b1.members], rank[b2.members], space.ranks[b1.members[0]][b2.members[0]])
+
+
 def hausdorff_balls(
     space: FiniteUltrametricSpace, b1: Ball, b2: Ball, *, debug: bool = False
 ) -> Fraction:
@@ -101,17 +114,7 @@ def hausdorff_balls(
     With debug on, the case-split form and the sup-inf definition are
     evaluated too and all three must agree exactly.
     """
-    require_canonical(space, b1)
-    require_canonical(space, b2)
-    if b1.members == b2.members:
-        result = ZERO
-    else:
-        # In an ultrametric space diam(A | B) = max(diam A, diam B, d(a, b))
-        # for any a in A and b in B.
-        levels, ranks, _ = space.ranked
-        rank = space.ball_table.rank
-        top = max(rank[b1.members], rank[b2.members], ranks[b1.members[0]][b2.members[0]])
-        result = levels[top]
+    result = space.levels[_hausdorff_rank(space, b1, b2)]
     if debug:
         cases = hausdorff_by_cases(space, b1, b2)
         oracle = hausdorff_oracle(space, b1.members, b2.members)
@@ -146,18 +149,19 @@ def ballean_space(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
     """The ballean as a space of its own: points are balls, distances are
     Hausdorff distances.
 
-    The result is built directly from the ball list; it is not revalidated
-    here, so checking it against the ultrametric axioms stays a meaningful
-    test rather than a tautology.
+    Every Hausdorff distance between balls is a distance of the space, so
+    the result ranks into the space's own levels.  It is built directly from
+    the ball list and not revalidated here, so checking it against the
+    ultrametric axioms stays a meaningful test rather than a tautology.
     """
     balls = enumerate_ballean(space).balls
     labels = _dedupe_labels([ball_label(space, b) for b in balls])
     m = len(balls)
-    rows = [[ZERO] * m for _ in range(m)]
+    rows = [[space.zero] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            rows[i][j] = rows[j][i] = hausdorff_balls(space, balls[i], balls[j])
-    return FiniteUltrametricSpace(labels, tuple(tuple(row) for row in rows))
+            rows[i][j] = rows[j][i] = _hausdorff_rank(space, balls[i], balls[j])
+    return _over_levels_of(space, labels, tuple(map(tuple, rows)))
 
 
 def _dedupe_labels(labels: list[str]) -> tuple[str, ...]:
@@ -206,9 +210,7 @@ def family_diameters(
             "need at least two distinct balls; for a lone ball the three "
             "diameters agree only when the ball is a singleton"
         )
-    hd = max(
-        hausdorff_balls(space, x, y) for x, y in combinations(distinct, 2)
-    )
+    hd = space.levels[max(_hausdorff_rank(space, x, y) for x, y in combinations(distinct, 2))]
     union = sorted({m for b in distinct for m in b.members})
     ud = diam(space, union)
     sd = smallest_ball(space, union).diameter
@@ -229,8 +231,7 @@ def b0_set(space: FiniteUltrametricSpace) -> set[Ball]:
     """
     bl = enumerate_ballean(space)
     iso = isolated_points(space)
-    _, _, zero = space.ranked
-    result = {b for b in bl.balls if space.ball_table.rank[b.members] > zero}
+    result = {b for b in bl.balls if space.ball_table.rank[b.members] > space.zero}
     result.update(closed_ball(space, x, ZERO) for x in iso)
     if result != set(bl.balls):
         raise AssertionError("finite-scale positive-radius balls must exhaust the ballean")
@@ -243,7 +244,7 @@ def singleton_embedding(space: FiniteUltrametricSpace) -> dict[int, Ball]:
     labels = space.labels
     for i in range(space.n):
         for j in range(i + 1, space.n):
-            if hausdorff_balls(space, mapping[i], mapping[j]) != space.dist[i][j]:
+            if hausdorff_balls(space, mapping[i], mapping[j]) != space.d(i, j):
                 raise AssertionError(
                     f"singleton embedding failed to preserve d({labels[i]},{labels[j]})"
                 )
@@ -252,5 +253,6 @@ def singleton_embedding(space: FiniteUltrametricSpace) -> dict[int, Ball]:
 
 def min_positive_distance(space: FiniteUltrametricSpace) -> Fraction | None:
     """Smallest positive pairwise distance, or None for a one-point space."""
-    positives = space.positive_distances()
-    return positives[0] if positives else None
+    upper = (k for i, row in enumerate(space.ranks) for k in row[i + 1 :] if k > space.zero)
+    k = min(upper, default=None)
+    return None if k is None else space.levels[k]

@@ -39,9 +39,16 @@ from .dlps import (
 from .harness import DEFAULT_LEVEL_POOL, TrialConfig, probe_q63, run_suite
 
 
+class _InvalidJSON(Exception):
+    """A file that does not decode as JSON."""
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, or too deep
+            raise _InvalidJSON(str(exc)) from exc
 
 
 def _load_space(path: str) -> FiniteUltrametricSpace:
@@ -260,14 +267,13 @@ def cli_main(argv: list[str] | None = None) -> int:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, UltrametricViolation):
             payload.update(exc.to_json_dict())
-        print(json.dumps(payload, indent=2), file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": "FileNotFound", "message": str(exc)}, indent=2), file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(json.dumps({"error": "InvalidJSON", "message": str(exc)}, indent=2), file=sys.stderr)
-        return 1
+    except _InvalidJSON as exc:
+        payload = {"error": "InvalidJSON", "message": str(exc)}
+    except OSError as exc:
+        name = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
+        payload = {"error": name, "message": str(exc)}
+    print(json.dumps(payload, indent=2), file=sys.stderr)
+    return 1
 
 
 def main() -> None:

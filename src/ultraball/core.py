@@ -116,27 +116,42 @@ def rational_str(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class FiniteUltrametricSpace:
-    """A finite set of labeled points with an exact symmetric distance matrix.
+    """A finite set of labeled points with an exact distance matrix, stored
+    as ranks.
 
     Point ``i`` carries ``labels[i]``; labels are unique within a space.
-    Construct through :func:`validate_ultrametric` to get the axioms checked;
-    the raw constructor trusts its input (used when the matrix is built from
-    structures that guarantee validity, and by replay tooling that must be
-    able to carry known-bad matrices).
+    ``levels`` holds the distinct entries together with 0, sorted, and
+    ``d(i, j) == levels[ranks[i][j]]``, so order questions compare ints.
+    No level but 0 goes unused, so equal spaces have equal triples.
+    :attr:`dist` is the exact matrix, derived on first use, and the closed
+    balls are tabulated once in :attr:`ball_table`; neither cache can go
+    stale because the dataclass is frozen.
 
-    The closed balls are tabulated once, on first use, in :attr:`ball_table`.
-    The table can never go stale because the dataclass is frozen.
+    :func:`validate_ultrametric` checks the axioms; the other constructors
+    build valid spaces by construction, and replay tooling carries
+    known-bad matrices through :func:`_parse_space`.
     """
 
     labels: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
+    levels: tuple[Fraction, ...]
+    ranks: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
     def d(self, i: int, j: int) -> Fraction:
-        return self.dist[i][j]
+        return self.levels[self.ranks[i][j]]
+
+    @cached_property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        at = self.levels.__getitem__
+        return tuple(tuple(map(at, row)) for row in self.ranks)
+
+    @cached_property
+    def zero(self) -> int:
+        """The rank of 0, which is above the ranks of negative entries."""
+        return self.levels.index(ZERO)
 
     @cached_property
     def _label_index(self) -> dict[str, int]:
@@ -151,38 +166,15 @@ class FiniteUltrametricSpace:
     def restrict(self, indices: Iterable[int]) -> "FiniteUltrametricSpace":
         """Subspace on the given points, reindexed densely, labels kept."""
         idx = tuple(indices)
-        rows = tuple(tuple(self.dist[p][q] for q in idx) for p in idx)
-        return FiniteUltrametricSpace(tuple(self.labels[p] for p in idx), rows)
-
-    def positive_distances(self) -> tuple[Fraction, ...]:
-        """Sorted distinct positive values realized by the matrix."""
-        levels, ranks, zero = self.ranked
-        present = {k for i, row in enumerate(ranks) for k in row[i + 1 :]}
-        return tuple(levels[k] for k in sorted(present) if k > zero)
-
-    @cached_property
-    def ranked(self) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...], int]:
-        """``(levels, ranks, zero)``: the distinct entries and 0, sorted; the
-        matrix of each entry's index in ``levels``; and the index of 0.
-        Ranks order exactly as the entries do, so order questions compare
-        ints, and ``levels[k]`` maps a rank back to its exact value."""
-        flat = [v for row in self.dist for v in row]
-        # Entries are often shared objects (a tree level fills a whole block),
-        # and a Fraction hash is slow, so each distinct object is hashed once.
-        ids_of: dict[Fraction, list[int]] = {ZERO: []}
-        for i, v in dict(zip(map(id, flat), flat)).items():
-            ids_of.setdefault(v, []).append(i)
-        levels = sorted(ids_of)
-        rank_of_id = {i: k for k, v in enumerate(levels) for i in ids_of[v]}
-        ranks = tuple(tuple(map(rank_of_id.__getitem__, map(id, row))) for row in self.dist)
-        return tuple(levels), ranks, levels.index(ZERO)
+        rows = tuple(tuple(self.ranks[p][q] for q in idx) for p in idx)
+        return _over_levels_of(self, tuple(self.labels[p] for p in idx), rows)
 
     @cached_property
     def ball_table(self) -> "BallTable":
         """Every closed ball, from one pass over each center and each radius
         realized from it, plus zero; any other radius repeats one of those
         balls.  Works on any square matrix, valid or not."""
-        levels, ranks, zero = self.ranked
+        levels, ranks, zero = self.levels, self.ranks, self.zero
         n = self.n
         balls: dict[tuple[int, ...], Ball] = {}
         canonical: dict[tuple[int, ...], Ball] = {}
@@ -274,7 +266,9 @@ def _make_labels(n: int, labels: Sequence[str] | None) -> tuple[str, ...]:
 def _parse_space(
     matrix: Sequence[Sequence[RationalLike]], labels: Sequence[str] | None
 ) -> FiniteUltrametricSpace:
-    """Check the shape of a matrix and its labels, and parse every entry once."""
+    """Check the shape of a matrix and its labels, and parse and rank every
+    entry in one pass.  Any square matrix of rationals is accepted: a
+    negative entry ranks below 0, an asymmetric one stays asymmetric."""
     if not isinstance(matrix, (list, tuple)):
         raise BadParamsError(f"distance matrix must be a list of rows, got {type(matrix).__name__}")
     n = len(matrix)
@@ -283,51 +277,79 @@ def _parse_space(
     for row in matrix:
         if not isinstance(row, (list, tuple)) or len(row) != n:
             raise BadParamsError("distance matrix must be square")
-    rows = tuple(tuple(parse_rational(v) for v in row) for row in matrix)
-    return FiniteUltrametricSpace(_make_labels(n, labels), rows)
+    # Each distinct entry is parsed once.  Keys carry the type, because
+    # True, 1 and 1.0 are equal keys and only 1 is a rational.
+    slot_of: dict[tuple[type, RationalLike], int] = {}
+    values: list[Fraction] = []
+
+    def slot(v: RationalLike) -> int:
+        # parse_rational refuses any other type before it could be hashed.
+        key = (type(v), v) if isinstance(v, (str, int, Fraction)) else parse_rational(v)
+        if key not in slot_of:
+            values.append(parse_rational(v))
+            slot_of[key] = len(values) - 1
+        return slot_of[key]
+
+    slots = [[slot(v) for v in row] for row in matrix]
+    levels = sorted(set(values) | {ZERO})
+    rank_of = {v: k for k, v in enumerate(levels)}
+    rank = [rank_of[v] for v in values]
+    ranks = tuple(tuple(map(rank.__getitem__, row)) for row in slots)
+    return FiniteUltrametricSpace(_make_labels(n, labels), tuple(levels), ranks)
 
 
-def find_violation(
-    matrix: Sequence[Sequence[RationalLike]],
-    labels: Sequence[str] | None = None,
-) -> UltrametricViolation | None:
-    """Return the first broken axiom of the matrix, or None if it is valid.
+def _over_levels_of(
+    base: FiniteUltrametricSpace, labels: tuple[str, ...], ranks: tuple[tuple[int, ...], ...]
+) -> FiniteUltrametricSpace:
+    """The space with these ranks into ``base.levels``, less the levels the
+    ranks leave unused (0 stays), so that the triple stays canonical."""
+    kept = sorted(set().union(*ranks, (base.zero,)))
+    if len(kept) == len(base.levels):
+        return FiniteUltrametricSpace(labels, base.levels, ranks)
+    new = {k: i for i, k in enumerate(kept)}
+    rows = tuple(tuple(map(new.__getitem__, row)) for row in ranks)
+    return FiniteUltrametricSpace(labels, tuple(base.levels[k] for k in kept), rows)
+
+
+def space_violation(space: FiniteUltrametricSpace) -> UltrametricViolation | None:
+    """Return the first broken axiom of the space's matrix, or None if it is
+    valid.
 
     Axioms are checked in a fixed order (symmetry, zero diagonal, negative
     entries, zero off-diagonal entries, strong triangle inequality) and each
     scan reports its lexicographically first witness, so the result is
     deterministic.
     """
-    space = _parse_space(matrix, labels)
-    n, labs = space.n, space.labels
-    _, rows, zero = space.ranked
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                return UltrametricViolation("AsymmetricEntry", (i, j), labs)
-    for i in range(n):
-        if rows[i][i] != zero:
-            return UltrametricViolation("NonzeroDiagonal", (i,), labs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] < zero:
-                return UltrametricViolation("NegativeEntry", (i, j), labs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] == zero:
-                return UltrametricViolation("ZeroOffDiagonal", (i, j), labs)
-    for i in range(n):
-        ri = rows[i]
-        for j in range(n):
-            if j == i:
-                continue
-            dij = ri[j]
+    n, labs, rows, zero = space.n, space.labels, space.ranks, space.zero
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    scans = (
+        ("AsymmetricEntry", pairs, lambda i, j: rows[i][j] != rows[j][i]),
+        ("NonzeroDiagonal", [(i,) for i in range(n)], lambda i: rows[i][i] != zero),
+        ("NegativeEntry", pairs, lambda i, j: rows[i][j] < zero),
+        ("ZeroOffDiagonal", pairs, lambda i, j: rows[i][j] == zero),
+    )
+    for axiom, cells, broken in scans:
+        witness = next((cell for cell in cells if broken(*cell)), None)
+        if witness is not None:
+            return UltrametricViolation(axiom, witness, labs)
+    # By now row j is column j, and no triple with i == j or k in {i, j} can
+    # break the inequality, so scanning those too keeps the first witness.
+    for i, ri in enumerate(rows):
+        for j, dij in enumerate(ri):
+            rj = rows[j]
             for k in range(n):
-                if k == i or k == j:
-                    continue
-                if dij > ri[k] and dij > rows[k][j]:
+                if dij > ri[k] and dij > rj[k]:
                     return UltrametricViolation("StrongTriangleViolation", (i, j, k), labs)
     return None
+
+
+def find_violation(
+    matrix: Sequence[Sequence[RationalLike]],
+    labels: Sequence[str] | None = None,
+) -> UltrametricViolation | None:
+    """Parse the matrix and return its first broken axiom, or None if it is
+    valid; see :func:`space_violation`."""
+    return space_violation(_parse_space(matrix, labels))
 
 
 def validate_ultrametric(
@@ -336,8 +358,7 @@ def validate_ultrametric(
 ) -> FiniteUltrametricSpace:
     """Build a space from a matrix, raising UltrametricViolation on bad input."""
     space = _parse_space(matrix, labels)
-    # The entries are Fractions by now, so this pass converts nothing again.
-    violation = find_violation(space.dist, space.labels)
+    violation = space_violation(space)
     if violation is not None:
         raise violation
     return space
@@ -351,8 +372,7 @@ def diam(space: FiniteUltrametricSpace, subset: Iterable[int]) -> Fraction:
     space.
     """
     idx = _as_index_tuple(space, subset)
-    levels, ranks, _ = space.ranked
-    return levels[max(map(ranks[idx[0]].__getitem__, idx))]
+    return space.levels[max(map(space.ranks[idx[0]].__getitem__, idx))]
 
 
 def closed_ball(space: FiniteUltrametricSpace, center: int, radius: RationalLike) -> Ball:
@@ -366,9 +386,8 @@ def closed_ball(space: FiniteUltrametricSpace, center: int, radius: RationalLike
         raise NegativeRadiusError(f"radius must be nonnegative, got {r}")
     if not 0 <= center < space.n:
         raise BadParamsError(f"center {center} out of range")
-    levels, ranks, _ = space.ranked
-    cut = bisect_right(levels, r) - 1  # the largest rank at most r
-    members = tuple(compress(range(space.n), map(cut.__ge__, ranks[center])))
+    cut = bisect_right(space.levels, r) - 1  # the largest rank at most r
+    members = tuple(compress(range(space.n), map(cut.__ge__, space.ranks[center])))
     return Ball(members, diam(space, members))
 
 
@@ -433,13 +452,10 @@ def isolated_points(space: FiniteUltrametricSpace) -> tuple[int, ...]:
     In a finite metric space every point qualifies, but the membership is
     still computed from the matrix rather than assumed.
     """
-    _, ranks, zero = space.ranked
-    out = []
-    for x in range(space.n):
-        others = [ranks[x][y] for y in range(space.n) if y != x]
-        if not others or min(others) > zero:
-            out.append(x)
-    return tuple(out)
+    zero = space.zero
+    return tuple(
+        x for x, row in enumerate(space.ranks) if all(k > zero for y, k in enumerate(row) if y != x)
+    )
 
 
 def equidistant_space(
@@ -452,8 +468,8 @@ def equidistant_space(
     if t <= 0:
         raise BadParamsError("the common distance must be positive")
     # Ultrametric by construction; only the labels need checking.
-    matrix = [[ZERO if i == j else t for j in range(n)] for i in range(n)]
-    return _parse_space(matrix, labels)
+    ranks = tuple(tuple(int(i != j) for j in range(n)) for i in range(n))
+    return FiniteUltrametricSpace(_make_labels(n, labels), (ZERO, t), ranks)
 
 
 def member_labels(space: FiniteUltrametricSpace, members: Iterable[int]) -> tuple[str, ...]:

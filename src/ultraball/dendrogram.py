@@ -13,6 +13,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence, Union
 
 from .core import (
@@ -63,12 +64,7 @@ def node_leaf_sets(d: Dendrogram) -> set[tuple[int, ...]]:
     out: set[tuple[int, ...]] = set()
 
     def walk(node: Node) -> list[int]:
-        if isinstance(node, Leaf):
-            leaves = [node.point]
-        else:
-            leaves = []
-            for c in node.children:
-                leaves.extend(walk(c))
+        leaves = [node.point] if isinstance(node, Leaf) else [x for c in node.children for x in walk(c)]
         out.add(tuple(sorted(leaves)))
         return leaves
 
@@ -105,7 +101,7 @@ def build_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
             x = parent[x]
         return x
 
-    levels, ranks, zero = space.ranked
+    levels, ranks, zero = space.levels, space.ranks, space.zero
     edges_at: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for i in range(n):
         for j in range(i + 1, n):
@@ -138,6 +134,7 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
     Raises MalformedTreeError on unary internal nodes, non-decreasing
     levels, leaf indices that are not exactly 0..n-1, or repeated labels.
     """
+    found = {ZERO}
 
     def check(node: Node, parent_level: Fraction | None) -> list[int]:
         """Validate the subtree and return its leaves, left to right."""
@@ -151,6 +148,7 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
             raise MalformedTreeError(
                 f"levels must strictly decrease from the root: {node.level} under {parent_level}"
             )
+        found.add(node.level)
         leaves: list[int] = []
         for c in node.children:
             leaves.extend(check(c, node.level))
@@ -165,24 +163,23 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
     if len(set(d.labels)) != n:
         raise MalformedTreeError("labels must be unique within a space")
 
-    rows = [[ZERO] * n for _ in range(n)]
+    levels = sorted(found)
+    rank_of = {v: k for k, v in enumerate(levels)}
+    rows = [[0] * n for _ in range(n)]
 
     def fill(node: Node) -> list[int]:
         if isinstance(node, Leaf):
             return [node.point]
+        k = rank_of[node.level]
         child_leaves = [fill(c) for c in node.children]
-        for a_idx in range(len(child_leaves)):
-            for b_idx in range(a_idx + 1, len(child_leaves)):
-                for x in child_leaves[a_idx]:
-                    for y in child_leaves[b_idx]:
-                        rows[x][y] = rows[y][x] = node.level
-        merged: list[int] = []
-        for part in child_leaves:
-            merged.extend(part)
-        return merged
+        for xs, ys in combinations(child_leaves, 2):
+            for x in xs:
+                for y in ys:
+                    rows[x][y] = rows[y][x] = k
+        return [x for part in child_leaves for x in part]
 
     fill(d.root)
-    return FiniteUltrametricSpace(tuple(d.labels), tuple(tuple(row) for row in rows))
+    return FiniteUltrametricSpace(tuple(d.labels), tuple(levels), tuple(map(tuple, rows)))
 
 
 def canonical_code(d: Dendrogram) -> CanonicalCode:
@@ -271,10 +268,7 @@ def random_space(
         raise BadParamsError("n must be at least 1")
     pool = _parse_pool(level_pool)
     labels = tuple(f"p{i}" for i in range(n))
-    if n == 1:
-        return dendrogram_to_space(Dendrogram(Leaf(0), labels))
-    rng = random.Random(seed)
-    root = _grow(rng, list(range(n)), pool)
+    root = _grow(random.Random(seed), list(range(n)), pool) if n > 1 else Leaf(0)
     return dendrogram_to_space(Dendrogram(root, labels))
 
 

@@ -513,7 +513,10 @@ def dlps_sample(space: DlpsSpace, n: int, scale_cut: RationalLike) -> FiniteUltr
     if not chosen:
         chosen = [space.max_element()]
     # Distinct nonnegative values under the max metric form an ultrametric
-    # space by construction, so the matrix is not re-validated.
+    # space by construction, so the matrix is not re-validated.  The distance
+    # of the i-th and j-th smallest values is the larger one, so its rank is
+    # max(i, j); the smallest value is never a distance, and 0 takes its rank.
     values = sorted(chosen)
-    matrix = tuple(tuple(dlps_distance(x, y) for y in values) for x in values)
-    return FiniteUltrametricSpace(tuple(rational_str(v) for v in values), matrix)
+    m = len(values)
+    ranks = tuple(tuple(max(i, j) if i != j else 0 for j in range(m)) for i in range(m))
+    return FiniteUltrametricSpace(tuple(rational_str(v) for v in values), (ZERO, *values[1:]), ranks)

@@ -33,11 +33,11 @@ from .core import (
     UltraballError,
     UltrametricViolation,
     equidistant_space,
-    find_violation,
     parse_rational,
     rational_str,
     space_from_json_dict,
     space_to_json_dict,
+    space_violation,
     validate_ultrametric,
 )
 from .dendrogram import are_isometric, build_dendrogram, is_binary, node_leaf_sets, random_space
@@ -82,9 +82,7 @@ class TrialConfig:
             raise ConfigError(f"unknown checks: {unknown}; known: {sorted(CHECKS)}")
 
     def selected_checks(self) -> tuple[str, ...]:
-        if not self.checks:
-            return tuple(CHECKS)
-        return self.checks
+        return self.checks or tuple(CHECKS)
 
     def to_json_dict(self) -> dict:
         return {
@@ -182,7 +180,7 @@ def _body_h1(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
 
 def _body_h2(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
     bspace = ballean_space(space)
-    violation = find_violation(bspace.dist, bspace.labels)
+    violation = space_violation(bspace)
     if violation is not None:
         return f"ballean space failed validation: {violation.to_json_dict()}"
     return None
@@ -275,22 +273,14 @@ def _body_h11(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
     if m > _H11_MAX_BALLS:
         return f"ballean has {m} balls, over the H11 subset-scan limit of {_H11_MAX_BALLS}"
     universe = set(range(m))
+    ranks, zero = bspace.ranks, bspace.zero
 
     def iso_of(subset: frozenset[int]) -> set[int]:
-        out = set()
-        for s in subset:
-            others = [bspace.dist[s][t] for t in subset if t != s]
-            if not others or min(others) > 0:
-                out.add(s)
-        return out
+        return {s for s in subset if all(ranks[s][t] > zero for t in subset if t != s)}
 
     def acc_of(subset: frozenset[int]) -> set[int]:
-        out = set()
-        for c in range(m):
-            others = [bspace.dist[c][s] for s in subset if s != c]
-            if others and min(others) == 0:
-                out.add(c)
-        return out
+        # No Hausdorff distance is negative, so a zero one is the least.
+        return {c for c in range(m) if any(ranks[c][s] == zero for s in subset if s != c)}
 
     dense_discrete: list[frozenset[int]] = []
     for bits in range(1, 2**m):
@@ -315,7 +305,7 @@ def _body_h12(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
     first = ballean_space(space)
     second = ballean_space(first)
     for stage, candidate in (("first", first), ("second", second)):
-        violation = find_violation(candidate.dist, candidate.labels)
+        violation = space_violation(candidate)
         if violation is not None:
             return f"{stage} iterated ballean failed validation: {violation.to_json_dict()}"
     return None
@@ -347,14 +337,14 @@ def _run_per_space_check(
     body = _PER_SPACE_BODIES[check_id]
     cap = _SMALL_SPACE_CHECKS.get(check_id)
     sizes: list[int] = []
+    # Generators, so a generated space and its caches go once its trial ends.
     if replay is not None:
-        instances = [(t, s, _trial_rng(cfg, check_id, t)) for t, s in enumerate(replay)]
+        instances = ((t, s, _trial_rng(cfg, check_id, t)) for t, s in enumerate(replay))
     else:
-        instances = []
-        for trial in range(cfg.trials):
-            max_points = min(cfg.max_points, cap) if cap else None
-            space, rng = _trial_space(cfg, check_id, trial, max_points)
-            instances.append((trial, space, rng))
+        max_points = min(cfg.max_points, cap) if cap else None
+        instances = (
+            (trial, *_trial_space(cfg, check_id, trial, max_points)) for trial in range(cfg.trials)
+        )
     for trial, space, rng in instances:
         outcome.trials += 1
         sizes.append(space.n)
@@ -363,7 +353,7 @@ def _run_per_space_check(
         except (UltraballError, AssertionError) as exc:
             detail = f"{type(exc).__name__}: {exc}"
             # A replayed matrix may itself be broken; surface its witness.
-            input_violation = find_violation(space.dist, space.labels)
+            input_violation = space_violation(space)
             if input_violation is not None:
                 detail += f"; input space invalid: {input_violation.to_json_dict()}"
         if detail is not None:
@@ -371,9 +361,7 @@ def _run_per_space_check(
     if sizes:
         outcome.stats["max_space_size"] = max(sizes)
     if check_id == "H12" and replay is None and not outcome.failures:
-        largest = max(sizes) if sizes else 0
-        outcome.stats["iterated_sizes_recorded"] = True
-        outcome.stats["largest_base_size"] = largest
+        outcome.stats.update(iterated_sizes_recorded=True, largest_base_size=max(sizes))
 
 
 def _run_h8(cfg: TrialConfig, outcome: CheckOutcome) -> None:
@@ -387,11 +375,7 @@ def _run_h8(cfg: TrialConfig, outcome: CheckOutcome) -> None:
         problems = []
         if len(bl) != expected_size:
             problems.append(f"ballean size {len(bl)} != {expected_size}")
-        off_diagonal = {
-            bspace.dist[i][j]
-            for i in range(bspace.n)
-            for j in range(i + 1, bspace.n)
-        }
+        off_diagonal = {bspace.d(i, j) for i, j in combinations(range(bspace.n), 2)}
         if n >= 2 and off_diagonal != {t}:
             problems.append(f"ballean distances {sorted(off_diagonal)} not all {t}")
         if are_isometric(space, bspace) != (n == 1):
@@ -455,12 +439,12 @@ def _run_h10(cfg: TrialConfig, outcome: CheckOutcome) -> None:
             problems.append("bounded compactness criterion broke")
 
         sample = dlps_sample(space, 6, Fraction(1, 32))
-        violation = find_violation(sample.dist, sample.labels)
+        violation = space_violation(sample)
         if violation is not None:
             problems.append(f"finite sample failed validation: {violation.to_json_dict()}")
         else:
             bsample = ballean_space(sample)
-            if find_violation(bsample.dist, bsample.labels) is not None:
+            if space_violation(bsample) is not None:
                 problems.append("ballean of the finite sample is not ultrametric")
             # Finite shadow: symbolic Hausdorff between surviving singleton
             # balls must match the sampled-space computation.
@@ -552,13 +536,6 @@ def _enumerate_small_spaces() -> list[FiniteUltrametricSpace]:
     return spaces
 
 
-def _is_equidistant(space: FiniteUltrametricSpace) -> bool:
-    values = {
-        space.dist[i][j] for i in range(space.n) for j in range(i + 1, space.n)
-    }
-    return len(values) <= 1
-
-
 def probe_q63(config: TrialConfig) -> dict:
     """Finite-scale search for a non-equidistant space isometric to its ballean.
 
@@ -590,7 +567,7 @@ def probe_q63(config: TrialConfig) -> dict:
             )
             continue
         excess_ok += 1
-        if isometric and not _is_equidistant(space):
+        if isometric and len(space.levels) > 2:  # not equidistant
             witnesses.append(
                 {"detail": "non-equidistant space isometric to its ballean",
                  "space": space_to_json_dict(space)}

@@ -249,3 +249,35 @@ def test_missing_file_is_domain_error(capsys):
     assert cli_main(["validate", "/nonexistent/space.json"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "FileNotFound"
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("directory", "IsADirectoryError"),
+        ("utf16_bom", "InvalidJSON"),
+        ("deep_nesting", "InvalidJSON"),
+        ("huge_int", "InvalidJSON"),
+        ("out_is_directory", "IsADirectoryError"),
+    ],
+)
+def test_io_and_decode_failures_are_structured(case, error, space_file, tmp_path, capsys):
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xff\xfe{}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"labels": ["a"], "matrix": [[' + "1" * 5000 + "]]}")
+    argv = {
+        "directory": ["validate", str(tmp_path)],
+        "utf16_bom": ["validate", str(bom)],
+        "deep_nesting": ["validate", str(deep)],
+        "huge_int": ["validate", str(huge)],
+        "out_is_directory": ["ballean", space_file, "--out", str(tmp_path)],
+    }[case]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert isinstance(payload, dict)
+    assert payload["error"] == error

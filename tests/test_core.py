@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ultraball.core as core
 from oracles import diam_pairwise
+from ultraball.ballean import ballean_space, iterate_ballean
 from ultraball.core import (
     BadParamsError,
     Ball,
@@ -26,7 +28,14 @@ from ultraball.core import (
     space_to_json_dict,
     validate_ultrametric,
 )
-from ultraball.dendrogram import random_space
+from ultraball.dendrogram import (
+    build_dendrogram,
+    dendrogram_to_space,
+    random_binary_space,
+    random_space,
+)
+from ultraball.dlps import dlps_sample, dlps_space
+from ultraball.harness import TrialConfig, run_suite
 
 POOL = ("1", "3/2", "2", "3", "7/2", "4")
 
@@ -287,3 +296,74 @@ def test_equidistant_space_shape():
         assert find_violation(s.dist, s.labels) is None
     with pytest.raises(BadParamsError):
         equidistant_space(3, 1, labels=["a", "b", "a"])
+
+
+# --- the stored triple -------------------------------------------------------
+
+
+def _constructed_spaces():
+    binary = random_binary_space(3, 6)
+    shallow = random_space(7, 8, POOL)
+    asymmetric = {"labels": ["a", "b"], "matrix": [[0, 2], [1, 0]]}
+    return {
+        "random_space": shallow,
+        "random_binary_space": binary,
+        "dendrogram_to_space": dendrogram_to_space(build_dendrogram(shallow)),
+        "equidistant_space": equidistant_space(5, "3/2"),
+        "restrict": binary.restrict([0, 2, 5]),
+        "restrict_one_point": binary.restrict([4]),
+        "ballean_space": ballean_space(shallow),
+        "iterate_ballean_2": iterate_ballean(binary, 2),
+        "dlps_sample_zero": dlps_sample(dlps_space((1, 2), True, [("1/3", "1/2")]), 5, "1/16"),
+        "dlps_sample_no_zero": dlps_sample(dlps_space(tails=[(1, "1/2")]), 4, "1/16"),
+        "asymmetric_replay_ballean": ballean_space(space_from_json_dict(asymmetric, validate=False)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_constructed_spaces()))
+def test_every_constructor_yields_the_canonical_triple(name):
+    space = _constructed_spaces()[name]
+    assert core._parse_space(space.dist, space.labels) == space
+    assert all(type(v) is Fraction for row in space.dist for v in row)
+
+
+def test_asymmetric_replay_ballean_drops_the_unused_level():
+    # Every Hausdorff distance of this ballean is 2: the entry 1 is read only
+    # against the ball {a, b}, whose diameter 2 dominates it.
+    replay = space_from_json_dict({"labels": ["a", "b"], "matrix": [[0, 2], [1, 0]]}, validate=False)
+    assert replay.levels == (0, 1, 2)
+    assert ballean_space(replay).levels == (0, 2)
+
+
+@pytest.mark.parametrize("odd", [True, 1.0, False, 0.0])
+def test_equal_non_rational_entry_next_to_an_int_is_refused(odd):
+    # True == 1 and 0.0 == 0 as dict keys, so a parse memo keyed by value
+    # alone would let these through.
+    twin = int(odd)
+    matrix = [[0, twin, 2], [twin, 0, 2], [2, 2, 0]]
+    matrix[1][0] = odd
+    with pytest.raises(BadParamsError):
+        find_violation(matrix)
+    with pytest.raises(BadParamsError):
+        space_from_json_dict({"labels": ["a", "b", "c"], "matrix": matrix}, validate=False)
+
+
+def test_each_validated_space_is_parsed_once(monkeypatch):
+    calls = []
+    parse = core._parse_space
+
+    def counting(*args):
+        calls.append(args)
+        return parse(*args)
+
+    monkeypatch.setattr(core, "_parse_space", counting)
+    data = space_to_json_dict(random_binary_space(0, 8))
+    validate_ultrametric(data["matrix"], data["labels"])
+    assert len(calls) == 1
+    calls.clear()
+    space_from_json_dict(data)
+    assert len(calls) == 1
+    calls.clear()
+    report = run_suite(TrialConfig(checks=("H2", "H12")), replay_spaces=[data])
+    assert report.passed
+    assert len(calls) == 1  # loading the replay

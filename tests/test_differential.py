@@ -163,7 +163,7 @@ def test_ranks_order_huge_near_equal_rationals():
     a, b, c, d = (Fraction(scale + k, scale) for k in range(4))
     matrix = [[0, a, c, d], [a, 0, c, d], [c, c, 0, d], [d, d, d, 0]]
     space = _space(matrix)
-    levels, ranks, _ = space.ranked
+    levels, ranks = space.levels, space.ranks
     assert list(levels) == [0, a, c, d]
     cells = [(i, j) for i in range(4) for j in range(4)]
     for p, q in cells:
