@@ -7,13 +7,17 @@ optional zero, and finitely many geometric tails ``first * ratio**k``
 possible accumulation point is 0, so the presentation keeps every predicate
 of interest (isolation, discreteness, metrical discreteness, local
 finiteness, bounded compactness) exactly decidable while the underlying set
-is genuinely infinite.
+is genuinely infinite.  A tail answers membership and "largest term <= r" at
+exponent k in O(log k) exact steps, by repeated squaring of its ratio.  A
+largest term whose numerator or denominator has more digits than ``str`` may
+print (``sys.get_int_max_str_digits()``) is refused with BadParamsError.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -25,6 +29,7 @@ from .core import (
     NegativeRadiusError,
     RationalLike,
     UltraballError,
+    _fits,
     parse_rational,
     rational_str,
 )
@@ -48,35 +53,47 @@ def dlps_distance(x: RationalLike, y: RationalLike) -> Fraction:
 
 @dataclass(frozen=True)
 class GeometricTail:
-    """The infinite set {first * ratio**k : k >= 0}; first > 0, ratio in (0,1)."""
+    """The infinite set {first * ratio**k : k >= 0}; first > 0, ratio = p/q in (0,1)."""
 
     first: Fraction
     ratio: Fraction
 
-    def contains(self, x: Fraction) -> bool:
-        if x <= 0 or x > self.first:
-            return False
-        q = x / self.first
-        cur = Fraction(1)
-        while cur > q:
-            cur *= self.ratio
-        return cur == q
+    def _first_at_most(self, r: Fraction, bits: float) -> Fraction | None:
+        """The term at the least k with first * ratio**k <= r, squaring ratio until
+        a step passes r, then stepping back down; None once q**k passes ``bits`` bits."""
+        t = r / self.first
+        steps = [self.ratio]
+        while steps[-1] > t:
+            if steps[-1].denominator.bit_length() > bits:
+                return None
+            steps.append(steps[-1] * steps[-1])
+        above = Fraction(1)  # ratio**j for the largest j found with ratio**j > t
+        for step in reversed(steps[:-1]):
+            above = deeper if (deeper := above * step) > t else above
+        return self.first * above * self.ratio if above > t else self.first
 
-    def terms_at_least(self, cut: Fraction) -> list[Fraction]:
+    def contains(self, x: Fraction) -> bool:
+        # On the tail x / first == ratio**k has denominator q**k: no deeper k matches.
+        return self._first_at_most(x, (x / self.first).denominator.bit_length()) == x
+
+    def terms_at_least(self, cut: Fraction, n: int) -> list[Fraction]:
+        """The largest n terms >= cut (fewer if fewer exist), descending."""
         out = []
         term = self.first
-        while term >= cut:
+        while term >= cut and len(out) < n:
             out.append(term)
             term *= self.ratio
         return out
 
     def max_at_most(self, r: Fraction) -> Fraction | None:
-        """Largest term <= r, or None when r <= 0."""
+        """Largest term <= r, or None when r <= 0; BadParamsError if it cannot print."""
         if r <= 0:
             return None
-        term = self.first
-        while term > r:
-            term *= self.ratio
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or math.inf
+        # The term's denominator is at least q**k / first.numerator; 4 > log2(10).
+        term = self._first_at_most(r, 4 * limit + self.first.numerator.bit_length())
+        if term is None or not (_fits(term.numerator, limit) and _fits(term.denominator, limit)):
+            raise BadParamsError(f"the largest tail term at or below the cutoff has over {limit} digits")
         return term
 
 
@@ -199,7 +216,7 @@ class DlpsSpace:
 
     Tails must be pairwise disjoint and disjoint from the finite points;
     overlapping presentations are rejected at construction rather than
-    merged, so membership stays a cheap scan.
+    merged, so membership asks each tail once, in O(log k) exact steps.
     """
 
     finite_points: tuple[Fraction, ...]
@@ -230,7 +247,8 @@ class DlpsSpace:
         return max(candidates)
 
     def max_at_most(self, r: Fraction) -> Fraction | None:
-        """Largest element of the space that is <= r, if any."""
+        """Largest element of the space that is <= r, if any.  Raises
+        BadParamsError when a tail's candidate cannot print, even a losing one."""
         best: Fraction | None = None
         i = bisect.bisect_right(self.finite_points, r)
         if i > 0:
@@ -347,13 +365,7 @@ def ball_max(ball: SymbolicBall) -> Fraction:
 
 
 def balls_equal_as_sets(space: DlpsSpace, b1: SymbolicBall, b2: SymbolicBall) -> bool:
-    b1 = normalize_ball(space, b1)
-    b2 = normalize_ball(space, b2)
-    if type(b1) is type(b2):
-        return b1 == b2
-    single, trunc = (b1, b2) if isinstance(b1, Singleton) else (b2, b1)
-    # A truncation collapses to one point iff nothing lies below its cutoff.
-    return single.value == trunc.cutoff and not space.has_element_below(trunc.cutoff)
+    return dlps_hausdorff(space, b1, b2) == 0
 
 
 def dlps_ball(space: DlpsSpace, c: RationalLike, r: RationalLike) -> SymbolicBall:
@@ -485,11 +497,15 @@ def dlps_ballean_analysis(space: DlpsSpace) -> DlpsBalleanReport:
 def dlps_hausdorff(space: DlpsSpace, b1: SymbolicBall, b2: SymbolicBall) -> Fraction:
     """Hausdorff distance between two symbolic balls: the maximum of their
     top elements, i.e. the diameter of the union; 0 for equal sets."""
-    n1 = normalize_ball(space, b1)
-    n2 = normalize_ball(space, b2)
-    if balls_equal_as_sets(space, n1, n2):
-        return ZERO
-    return max(ball_max(n1), ball_max(n2))
+    b1 = normalize_ball(space, b1)
+    b2 = normalize_ball(space, b2)
+    if type(b1) is type(b2):
+        same = b1 == b2
+    else:
+        single, trunc = (b1, b2) if isinstance(b1, Singleton) else (b2, b1)
+        # A truncation collapses to one point iff nothing lies below its cutoff.
+        same = single.value == trunc.cutoff and not space.has_element_below(trunc.cutoff)
+    return ZERO if same else max(ball_max(b1), ball_max(b2))
 
 
 def dlps_sample(space: DlpsSpace, n: int, scale_cut: RationalLike) -> FiniteUltrametricSpace:
@@ -503,13 +519,9 @@ def dlps_sample(space: DlpsSpace, n: int, scale_cut: RationalLike) -> FiniteUltr
         raise BadParamsError("scale cut must be positive")
     positives: set[Fraction] = set(space.finite_points)
     for t in space.tails:
-        positives.update(t.terms_at_least(cut))
-    chosen: list[Fraction] = []
-    budget = n
-    if space.has_zero:
-        chosen.append(ZERO)
-        budget -= 1
-    chosen.extend(sorted(positives, reverse=True)[:budget])
+        positives.update(t.terms_at_least(cut, n))
+    chosen = [ZERO] if space.has_zero else []
+    chosen.extend(sorted(positives, reverse=True)[: n - len(chosen)])
     if not chosen:
         chosen = [space.max_element()]
     # Distinct nonnegative values under the max metric form an ultrametric

@@ -6,11 +6,13 @@ detection scans every subset.  They stay slow so they stay trustworthy.
 The per-call ball routes at the end are the ones the ball table replaced;
 they rebuild every ball from a closed-ball scan on every call.  The
 ``Fraction`` routes are the ones integer ranks replaced: they compare the
-distances themselves, never their ranks.
+distances themselves, never their ranks.  The tail walks at the very end
+are the ones repeated squaring replaced: they visit every term in turn.
 """
 
 import math
 from collections import defaultdict
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from ultraball.core import (
@@ -176,3 +178,32 @@ def build_dendrogram_reference(space: FiniteUltrametricSpace) -> Dendrogram:
                 nodes[new_root] = Merge(level, tuple(children))
     (root,) = nodes.values()
     return Dendrogram(root, space.labels)
+
+
+def tail_contains_walk(tail, x) -> bool:
+    if x <= 0 or x > tail.first:
+        return False
+    q = x / tail.first
+    cur = Fraction(1)
+    while cur > q:
+        cur *= tail.ratio
+    return cur == q
+
+
+def tail_terms_at_least_walk(tail, cut) -> list:
+    out = []
+    term = tail.first
+    while term >= cut:
+        out.append(term)
+        term *= tail.ratio
+    return out
+
+
+def tail_max_at_most_walk(tail, r):
+    """Largest term <= r, or None when r <= 0."""
+    if r <= 0:
+        return None
+    term = tail.first
+    while term > r:
+        term *= tail.ratio
+    return term

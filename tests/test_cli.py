@@ -164,6 +164,18 @@ def test_dlps_malformed_json_is_bad_params(command, doc, tmp_path, capsys):
     assert err["error"] == "BadParamsError"
 
 
+def test_dlps_analyze_ratio_near_one_is_fast(tmp_path, capsys):
+    # Building the space asks whether 1 lies on a tail of about 13.8M terms
+    # above it.
+    doc = {"points": ["1"], "tails": [{"first": "1000000", "ratio": "999999/1000000"}]}
+    path = tmp_path / "dlps.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert cli_main(["dlps", "analyze", str(path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["locally_finite"] is False
+
+
 def test_dlps_huge_rational_is_bad_params(tmp_path, capsys):
     # A 60,001-digit denominator: no message could print it.
     doc = {"tails": [{"first": "1", "ratio": "1/10"}, {"first": "1e-60000", "ratio": "1/3"}]}

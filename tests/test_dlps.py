@@ -1,7 +1,12 @@
+import sys
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import tail_contains_walk, tail_max_at_most_walk, tail_terms_at_least_walk
 from ultraball.ballean import ballean_space, enumerate_ballean, hausdorff_balls, min_positive_distance
 from ultraball.core import BadParamsError, NegativeRadiusError, find_violation
 from ultraball.dlps import (
@@ -28,6 +33,7 @@ from ultraball.dlps import (
     dlps_min_positive_distance,
     dlps_sample,
     dlps_space,
+    normalize_ball,
 )
 
 F = Fraction
@@ -137,6 +143,97 @@ def test_tail_solver_agrees_with_term_scan():
             terms_b = {b.first * b.ratio**k for k in range(40)}
             scanned = bool(terms_a & terms_b)
             assert _tails_intersect(a, b) == scanned
+
+
+# --- tail questions by repeated squaring, against the term walks -------------
+
+small_tails = st.builds(
+    lambda num, den, p, q: GeometricTail(F(num, den), F(p, q)),
+    st.integers(1, 30),
+    st.integers(1, 30),
+    st.integers(1, 11),
+    st.integers(2, 12),
+).filter(lambda t: t.ratio < 1)
+exponents = st.integers(0, 60)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tail=small_tails, k=exponents, prime=st.sampled_from((2, 3, 5, 7, 11, 13)), up=st.booleans())
+def test_tail_contains_matches_walk(tail, k, prime, up):
+    term = tail.first * tail.ratio**k
+    stray = term * prime if up else term / prime
+    above = tail.first * (1 + F(1, prime))
+    for x in (term, stray, above, F(0), -term):
+        assert tail.contains(x) == tail_contains_walk(tail, x), x
+    assert tail.contains(term)
+    assert not tail.contains(above)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tail=small_tails, k=exponents, n=st.integers(1, 70))
+def test_tail_max_at_most_and_terms_at_least_match_walks(tail, k, n):
+    term = tail.first * tail.ratio**k
+    between = (term + term * tail.ratio) / 2
+    for r in (term, between, tail.first * 2, F(0)):
+        assert tail.max_at_most(r) == tail_max_at_most_walk(tail, r), r
+        if r > 0:
+            assert tail.terms_at_least(r, n) == tail_terms_at_least_walk(tail, r)[:n], r
+
+
+def test_ratio_near_one_cutoff_that_cannot_print_is_refused_fast():
+    start = time.perf_counter()
+    with pytest.raises(BadParamsError):
+        normalize_ball(dlps_space(tails=[(10**6, "999999/1000000")]), Truncation(F(1)))
+    # The cutoff itself has 8,001 digits: the message must not print it.
+    with pytest.raises(BadParamsError, match="cutoff"):
+        normalize_ball(dlps_space(tails=[(1, "99/100")]), Truncation(F(99, 100) ** 4000))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "first, ratio, offset",
+    [
+        (F(1), F(1, 10), -10),
+        (F(10**6), F(999999, 10**6), None),
+        # The numerator of first cancels 4,000 digits of q**k in the term.
+        (F(10**4000), F(1, 10), 3990),
+    ],
+)
+def test_largest_term_is_refused_exactly_when_it_cannot_print(first, ratio, offset):
+    # The walk starts at exponent `offset` plus the digit limit (at 0 for
+    # None) and finds the last term that str() prints, independently of the
+    # digit test the library uses.
+    tail = GeometricTail(first, ratio)
+    skip = 0 if offset is None else sys.get_int_max_str_digits() + offset
+    term = first * ratio**skip
+    while True:
+        try:
+            str(term * ratio)
+        except ValueError:
+            break
+        term *= ratio
+    assert tail.max_at_most(term) == term
+    with pytest.raises(BadParamsError):
+        tail.max_at_most(term * ratio)
+
+
+def test_sample_takes_at_most_n_terms_per_tail():
+    start = time.perf_counter()
+    s = dlps_sample(dlps_space(tails=[(1, "999999/1000000")]), 3, "1/1000")
+    assert s.labels == ("999998000001/1000000000000", "999999/1000000", "1")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_hausdorff_normalizes_each_ball_once(monkeypatch):
+    calls = []
+
+    def counting(space, ball):
+        calls.append(ball)
+        return normalize_ball(space, ball)
+
+    monkeypatch.setattr("ultraball.dlps.normalize_ball", counting)
+    assert dlps_hausdorff(mixed(), Singleton(F(2)), Truncation(F(1, 2))) == 2
+    assert len(calls) == 2
 
 
 # --- balls -------------------------------------------------------------------
