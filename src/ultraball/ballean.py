@@ -95,9 +95,8 @@ def hausdorff_by_cases(space: FiniteUltrametricSpace, b1: Ball, b2: Ball) -> Fra
 
 
 def _hausdorff_rank(space: FiniteUltrametricSpace, b1: Ball, b2: Ball) -> int:
-    """The rank of the Hausdorff distance between two balls of the space."""
-    require_canonical(space, b1)
-    require_canonical(space, b2)
+    """The rank of the Hausdorff distance between two canonical balls of the
+    space; callers check each ball once."""
     if b1.members == b2.members:
         return space.zero
     # In an ultrametric space diam(A | B) = max(diam A, diam B, d(a, b))
@@ -114,6 +113,8 @@ def hausdorff_balls(
     With debug on, the case-split form and the sup-inf definition are
     evaluated too and all three must agree exactly.
     """
+    require_canonical(space, b1)
+    require_canonical(space, b2)
     result = space.levels[_hausdorff_rank(space, b1, b2)]
     if debug:
         cases = hausdorff_by_cases(space, b1, b2)
@@ -156,6 +157,8 @@ def ballean_space(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
     """
     balls = enumerate_ballean(space).balls
     labels = _dedupe_labels([ball_label(space, b) for b in balls])
+    for b in balls:
+        require_canonical(space, b)
     m = len(balls)
     rows = [[space.zero] * m for _ in range(m)]
     for i in range(m):
@@ -210,6 +213,8 @@ def family_diameters(
             "need at least two distinct balls; for a lone ball the three "
             "diameters agree only when the ball is a singleton"
         )
+    for b in distinct:
+        require_canonical(space, b)
     hd = space.levels[max(_hausdorff_rank(space, x, y) for x, y in combinations(distinct, 2))]
     union = sorted({m for b in distinct for m in b.members})
     ud = diam(space, union)

@@ -36,7 +36,7 @@ from .dlps import (
     dlps_is_metrically_discrete,
     dlps_sample,
 )
-from .harness import DEFAULT_LEVEL_POOL, TrialConfig, probe_q63, run_suite
+from .harness import TrialConfig, probe_q63, run_suite
 
 
 class _InvalidJSON(Exception):
@@ -160,7 +160,6 @@ def _config_from_args(args: argparse.Namespace) -> TrialConfig:
         seed=args.seed,
         trials=args.trials,
         max_points=args.max_points,
-        level_pool=DEFAULT_LEVEL_POOL,
         checks=checks,
     )
 

@@ -98,15 +98,18 @@ def parse_rational(value: RationalLike) -> Fraction:
             raise BadParamsError(f"cannot parse {value!r} as a rational: {exc}") from exc
     else:
         raise BadParamsError(f"cannot parse {type(value).__name__} value {value!r} as a rational")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and not (_fits(out.numerator, limit) and _fits(out.denominator, limit)):
+    if not _prints(out):
+        limit = sys.get_int_max_str_digits()
         raise BadParamsError(f"rational too large: over {limit} digits in numerator or denominator")
     return out
 
 
-def _fits(x: int, digits: int) -> bool:
-    # x has at most floor(bits * log10(2)) + 1 digits, and 0.30103 > log10(2).
-    return x.bit_length() * 30103 // 100000 < digits or abs(x) < 10**digits
+def _prints(x: Fraction) -> bool:
+    """Whether str() can print x under ``sys.get_int_max_str_digits()``."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    parts = (abs(x.numerator), x.denominator)
+    # n has at most floor(bits * log10(2)) + 1 digits, and 0.30103 > log10(2).
+    return not limit or all(n.bit_length() * 30103 // 100000 < limit or n < 10**limit for n in parts)
 
 
 def rational_str(value: Fraction) -> str:

@@ -10,10 +10,9 @@ hence cheap isometry testing, and a convenient random-instance generator.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence, Union
 
 from .core import (
@@ -53,19 +52,13 @@ class Dendrogram:
         return len(self.labels)
 
 
-def _min_leaf(node: Node) -> int:
-    if isinstance(node, Leaf):
-        return node.point
-    return min(_min_leaf(c) for c in node.children)
-
-
 def node_leaf_sets(d: Dendrogram) -> set[tuple[int, ...]]:
     """Leaf sets of all nodes; these coincide with the ball member sets."""
     out: set[tuple[int, ...]] = set()
 
     def walk(node: Node) -> list[int]:
-        leaves = [node.point] if isinstance(node, Leaf) else [x for c in node.children for x in walk(c)]
-        out.add(tuple(sorted(leaves)))
+        leaves = [node.point] if isinstance(node, Leaf) else sorted(chain(*map(walk, node.children)))
+        out.add(tuple(leaves))
         return leaves
 
     walk(d.root)
@@ -73,59 +66,42 @@ def node_leaf_sets(d: Dendrogram) -> set[tuple[int, ...]]:
 
 
 def is_binary(d: Dendrogram) -> bool:
+    # Direct calls: all(map(...)) would spend two frames per level.
     def walk(node: Node) -> bool:
         if isinstance(node, Leaf):
             return True
-        return len(node.children) == 2 and all(walk(c) for c in node.children)
+        return len(node.children) == 2 and walk(node.children[0]) and walk(node.children[1])
 
     return walk(d.root)
 
 
 def build_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
-    """Single-linkage merge tree of a valid space.
+    """Merge tree of a valid space, by recursive split on ranks.
 
-    Point pairs are bucketed by distance rank in one pass, then clusters
-    are merged bottom-up over the positive distances with a union-find; for
-    an ultrametric matrix the lowest common ancestor level reproduces every
-    distance exactly.
+    A set of points whose diameter has rank ``top`` splits into the classes
+    of ``ranks[c][x] < top``; in an ultrametric space these are the maximal
+    proper sub-balls, and each class splits the same way.  Classes are taken
+    in order of their smallest point c, so children come out in that order,
+    and only entries on or above the diagonal are read.  A point outside its
+    own class raises AssertionError (no ultrametric has one); every other
+    class is a proper subset, so the split always ends.
     """
-    n = space.n
-    if n == 1:
-        return Dendrogram(Leaf(0), space.labels)
+    levels, ranks = space.levels, space.ranks
 
-    parent = list(range(n))
+    def split(points: list[int]) -> Node:
+        if len(points) == 1:
+            return Leaf(points[0])
+        top = max(map(ranks[points[0]].__getitem__, points))
+        children: list[Node] = []
+        while points:
+            c, row = points[0], ranks[points[0]]
+            if row[c] >= top:
+                raise AssertionError(f"point {c} is not closer than {levels[top]} to itself")
+            children.append(split([x for x in points if row[x] < top]))
+            points = [x for x in points if row[x] >= top]
+        return Merge(levels[top], tuple(children))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    levels, ranks, zero = space.levels, space.ranks, space.zero
-    edges_at: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges_at[ranks[i][j]].append((i, j))
-    nodes: dict[int, Node] = {i: Leaf(i) for i in range(n)}
-    for k in sorted(k for k in edges_at if k > zero):
-        edges = edges_at[k]
-        old_roots = {find(i) for e in edges for i in e}
-        for i, j in edges:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-        buckets: dict[int, list[int]] = defaultdict(list)
-        for r in old_roots:
-            buckets[find(r)].append(r)
-        for new_root, olds in buckets.items():
-            if len(olds) < 2:
-                continue
-            children = sorted((nodes.pop(r) for r in olds), key=_min_leaf)
-            nodes[new_root] = Merge(levels[k], tuple(children))
-    root = find(0)
-    if len(nodes) != 1 or root not in nodes:
-        raise AssertionError("distance matrix did not merge into one cluster")
-    return Dendrogram(nodes[root], space.labels)
+    return Dendrogram(split(list(range(space.n))), space.labels)
 
 
 def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
@@ -136,7 +112,7 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
     """
     found = {ZERO}
 
-    def check(node: Node, parent_level: Fraction | None) -> list[int]:
+    def check(node: Node, above: Fraction | None) -> list[int]:
         """Validate the subtree and return its leaves, left to right."""
         if isinstance(node, Leaf):
             return [node.point]
@@ -144,9 +120,9 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
             raise MalformedTreeError("internal nodes need at least two children")
         if node.level <= 0:
             raise MalformedTreeError(f"levels must be positive, got {node.level}")
-        if parent_level is not None and node.level >= parent_level:
+        if above is not None and node.level >= above:
             raise MalformedTreeError(
-                f"levels must strictly decrease from the root: {node.level} under {parent_level}"
+                f"levels must strictly decrease from the root: {node.level} under {above}"
             )
         found.add(node.level)
         leaves: list[int] = []
@@ -171,7 +147,7 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
         if isinstance(node, Leaf):
             return [node.point]
         k = rank_of[node.level]
-        child_leaves = [fill(c) for c in node.children]
+        child_leaves = list(map(fill, node.children))
         for xs, ys in combinations(child_leaves, 2):
             for x in xs:
                 for y in ys:
@@ -192,7 +168,7 @@ def canonical_code(d: Dendrogram) -> CanonicalCode:
     def encode(node: Node) -> str:
         if isinstance(node, Leaf):
             return "*"
-        inner = ",".join(sorted(encode(c) for c in node.children))
+        inner = ",".join(sorted(map(encode, node.children)))
         return f"({rational_str(node.level)}:{inner})"
 
     return encode(d.root)
@@ -206,15 +182,16 @@ def are_isometric(s1: FiniteUltrametricSpace, s2: FiniteUltrametricSpace) -> boo
 
 
 def format_dendrogram(d: Dendrogram) -> str:
-    """Nested-parentheses text form, e.g. ``(2 (1 a b) c)``."""
+    """Text form in nested brackets, e.g. ``(2 (1 a b) c)``."""
 
-    def fmt(node: Node) -> str:
+    def fmt(node: Node) -> tuple[int, str]:
+        """The subtree's smallest leaf and its text, children in smallest-leaf order."""
         if isinstance(node, Leaf):
-            return d.labels[node.point]
-        parts = [fmt(c) for c in sorted(node.children, key=_min_leaf)]
-        return f"({rational_str(node.level)} {' '.join(parts)})"
+            return node.point, d.labels[node.point]
+        parts = sorted(map(fmt, node.children))
+        return parts[0][0], f"({rational_str(node.level)} {' '.join(text for _, text in parts)})"
 
-    return fmt(d.root)
+    return fmt(d.root)[1]
 
 
 def _parse_pool(level_pool: Sequence[RationalLike]) -> list[Fraction]:
@@ -242,17 +219,17 @@ def _grow(rng: random.Random, points: list[int], pool: list[Fraction]) -> Node:
     # The pool is sorted and distinct, so the levels below pool[i] are pool[:i].
     i = rng.randrange(len(pool))
     level, sub = pool[i], pool[:i]
-    children: list[Node] = []
+    children: dict[int, Node] = {}  # keyed by smallest leaf; parts are sorted
     for part in _split(rng, points):
         if len(part) == 1:
-            children.append(Leaf(part[0]))
+            children[part[0]] = Leaf(part[0])
         elif sub:
-            children.append(_grow(rng, part, sub))
+            children[part[0]] = _grow(rng, part, sub)
         else:
             # No strictly smaller level available: the part flattens into
             # leaves merged here, keeping levels strictly decreasing.
-            children.extend(Leaf(p) for p in part)
-    return Merge(level, tuple(sorted(children, key=_min_leaf)))
+            children.update((p, Leaf(p)) for p in part)
+    return Merge(level, tuple(children[k] for k in sorted(children)))
 
 
 def random_space(
@@ -281,13 +258,11 @@ def random_binary_space(seed: int, n: int) -> FiniteUltrametricSpace:
         raise BadParamsError("n must be at least 1")
     labels = tuple(f"p{i}" for i in range(n))
     rng = random.Random(seed)
-    clusters: list[Node] = [Leaf(i) for i in range(n)]
-    # n-1 merges leave exactly one cluster.
+    # (smallest leaf, subtree) pairs; n-1 merges leave exactly one.
+    clusters: list[tuple[int, Node]] = [(i, Leaf(i)) for i in range(n)]
     for level in range(1, n):
-        i = rng.randrange(len(clusters))
-        a = clusters.pop(i)
-        j = rng.randrange(len(clusters))
-        b = clusters.pop(j)
-        pair = tuple(sorted((a, b), key=_min_leaf))
-        clusters.append(Merge(Fraction(level), pair))
-    return dendrogram_to_space(Dendrogram(clusters[0], labels))
+        a = clusters.pop(rng.randrange(len(clusters)))
+        b = clusters.pop(rng.randrange(len(clusters)))
+        (low, x), (_, y) = sorted((a, b), key=lambda pair: pair[0])
+        clusters.append((low, Merge(Fraction(level), (x, y))))
+    return dendrogram_to_space(Dendrogram(clusters[0][1], labels))

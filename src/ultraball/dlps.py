@@ -16,10 +16,12 @@ print (``sys.get_int_max_str_digits()``) is refused with BadParamsError.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence, Union
 
 from .core import (
@@ -29,7 +31,7 @@ from .core import (
     NegativeRadiusError,
     RationalLike,
     UltraballError,
-    _fits,
+    _prints,
     parse_rational,
     rational_str,
 )
@@ -77,11 +79,14 @@ class GeometricTail:
         return self._first_at_most(x, (x / self.first).denominator.bit_length()) == x
 
     def terms_at_least(self, cut: Fraction, n: int) -> list[Fraction]:
-        """The largest n terms >= cut (fewer if fewer exist), descending."""
+        """The largest n terms >= cut (fewer if fewer exist), descending.  The
+        list ends early at the first term that cannot print, which it keeps."""
         out = []
         term = self.first
         while term >= cut and len(out) < n:
             out.append(term)
+            if not _prints(term):
+                break
             term *= self.ratio
         return out
 
@@ -92,7 +97,7 @@ class GeometricTail:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or math.inf
         # The term's denominator is at least q**k / first.numerator; 4 > log2(10).
         term = self._first_at_most(r, 4 * limit + self.first.numerator.bit_length())
-        if term is None or not (_fits(term.numerator, limit) and _fits(term.denominator, limit)):
+        if term is None or not _prints(term):
             raise BadParamsError(f"the largest tail term at or below the cutoff has over {limit} digits")
         return term
 
@@ -248,12 +253,14 @@ class DlpsSpace:
 
     def max_at_most(self, r: Fraction) -> Fraction | None:
         """Largest element of the space that is <= r, if any.  Raises
-        BadParamsError when a tail's candidate cannot print, even a losing one."""
+        BadParamsError when the candidate of a tail that could still win cannot print."""
         best: Fraction | None = None
         i = bisect.bisect_right(self.finite_points, r)
         if i > 0:
             best = self.finite_points[i - 1]
         for t in self.tails:
+            if best is not None and (best == r or t.first <= best):
+                continue  # no term of this tail lies in (best, r]
             cand = t.max_at_most(r)
             if cand is not None and (best is None or cand > best):
                 best = cand
@@ -517,18 +524,18 @@ def dlps_sample(space: DlpsSpace, n: int, scale_cut: RationalLike) -> FiniteUltr
     cut = parse_rational(scale_cut)
     if cut <= 0:
         raise BadParamsError("scale cut must be positive")
-    positives: set[Fraction] = set(space.finite_points)
-    for t in space.tails:
-        positives.update(t.terms_at_least(cut, n))
-    chosen = [ZERO] if space.has_zero else []
-    chosen.extend(sorted(positives, reverse=True)[: n - len(chosen)])
-    if not chosen:
-        chosen = [space.max_element()]
+    # The parts of a presentation are disjoint and each is listed in
+    # descending order, so a merge takes the largest positives without a
+    # sort, which would compare long terms of a ratio-near-1 tail many times.
+    parts = [space.finite_points[::-1], *(t.terms_at_least(cut, n) for t in space.tails)]
+    largest = list(islice(heapq.merge(*parts, reverse=True), n - space.has_zero))
+    values = [ZERO] * space.has_zero + largest[::-1] or [space.max_element()]
+    if not all(map(_prints, values)):
+        raise BadParamsError("a sampled tail term has too many digits to print")
     # Distinct nonnegative values under the max metric form an ultrametric
     # space by construction, so the matrix is not re-validated.  The distance
     # of the i-th and j-th smallest values is the larger one, so its rank is
     # max(i, j); the smallest value is never a distance, and 0 takes its rank.
-    values = sorted(chosen)
     m = len(values)
     ranks = tuple(tuple(max(i, j) if i != j else 0 for j in range(m)) for i in range(m))
     return FiniteUltrametricSpace(tuple(rational_str(v) for v in values), (ZERO, *values[1:]), ranks)

@@ -67,7 +67,6 @@ class TrialConfig:
     seed: int = 42
     trials: int = 200
     max_points: int = 12
-    level_pool: tuple[Fraction, ...] = DEFAULT_LEVEL_POOL
     checks: tuple[str, ...] = ()  # empty means: run every registered check
 
     def __post_init__(self) -> None:
@@ -75,8 +74,6 @@ class TrialConfig:
             raise ConfigError("trials must be at least 1")
         if self.max_points < 1:
             raise ConfigError("max_points must be at least 1")
-        if not self.level_pool or any(parse_rational(v) <= 0 for v in self.level_pool):
-            raise ConfigError("level pool must be nonempty and positive")
         unknown = [c for c in self.checks if c not in CHECKS]
         if unknown:
             raise ConfigError(f"unknown checks: {unknown}; known: {sorted(CHECKS)}")
@@ -89,7 +86,7 @@ class TrialConfig:
             "seed": self.seed,
             "trials": self.trials,
             "max_points": self.max_points,
-            "level_pool": [rational_str(v) for v in self.level_pool],
+            "level_pool": [rational_str(v) for v in DEFAULT_LEVEL_POOL],
             "checks": list(self.selected_checks()),
         }
 
@@ -153,7 +150,7 @@ def _trial_space(
 ) -> tuple[FiniteUltrametricSpace, random.Random]:
     rng = _trial_rng(cfg, check_id, trial)
     n = rng.randint(1, max_points if max_points is not None else cfg.max_points)
-    return random_space(rng.getrandbits(63), n, cfg.level_pool), rng
+    return random_space(rng.getrandbits(63), n, DEFAULT_LEVEL_POOL), rng
 
 
 def _failure(trial: int, detail: str, space: FiniteUltrametricSpace | None = None, **extra) -> dict:

@@ -27,7 +27,7 @@ from ultraball.core import (
     _parse_space,
     parse_rational,
 )
-from ultraball.dendrogram import Dendrogram, Leaf, Merge, _min_leaf
+from ultraball.dendrogram import Dendrogram, Leaf, Merge
 
 
 def diam_pairwise(space: FiniteUltrametricSpace, subset) -> object:
@@ -147,9 +147,25 @@ def find_violation_reference(matrix, labels=None):
     return None
 
 
+def caterpillar(n: int) -> FiniteUltrametricSpace:
+    """The n-point space with d(i, j) = max(i, j), straight from the formula:
+    point k joins the points below it at level k, so its merge tree is n - 1
+    levels deep."""
+    ranks = tuple(tuple(max(i, j) if i != j else 0 for j in range(n)) for i in range(n))
+    return FiniteUltrametricSpace(tuple(f"p{i}" for i in range(n)), tuple(map(Fraction, range(n))), ranks)
+
+
+def _min_leaf(node) -> int:
+    if isinstance(node, Leaf):
+        return node.point
+    return min(_min_leaf(c) for c in node.children)
+
+
 def build_dendrogram_reference(space: FiniteUltrametricSpace) -> Dendrogram:
     """Single-linkage merge tree, one scan of the matrix per distinct
-    positive distance, edges found by Fraction equality."""
+    positive distance, edges found by Fraction equality: the union-find
+    that the recursive split on ranks replaced.  Children are sorted by
+    their smallest leaf."""
     n = space.n
     if n == 1:
         return Dendrogram(Leaf(0), space.labels)

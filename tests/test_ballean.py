@@ -20,15 +20,18 @@ from ultraball.ballean import (
 )
 from ultraball.core import (
     BadParamsError,
+    Ball,
     EmptySubsetError,
     EqualBallsError,
     FamilyTooSmallError,
+    ForeignBallError,
     closed_ball,
     equidistant_space,
     find_violation,
+    require_canonical,
     validate_ultrametric,
 )
-from ultraball.dendrogram import random_space
+from ultraball.dendrogram import random_binary_space, random_space
 
 POOL = ("1", "3/2", "2", "3", "7/2", "4")
 
@@ -147,6 +150,29 @@ def test_family_diameters_examples():
         family_diameters(s, [a])
     with pytest.raises(FamilyTooSmallError):
         family_diameters(s, [a, a])  # duplicates collapse to a singleton family
+
+
+def test_each_ball_is_checked_once_not_once_per_pair(monkeypatch):
+    checked = []
+
+    def counting(space, ball):
+        checked.append(ball.members)
+        require_canonical(space, ball)
+
+    monkeypatch.setattr("ultraball.ballean.require_canonical", counting)
+    s = random_binary_space(0, 10)
+    balls = enumerate_ballean(s).balls
+    ballean_space(s)
+    assert checked == [b.members for b in balls]  # 19 balls, 171 pairs
+    checked.clear()
+    family_diameters(s, [balls[3], balls[0], balls[5], balls[3]])
+    assert checked == [(0,), (3,), (5,)]
+    checked.clear()
+    hausdorff_balls(s, balls[3], balls[0])
+    assert checked == [(3,), (0,)]
+    # The first foreign ball in member order is the one reported.
+    with pytest.raises(ForeignBallError, match=r"members=\(1,\)"):
+        family_diameters(s, [Ball((2,), Fraction(9)), Ball((1,), Fraction(9))])
 
 
 def test_ball_family_union():

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from oracles import caterpillar
 from ultraball.cli import cli_main
 from ultraball.core import space_to_json_dict
 from ultraball.dendrogram import random_binary_space
@@ -118,6 +119,16 @@ def test_tree(space_file, capsys):
     assert capsys.readouterr().out.strip() == "(2 (1 a b) c)"
 
 
+def test_tree_and_isometric_on_a_400_deep_tree(tmp_path, capsys):
+    # Validation takes most of the time; the tree is 399 levels deep.
+    path = tmp_path / "caterpillar.json"
+    path.write_text(json.dumps(space_to_json_dict(caterpillar(400))))
+    assert cli_main(["tree", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("(399 (398 (397 ")
+    assert cli_main(["isometric", str(path), str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+
+
 def test_isometric(space_file, tmp_path, capsys):
     other = tmp_path / "other.json"
     other.write_text(
@@ -174,6 +185,25 @@ def test_dlps_analyze_ratio_near_one_is_fast(tmp_path, capsys):
     assert cli_main(["dlps", "analyze", str(path)]) == 0
     assert time.perf_counter() - start < 1.0
     assert json.loads(capsys.readouterr().out)["locally_finite"] is False
+
+
+@pytest.mark.parametrize(
+    "doc, n, cut",
+    [
+        # Term 1000 has a 6,001-digit denominator.
+        ({"tails": [{"first": "1", "ratio": "999999/1000000"}]}, "1000", "1/2"),
+        # About 20.7M terms lie above the cut.
+        ({"points": ["1"], "tails": [{"first": "1000000", "ratio": "999999/1000000"}]},
+         "100000000", "1/1000"),
+    ],
+)
+def test_dlps_sample_of_terms_that_cannot_print_is_refused_fast(doc, n, cut, tmp_path, capsys):
+    path = tmp_path / "dlps.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert cli_main(["dlps", "sample", str(path), "-n", n, "--cut", cut]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().err)["error"] == "BadParamsError"
 
 
 def test_dlps_huge_rational_is_bad_params(tmp_path, capsys):

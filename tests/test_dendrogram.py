@@ -4,9 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_isometric
+from oracles import brute_isometric, caterpillar
 from ultraball.ballean import enumerate_ballean
-from ultraball.core import BadParamsError, MalformedTreeError, equidistant_space, find_violation, validate_ultrametric
+from ultraball.core import (
+    BadParamsError,
+    MalformedTreeError,
+    _parse_space,
+    equidistant_space,
+    find_violation,
+    space_to_json_dict,
+    validate_ultrametric,
+)
 from ultraball.dendrogram import (
     Dendrogram,
     Leaf,
@@ -21,6 +29,7 @@ from ultraball.dendrogram import (
     random_binary_space,
     random_space,
 )
+from ultraball.harness import TrialConfig, run_suite
 
 POOL = ("1", "3/2", "2", "3", "7/2", "4")
 
@@ -178,3 +187,52 @@ def test_format_three_point():
 def test_format_fractional_level():
     s = equidistant_space(2, "3/2", labels=("a", "b"))
     assert format_dendrogram(build_dendrogram(s)) == "(3/2 a b)"
+
+
+def test_walks_handle_a_600_deep_tree():
+    # Every walk spends one interpreter frame per level, under the default
+    # recursion limit of 1000.
+    space = caterpillar(601)
+    d = build_dendrogram(space)
+    assert dendrogram_to_space(d) == space
+    assert is_binary(d)
+    assert len(node_leaf_sets(d)) == 2 * 601 - 1
+    assert canonical_code(d).count("*") == 601
+    assert format_dendrogram(d).startswith("(600 (599 (598 ")
+
+
+def _leaves(node):
+    out = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            out.append(node.point)
+        else:
+            assert len(node.children) >= 2
+            stack.extend(node.children)
+    return sorted(out)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    matrix=st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from(("-1", "0", "1/2", "1", "2", "3")), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_any_square_matrix_gives_a_tree_or_assertion_error(matrix):
+    # Replays carry broken matrices to the tree: it must not fail any other way.
+    n = len(matrix)
+    space = _parse_space(matrix, None)
+    try:
+        d = build_dendrogram(space)
+    except AssertionError:
+        pass
+    else:
+        assert _leaves(d.root) == list(range(n))
+    report = run_suite(TrialConfig(seed=1, trials=1, checks=("H5",)), [space_to_json_dict(space)])
+    assert report.outcome("H5").trials == 1

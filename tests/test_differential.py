@@ -7,14 +7,17 @@ table through replayed spaces, and there it must fail exactly as the
 per-call routes did.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     build_dendrogram_reference,
+    caterpillar,
     closed_ball_reference,
     diam_pairwise,
     diam_reference,
@@ -27,6 +30,7 @@ from ultraball.core import (
     Ball,
     closed_ball,
     diam,
+    equidistant_space,
     find_violation,
     require_canonical,
     space_from_json_dict,
@@ -152,9 +156,27 @@ def test_closed_ball_and_diam_match_fraction_scan(matrix, data):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 10**6), n=st.integers(1, 12), binary=st.booleans())
-def test_build_dendrogram_matches_per_level_scan(seed, n, binary):
-    space = random_binary_space(seed, n) if binary else random_space(seed, n, POOL)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.one_of(st.integers(1, 12), st.integers(13, 64)),
+    kind=st.sampled_from(("random", "binary", "equidistant")),
+)
+def test_build_dendrogram_matches_per_level_scan(seed, n, kind):
+    if kind == "equidistant":
+        space = equidistant_space(n, Fraction(seed % 7 + 1, 3))
+    else:
+        space = random_binary_space(seed, n) if kind == "binary" else random_space(seed, n, POOL)
+    assert build_dendrogram(space) == build_dendrogram_reference(space)
+
+
+# The reference scans the whole matrix once per level: about 3 s at 200
+# points on a 2-vCPU machine.
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 200])
+def test_recursive_split_matches_union_find_on_caterpillars(n):
+    # Shuffled, so that the smallest leaf of a subtree is not its first point.
+    order = list(range(n))
+    random.Random(n).shuffle(order)
+    space = caterpillar(n).restrict(order)
     assert build_dendrogram(space) == build_dendrogram_reference(space)
 
 

@@ -224,6 +224,20 @@ def test_sample_takes_at_most_n_terms_per_tail():
     assert time.perf_counter() - start < 1.0
 
 
+def test_sample_drops_tail_terms_that_cannot_print_when_not_chosen():
+    # The tail stops at its first term past the digit limit (about term 717),
+    # and the 1,000 finite points above it are the whole sample.
+    space = dlps_space(points=range(2, 1002), tails=[(1, "999999/1000000")])
+    s = dlps_sample(space, 1000, "1/2")
+    assert s.labels == tuple(str(k) for k in range(2, 1002))
+
+
+def test_truncation_at_a_finite_point_ignores_a_tail_that_cannot_win():
+    # The tail's largest term at or below 1/2 cannot print, but 1/2 is the answer.
+    space = dlps_space(points=["1/2"], tails=[(10**6, "999999/1000000")])
+    assert normalize_ball(space, Truncation(F(1, 2))) == Truncation(F(1, 2))
+
+
 def test_hausdorff_normalizes_each_ball_once(monkeypatch):
     calls = []
 

@@ -9,7 +9,7 @@ import pytest
 
 import ultraball
 from ultraball.cli import cli_main
-from ultraball.core import ConfigError, space_to_json_dict, validate_ultrametric
+from ultraball.core import BadParamsError, ConfigError, space_to_json_dict, validate_ultrametric
 from ultraball.dendrogram import random_space
 from ultraball.harness import (
     CHECKS,
@@ -55,10 +55,10 @@ def test_config_errors(capsys):
         run_suite(TrialConfig(max_points=0))
     with pytest.raises(ConfigError):
         run_suite(TrialConfig(checks=("H99",)))
-    with pytest.raises(ConfigError):
-        TrialConfig(level_pool=())
-    with pytest.raises(ConfigError):
-        TrialConfig(level_pool=("0",))
+    with pytest.raises(BadParamsError):
+        random_space(0, 3, ())
+    with pytest.raises(BadParamsError):
+        random_space(0, 3, ("0",))
     assert cli_main(["probe-q63", "--trials", "0"]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
