@@ -88,7 +88,7 @@ def _cmd_ballean(args: argparse.Namespace) -> int:
     base = iterate_ballean(space, args.iterate - 1)
     bl = enumerate_ballean(base)
     balls = [list(member_labels(base, b.members)) for b in bl.balls]
-    matrix = [[rational_str(d) for d in row] for row in ballean_space(base).dist]
+    matrix = space_to_json_dict(ballean_space(base))["matrix"]
     _emit({"balls": balls, "hausdorff": matrix}, args.out)
     return 0
 

@@ -14,6 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 ZERO = Fraction(0)
@@ -280,20 +281,22 @@ def _parse_space(
     for row in matrix:
         if not isinstance(row, (list, tuple)) or len(row) != n:
             raise BadParamsError("distance matrix must be square")
-    # Each distinct entry is parsed once.  Keys carry the type, because
-    # True, 1 and 1.0 are equal keys and only 1 is a rational.
+    # Each distinct entry is parsed once, when first seen.  Keys carry the
+    # type, because True, 1 and 1.0 are equal keys and only 1 is a rational.
     slot_of: dict[tuple[type, RationalLike], int] = {}
     values: list[Fraction] = []
-
-    def slot(v: RationalLike) -> int:
-        # parse_rational refuses any other type before it could be hashed.
-        key = (type(v), v) if isinstance(v, (str, int, Fraction)) else parse_rational(v)
-        if key not in slot_of:
-            values.append(parse_rational(v))
-            slot_of[key] = len(values) - 1
-        return slot_of[key]
-
-    slots = [[slot(v) for v in row] for row in matrix]
+    slots = []
+    for row in matrix:
+        out = []
+        for v in row:
+            try:
+                out.append(slot_of[type(v), v])
+                continue
+            except (KeyError, TypeError):  # a new entry, or an unhashable one
+                pass
+            values.append(parse_rational(v))  # refuses every unhashable type
+            out.append(slot_of.setdefault((type(v), v), len(values) - 1))
+        slots.append(out)
     levels = sorted(set(values) | {ZERO})
     rank_of = {v: k for k, v in enumerate(levels)}
     rank = [rank_of[v] for v in values]
@@ -321,7 +324,8 @@ def space_violation(space: FiniteUltrametricSpace) -> UltrametricViolation | Non
     Axioms are checked in a fixed order (symmetry, zero diagonal, negative
     entries, zero off-diagonal entries, strong triangle inequality) and each
     scan reports its lexicographically first witness, so the result is
-    deterministic.
+    deterministic.  All but the last scan are O(n^2), and the last accepts in
+    O(n^2) (:func:`_splits_cleanly`); its cubic scan runs only to name a witness.
     """
     n, labs, rows, zero = space.n, space.labels, space.ranks, space.zero
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -335,6 +339,8 @@ def space_violation(space: FiniteUltrametricSpace) -> UltrametricViolation | Non
         witness = next((cell for cell in cells if broken(*cell)), None)
         if witness is not None:
             return UltrametricViolation(axiom, witness, labs)
+    if _splits_cleanly(space):
+        return None
     # By now row j is column j, and no triple with i == j or k in {i, j} can
     # break the inequality, so scanning those too keeps the first witness.
     for i, ri in enumerate(rows):
@@ -344,6 +350,31 @@ def space_violation(space: FiniteUltrametricSpace) -> UltrametricViolation | Non
                 if dij > ri[k] and dij > rj[k]:
                     return UltrametricViolation("StrongTriangleViolation", (i, j, k), labs)
     return None
+
+
+def _splits_cleanly(space: FiniteUltrametricSpace) -> bool:
+    """Whether the split of ``build_dendrogram`` reproduces the matrix: every
+    pair in two classes of a set must sit at exactly its ``top``.  On a
+    symmetric matrix with positive entries off a zero diagonal, that holds iff
+    it is ultrametric (Carlsson & Memoli, JMLR 2010).  Reads each pair once."""
+    ranks = space.ranks
+    stack = [list(range(space.n))] if space.n > 1 else []
+    while stack:
+        points = stack.pop()
+        top = max(map(ranks[points[0]].__getitem__, points))
+        while points:
+            row = ranks[points[0]]
+            inner = [x for x in points if row[x] < top]
+            points = [x for x in points if row[x] >= top]
+            if points:
+                # The repeated last index makes the getter return a tuple.
+                cross = itemgetter(*points, points[0])
+                want = (top,) * (len(points) + 1)
+                if any(cross(ranks[a]) != want for a in inner):
+                    return False
+            if len(inner) > 1:
+                stack.append(inner)
+    return True
 
 
 def find_violation(
@@ -481,9 +512,10 @@ def member_labels(space: FiniteUltrametricSpace, members: Iterable[int]) -> tupl
 
 def space_to_json_dict(space: FiniteUltrametricSpace) -> dict:
     """JSON form: {"labels": [...], "matrix": [[exact strings]]}."""
+    text = [rational_str(v) for v in space.levels]
     return {
         "labels": list(space.labels),
-        "matrix": [[rational_str(v) for v in row] for row in space.dist],
+        "matrix": [list(map(text.__getitem__, row)) for row in space.ranks],
     }
 
 

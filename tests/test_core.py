@@ -1,4 +1,5 @@
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ultraball.core as core
-from oracles import diam_pairwise
+from oracles import caterpillar, diam_pairwise
 from ultraball.ballean import ballean_space, iterate_ballean
 from ultraball.core import (
     BadParamsError,
@@ -26,6 +27,7 @@ from ultraball.core import (
     smallest_ball,
     space_from_json_dict,
     space_to_json_dict,
+    space_violation,
     validate_ultrametric,
 )
 from ultraball.dendrogram import (
@@ -124,6 +126,26 @@ def test_violation_variants(matrix, axiom, witness):
     assert violation is not None
     assert violation.axiom == axiom
     assert violation.witness == witness
+
+
+def test_a_1100_deep_space_validates_in_quadratic_time():
+    # The cubic witness scan would take about a minute here, and a recursive
+    # split would run out of frames.
+    space = caterpillar(1100)
+    start = time.perf_counter()
+    assert space_violation(space) is None
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("odd", [True, 1.5, None, [1], {"a": 1}])
+def test_the_first_unparsable_entry_is_refused_with_its_own_message(odd):
+    matrix = [[0, 1, 2], [1, 0, "1.5x"], [2, odd, 0]]
+    matrix[0][2] = odd
+    with pytest.raises(BadParamsError) as err:
+        find_violation(matrix)
+    with pytest.raises(BadParamsError) as alone:
+        parse_rational(odd)
+    assert str(err.value) == str(alone.value)
 
 
 def test_empty_matrix_rejected():
@@ -278,6 +300,9 @@ def test_space_json_round_trip():
     again = space_from_json_dict(space_to_json_dict(s))
     assert again.dist == s.dist
     assert again.labels == s.labels
+    data = {"labels": ["a", "b"], "matrix": [["1/3", -2], ["1.5", 0]]}
+    replay = space_from_json_dict(data, validate=False)
+    assert space_to_json_dict(replay)["matrix"] == [["1/3", "-2"], ["3/2", "0"]]
 
 
 def test_space_from_json_accepts_decimal_and_fraction_strings():

@@ -138,6 +138,38 @@ def test_find_violation_matches_lcm_rescale(matrix):
     assert _verdict(find_violation(matrix)) == _verdict(find_violation_reference(matrix))
 
 
+@st.composite
+def near_ultrametric_matrices(draw):
+    """Generated spaces of up to 64 points, valid or with one symmetric pair
+    moved to another level or to a fresh value, so that the split walk both
+    accepts and refuses before the witness scan runs."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(13, 64)))
+    seed = draw(st.integers(0, 10**6))
+    space = random_binary_space(seed, n) if draw(st.booleans()) else random_space(seed, n, POOL)
+    rows = [list(row) for row in space.dist]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        fresh = (Fraction(1, 7), Fraction(5, 4), max(space.levels) + 1)
+        rows[i][j] = rows[j][i] = draw(st.sampled_from(space.levels[1:] + fresh))
+    return rows
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(matrix=near_ultrametric_matrices())
+def test_find_violation_on_near_ultrametric_spaces_matches_lcm_rescale(matrix):
+    assert _verdict(find_violation(matrix)) == _verdict(find_violation_reference(matrix))
+
+
+def test_planted_violation_on_64_points_names_the_first_triple():
+    # One pair pushed above every other distance: only the triples (i, j, k)
+    # and (j, i, k) break the strong triangle, so the witness is (i, j, 0).
+    space = random_binary_space(7, 64)
+    rows = [list(row) for row in space.dist]
+    rows[17][42] = rows[42][17] = max(space.levels) + 1
+    assert _verdict(find_violation(rows)) == ("StrongTriangleViolation", (17, 42, 0))
+    assert _verdict(find_violation(rows)) == _verdict(find_violation_reference(rows))
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(matrix=square_matrices, data=st.data())
 def test_closed_ball_and_diam_match_fraction_scan(matrix, data):

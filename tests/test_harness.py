@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import ultraball
 from ultraball.cli import cli_main
 from ultraball.core import BadParamsError, ConfigError, space_to_json_dict, validate_ultrametric
-from ultraball.dendrogram import random_space
+from ultraball.dendrogram import random_binary_space, random_space
 from ultraball.harness import (
     CHECKS,
     DEFAULT_LEVEL_POOL,
@@ -141,6 +142,16 @@ def test_h11_scans_every_corpus_space():
 def test_valid_replay_space_passes():
     good = space_to_json_dict(validate_ultrametric([[0, 1], [1, 0]], ["a", "b"]))
     report = run_suite(TrialConfig(seed=1, trials=1, checks=("H1", "H2")), replay_spaces=[good])
+    assert report.passed
+
+
+def test_h2_and_h12_replay_a_120_point_space_quickly():
+    # The two balleans here have 239 and 358 points, where a cubic
+    # validation scan takes seconds.
+    data = space_to_json_dict(random_binary_space(0, 120))
+    start = time.perf_counter()
+    report = run_suite(TrialConfig(seed=1, trials=1, checks=("H2", "H12")), replay_spaces=[data])
+    assert time.perf_counter() - start < 2
     assert report.passed
 
 
