@@ -22,6 +22,7 @@ from .core import (
     FiniteUltrametricSpace,
     _as_index_tuple,
     _over_levels_of,
+    ball_labels,
     closed_ball,
     diam,
     isolated_points,
@@ -142,10 +143,6 @@ def smallest_ball_distance(
     return bstar, bstar.diameter
 
 
-def ball_label(space: FiniteUltrametricSpace, ball: Ball) -> str:
-    return "+".join(sorted(space.labels[m] for m in ball.members))
-
-
 def ballean_space(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
     """The ballean as a space of its own: points are balls, distances are
     Hausdorff distances.
@@ -156,7 +153,7 @@ def ballean_space(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
     ultrametric axioms stays a meaningful test rather than a tautology.
     """
     balls = enumerate_ballean(space).balls
-    labels = _dedupe_labels([ball_label(space, b) for b in balls])
+    labels = ball_labels(space.labels, [b.members for b in balls])
     for b in balls:
         require_canonical(space, b)
     m = len(balls)
@@ -167,18 +164,6 @@ def ballean_space(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
     return _over_levels_of(space, labels, tuple(map(tuple, rows)))
 
 
-def _dedupe_labels(labels: list[str]) -> tuple[str, ...]:
-    # "+"-joined member labels are unique unless the input labels themselves
-    # embed "+"; disambiguate deterministically in that corner.
-    seen: dict[str, int] = {}
-    out = []
-    for lab in labels:
-        count = seen.get(lab, 0) + 1
-        seen[lab] = count
-        out.append(lab if count == 1 else f"{lab}#{count}")
-    return tuple(out)
-
-
 _MAX_DEPTH = 3
 
 
@@ -187,7 +172,8 @@ def iterate_ballean(space: FiniteUltrametricSpace, depth: int) -> FiniteUltramet
 
     Each round adds one point per internal node of the merge tree (a binary
     10-point space grows 10, 19, 28, 37), so a round costs more than the
-    last; deeper towers raise BadParamsError.
+    last; deeper towers raise BadParamsError.  :func:`dendrogram.ballean_tree`
+    builds towers of any depth from the merge tree, without matrices.
     """
     if not 0 <= depth <= _MAX_DEPTH:
         raise BadParamsError(f"iteration depth must be between 0 and {_MAX_DEPTH}, got {depth}")
@@ -215,7 +201,14 @@ def family_diameters(
         )
     for b in distinct:
         require_canonical(space, b)
-    hd = space.levels[max(_hausdorff_rank(space, x, y) for x, y in combinations(distinct, 2))]
+    # The max over pairs of _hausdorff_rank, reading each ball's rank once.
+    rank, ranks = space.ball_table.rank, space.ranks
+    firsts = [b.members[0] for b in distinct]
+    top = max(
+        max(rank[b.members] for b in distinct),
+        max(ranks[x][y] for x, y in combinations(firsts, 2)),
+    )
+    hd = space.levels[top]
     union = sorted({m for b in distinct for m in b.members})
     ud = diam(space, union)
     sd = smallest_ball(space, union).diameter

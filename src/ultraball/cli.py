@@ -9,8 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as encode
 
-from .ballean import ballean_space, enumerate_ballean, hausdorff_balls, iterate_ballean
+from .ballean import hausdorff_balls
 from .core import (
     BadParamsError,
     Ball,
@@ -25,7 +26,14 @@ from .core import (
     space_from_json_dict,
     space_to_json_dict,
 )
-from .dendrogram import are_isometric, build_dendrogram, format_dendrogram
+from .dendrogram import (
+    are_isometric,
+    ballean_tree,
+    build_dendrogram,
+    dendrogram_to_space,
+    format_dendrogram,
+    node_leaf_sets,
+)
 from .dlps import (
     dlps_acc,
     dlps_ballean_analysis,
@@ -55,8 +63,25 @@ def _load_space(path: str) -> FiniteUltrametricSpace:
     return space_from_json_dict(_load_json(path))
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+def _emit(payload: dict[str, object], out: str | None) -> None:
+    """Write ``json.dumps(payload, indent=2)`` and a newline.
+
+    A value that is a list of lists of strings, such as a matrix, is written
+    a row at a time with one ``str.join`` per row: given an indent,
+    ``json.dumps`` runs its pure-Python encoder, which costs more per cell.
+    """
+    items = []
+    for key, value in payload.items():
+        if type(value) is list and all(type(r) is list and set(map(type, r)) <= {str} for r in value):
+            rows = [
+                "[\n      " + ",\n      ".join(map(encode, r)) + "\n    ]" if r else "[]"
+                for r in value
+            ]
+            text = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"{encode(key)}: {text}")
+    text = "{\n  " + ",\n  ".join(items) + "\n}" if items else "{}"
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -85,10 +110,12 @@ def _cmd_ballean(args: argparse.Namespace) -> int:
     space = _load_space(args.space)
     if not 1 <= args.iterate <= 3:
         raise BadParamsError(f"--iterate must be between 1 and 3, got {args.iterate}")
-    base = iterate_ballean(space, args.iterate - 1)
-    bl = enumerate_ballean(base)
-    balls = [list(member_labels(base, b.members)) for b in bl.balls]
-    matrix = space_to_json_dict(ballean_space(base))["matrix"]
+    base = build_dendrogram(space)
+    for _ in range(args.iterate - 1):
+        base = ballean_tree(base)
+    members = sorted(node_leaf_sets(base), key=lambda m: (len(m), m))
+    balls = [list(map(base.labels.__getitem__, m)) for m in members]
+    matrix = space_to_json_dict(dendrogram_to_space(ballean_tree(base)))["matrix"]
     _emit({"balls": balls, "hausdorff": matrix}, args.out)
     return 0
 

@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 ZERO = Fraction(0)
@@ -328,17 +328,25 @@ def space_violation(space: FiniteUltrametricSpace) -> UltrametricViolation | Non
     O(n^2) (:func:`_splits_cleanly`); its cubic scan runs only to name a witness.
     """
     n, labs, rows, zero = space.n, space.labels, space.ranks, space.zero
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    scans = (
-        ("AsymmetricEntry", pairs, lambda i, j: rows[i][j] != rows[j][i]),
-        ("NonzeroDiagonal", [(i,) for i in range(n)], lambda i: rows[i][i] != zero),
-        ("NegativeEntry", pairs, lambda i, j: rows[i][j] < zero),
-        ("ZeroOffDiagonal", pairs, lambda i, j: rows[i][j] == zero),
-    )
-    for axiom, cells, broken in scans:
-        witness = next((cell for cell in cells if broken(*cell)), None)
-        if witness is not None:
-            return UltrametricViolation(axiom, witness, labs)
+    # Whole-matrix tests first: symmetric, nothing below 0, and exactly the n
+    # diagonal entries at 0.  Only a failure scans cells to name the witness.
+    if not (
+        all(map(eq, rows, zip(*rows)))
+        and min(map(min, rows)) == zero
+        and all(row[i] == zero for i, row in enumerate(rows))
+        and sum(row.count(zero) for row in rows) == n
+    ):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        scans = (
+            ("AsymmetricEntry", pairs, lambda i, j: rows[i][j] != rows[j][i]),
+            ("NonzeroDiagonal", [(i,) for i in range(n)], lambda i: rows[i][i] != zero),
+            ("NegativeEntry", pairs, lambda i, j: rows[i][j] < zero),
+            ("ZeroOffDiagonal", pairs, lambda i, j: rows[i][j] == zero),
+        )
+        for axiom, cells, broken in scans:
+            witness = next((cell for cell in cells if broken(*cell)), None)
+            if witness is not None:
+                return UltrametricViolation(axiom, witness, labs)
     if _splits_cleanly(space):
         return None
     # By now row j is column j, and no triple with i == j or k in {i, j} can
@@ -433,7 +441,13 @@ def smallest_ball(space: FiniteUltrametricSpace, subset: Iterable[int]) -> Ball:
     every ball that does.
     """
     idx = _as_index_tuple(space, subset)
-    return closed_ball(space, idx[0], diam(space, idx))
+    row = space.ranks[idx[0]]
+    top = max(map(row.__getitem__, idx))
+    if top < space.zero:
+        raise NegativeRadiusError(f"radius must be nonnegative, got {space.levels[top]}")
+    # closed_ball(idx[0], diam(idx)): every point within rank top of idx[0].
+    members = tuple(compress(range(space.n), map(top.__ge__, row)))
+    return Ball(members, space.levels[max(map(space.ranks[members[0]].__getitem__, members))])
 
 
 def require_canonical(space: FiniteUltrametricSpace, ball: Ball) -> None:
@@ -508,6 +522,19 @@ def equidistant_space(
 
 def member_labels(space: FiniteUltrametricSpace, members: Iterable[int]) -> tuple[str, ...]:
     return tuple(space.labels[m] for m in members)
+
+
+def ball_labels(labels: Sequence[str], balls: Iterable[tuple[int, ...]]) -> tuple[str, ...]:
+    """Point labels for balls given by member tuples: the "+"-joined sorted
+    member labels.  These are unique unless the input labels themselves
+    embed "+"; a repeat gets "#2", "#3", ... in order, deterministically."""
+    seen: dict[str, int] = {}
+    out = []
+    for members in balls:
+        label = "+".join(sorted(labels[m] for m in members))
+        count = seen[label] = seen.get(label, 0) + 1
+        out.append(label if count == 1 else f"{label}#{count}")
+    return tuple(out)
 
 
 def space_to_json_dict(space: FiniteUltrametricSpace) -> dict:

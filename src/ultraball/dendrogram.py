@@ -21,6 +21,7 @@ from .core import (
     FiniteUltrametricSpace,
     MalformedTreeError,
     RationalLike,
+    ball_labels,
     parse_rational,
     rational_str,
 )
@@ -156,6 +157,40 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
 
     fill(d.root)
     return FiniteUltrametricSpace(tuple(d.labels), tuple(levels), tuple(map(tuple, rows)))
+
+
+def ballean_tree(d: Dendrogram) -> Dendrogram:
+    """Merge tree of the ballean of the space that ``d`` realizes.
+
+    The balls are the node leaf sets.  Between two balls the Hausdorff
+    distance is the level of the smaller ball containing both, so the tree is
+    ``d`` with one extra leaf, the node's own ball, under each internal node,
+    at the node's level.  Points are numbered in ``ball_table`` order, by
+    (size, members), so the singletons keep their indices, and are labelled
+    as :func:`ballean.ballean_space` labels them.  Applying this k times
+    gives the k-th ballean with no matrix and no depth cap.
+    """
+    n = d.n
+    merges: list[tuple[tuple[int, ...], Fraction, list[tuple[int, ...]]]] = []  # post-order
+
+    def walk(node: Node) -> tuple[int, ...]:
+        if isinstance(node, Leaf):
+            return (node.point,)
+        if len(node.children) < 2:
+            raise MalformedTreeError("internal nodes need at least two children")
+        parts = list(map(walk, node.children))
+        members = tuple(sorted(chain(*parts)))
+        merges.append((members, node.level, parts))
+        return members
+
+    if walk(d.root) != tuple(range(n)):
+        raise MalformedTreeError(f"leaf indices must be exactly 0..{n - 1}")
+    balls = [(p,) for p in range(n)] + sorted((m for m, _, _ in merges), key=lambda m: (len(m), m))
+    index = {m: i for i, m in enumerate(balls)}
+    built: dict[tuple[int, ...], Node] = {(p,): Leaf(p) for p in range(n)}
+    for members, level, parts in merges:
+        built[members] = Merge(level, (*map(built.__getitem__, parts), Leaf(index[members])))
+    return Dendrogram(built[balls[-1]], ball_labels(d.labels, balls))
 
 
 def canonical_code(d: Dendrogram) -> CanonicalCode:

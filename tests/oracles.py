@@ -115,6 +115,31 @@ def closed_ball_reference(space: FiniteUltrametricSpace, center: int, radius) ->
     return Ball(members, diam_reference(space, members))
 
 
+def smallest_ball_reference(space: FiniteUltrametricSpace, subset) -> Ball:
+    """The ball of radius diam(subset) around the subset's first point."""
+    idx = _as_index_tuple(space, subset)
+    return closed_ball_reference(space, idx[0], diam_reference(space, idx))
+
+
+def family_diameters_reference(space: FiniteUltrametricSpace, balls) -> tuple:
+    """family_diameters of canonical balls, every diameter recomputed by a
+    Fraction scan: the Hausdorff one as the largest union diameter over the
+    pairs, in member order."""
+    distinct = sorted({b.members for b in balls})
+    hd = max(
+        max(diam_reference(space, a), diam_reference(space, b), space.dist[a[0]][b[0]])
+        for a, b in combinations(distinct, 2)
+    )
+    union = sorted({m for members in distinct for m in members})
+    ud = diam_reference(space, union)
+    sd = smallest_ball_reference(space, union).diameter
+    if not (hd == ud == sd):
+        raise AssertionError(
+            f"family diameters disagree: hausdorff={hd}, union={ud}, smallest-ball={sd}"
+        )
+    return hd, ud, sd
+
+
 def find_violation_reference(matrix, labels=None):
     """First broken axiom, with the strong triangle scan on the matrix
     rescaled to integers by the lcm of its denominators."""

@@ -4,9 +4,10 @@ import time
 import pytest
 
 from oracles import caterpillar
-from ultraball.cli import cli_main
-from ultraball.core import space_to_json_dict
-from ultraball.dendrogram import random_binary_space
+from ultraball.ballean import ballean_space, enumerate_ballean, iterate_ballean
+from ultraball.cli import _emit, cli_main
+from ultraball.core import member_labels, space_from_json_dict, space_to_json_dict
+from ultraball.dendrogram import random_binary_space, random_space
 
 SPACE = {"labels": ["a", "b", "c"], "matrix": [[0, 1, 2], [1, 0, 2], [2, 2, 0]]}
 BAD = {"labels": ["a", "b", "c"], "matrix": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]}
@@ -83,6 +84,64 @@ def test_ballean_out_file_pinned(tmp_path):
         ],
     }
     assert target.read_text() == json.dumps(expected, indent=2) + "\n"
+
+
+# Labels with quotes, backslashes, a newline and non-ASCII text, a one-point
+# space and a label that collides with a "+"-joined ball label.
+BALLEAN_INPUTS = [
+    SPACE,
+    {"labels": ['q"x', "b\\s", "\u00e9", "\u65e5\u672c", "x\ny"],
+     "matrix": [[0, 1, 3, 3, 2], [1, 0, 3, 3, 2], [3, 3, 0, "1/2", 3],
+                [3, 3, "1/2", 0, 3], [2, 2, 3, 3, 0]]},
+    {"labels": ["solo"], "matrix": [[0]]},
+    {"labels": ["a", "b", "a+b"], "matrix": [[0, 1, 2], [1, 0, 2], [2, 2, 0]]},
+    space_to_json_dict(random_binary_space(3, 12)),
+    space_to_json_dict(random_space(5, 10, ("1", "3/2", "2", "3"))),
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("data", BALLEAN_INPUTS)
+def test_ballean_from_the_tree_writes_the_matrix_route_text(data, k, tmp_path, capsys):
+    base = iterate_ballean(space_from_json_dict(data), k - 1)
+    payload = {
+        "balls": [list(member_labels(base, b.members)) for b in enumerate_ballean(base)],
+        "hausdorff": space_to_json_dict(ballean_space(base))["matrix"],
+    }
+    expected = json.dumps(payload, indent=2) + "\n"
+    source, target = tmp_path / "space.json", tmp_path / "ballean.json"
+    source.write_text(json.dumps(data))
+    assert cli_main(["ballean", str(source), "--iterate", str(k)]) == 0
+    assert capsys.readouterr().out == expected
+    assert cli_main(["ballean", str(source), "--iterate", str(k), "--out", str(target)]) == 0
+    assert target.read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    {"matrix": []},
+    {"matrix": [[]], "labels": ["a"]},
+    {"matrix": [["\"", "\\"], [], ["\u00e9\u65e5", "\n"]], "n": 3},
+    {"mixed": [["1", 2]], "tuples": [("a",)], "nested": [[["a"]]], "deep": {"x": [["1"]]}},
+    {"strings": ["a", "b"], "none": None, "flag": True, "empty": {}},
+])
+def test_emit_writes_what_json_dumps_writes(payload, tmp_path, capsys):
+    expected = json.dumps(payload, indent=2) + "\n"
+    _emit(payload, None)
+    assert capsys.readouterr().out == expected
+    _emit(payload, str(tmp_path / "out.json"))
+    assert (tmp_path / "out.json").read_text(encoding="utf-8") == expected
+
+
+def test_ballean_iterate_3_on_200_points_is_fast(tmp_path, capsys):
+    # 0.33-0.35 s on a 2-vCPU machine, where the matrix route took 1.7-1.9 s.
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space_to_json_dict(random_binary_space(0, 200))))
+    start = time.perf_counter()
+    assert cli_main(["ballean", str(path), "--iterate", "3"]) == 0
+    elapsed = time.perf_counter() - start
+    assert len(json.loads(capsys.readouterr().out)["balls"]) == 200 + 3 * 199
+    assert elapsed < 1.2
 
 
 def test_ballean_iterate_cap(space_file):

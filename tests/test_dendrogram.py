@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_isometric, caterpillar
-from ultraball.ballean import enumerate_ballean
+from ultraball.ballean import ballean_space, enumerate_ballean
 from ultraball.core import (
     BadParamsError,
     MalformedTreeError,
@@ -20,6 +21,7 @@ from ultraball.dendrogram import (
     Leaf,
     Merge,
     are_isometric,
+    ballean_tree,
     build_dendrogram,
     canonical_code,
     dendrogram_to_space,
@@ -88,6 +90,14 @@ def test_malformed_trees_rejected():
         dendrogram_to_space(Dendrogram(nested, ("a", "b", "c")))
     with pytest.raises(MalformedTreeError):
         dendrogram_to_space(Dendrogram(Merge(Fraction(1), (Leaf(0), Leaf(2))), ("a", "b")))
+    unary = Merge(Fraction(2), (Merge(Fraction(1), (Leaf(0), Leaf(1))),))
+    for tree, labels in [
+        (unary, ("a", "b")),
+        (Merge(Fraction(1), (Leaf(0), Leaf(2))), ("a", "b")),
+        (Merge(Fraction(1), (Leaf(0), Leaf(1))), ("a", "b", "c")),
+    ]:
+        with pytest.raises(MalformedTreeError):
+            ballean_tree(Dendrogram(tree, labels))
 
 
 def test_repeated_labels_rejected():
@@ -199,6 +209,29 @@ def test_walks_handle_a_600_deep_tree():
     assert len(node_leaf_sets(d)) == 2 * 601 - 1
     assert canonical_code(d).count("*") == 601
     assert format_dendrogram(d).startswith("(600 (599 (598 ")
+    tower = ballean_tree(ballean_tree(d))
+    assert tower.n == 601 + 2 * 600
+    code = canonical_code(tower)
+    assert code.startswith("(600:(599:(598:") and "(2:(1:*,*,*,*),*,*,*)" in code
+
+
+def test_ballean_tree_labels_a_collision_as_ballean_space_does():
+    space = validate_ultrametric([[0, 1, 2], [1, 0, 2], [2, 2, 0]], ["a", "b", "a+b"])
+    labels = ("a", "b", "a+b", "a+b#2", "a+a+b+b")
+    assert ballean_tree(build_dendrogram(space)).labels == labels
+    assert ballean_space(space).labels == labels
+
+
+def test_ballean_tree_tower_of_depth_5_on_200_points_is_fast():
+    # 0.03-0.04 s on a 2-vCPU machine; no matrix is built.
+    start = time.perf_counter()
+    d = build_dendrogram(random_binary_space(0, 200))
+    for _ in range(5):
+        d = ballean_tree(d)
+    code = canonical_code(d)
+    assert time.perf_counter() - start < 1.0
+    assert d.n == 200 + 5 * 199
+    assert code.count("*") == d.n
 
 
 def _leaves(node):

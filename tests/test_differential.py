@@ -22,10 +22,12 @@ from oracles import (
     diam_pairwise,
     diam_reference,
     enumerate_ballean_reference,
+    family_diameters_reference,
     find_violation_reference,
     require_canonical_reference,
+    smallest_ball_reference,
 )
-from ultraball.ballean import enumerate_ballean, hausdorff_balls
+from ultraball.ballean import enumerate_ballean, family_diameters, hausdorff_balls, iterate_ballean
 from ultraball.core import (
     Ball,
     closed_ball,
@@ -33,9 +35,17 @@ from ultraball.core import (
     equidistant_space,
     find_violation,
     require_canonical,
+    smallest_ball,
     space_from_json_dict,
 )
-from ultraball.dendrogram import build_dendrogram, random_binary_space, random_space
+from ultraball.dendrogram import (
+    ballean_tree,
+    build_dendrogram,
+    canonical_code,
+    dendrogram_to_space,
+    random_binary_space,
+    random_space,
+)
 
 POOL = ("1", "3/2", "2", "3", "7/2", "4")
 
@@ -170,6 +180,52 @@ def test_planted_violation_on_64_points_names_the_first_triple():
     assert _verdict(find_violation(rows)) == _verdict(find_violation_reference(rows))
 
 
+# Each axiom broken once in a 64-point space, in a cell past the first rows,
+# so that the whole-matrix tests fail and the cell scans must find it.
+@pytest.mark.parametrize("axiom", [
+    "AsymmetricEntry", "NonzeroDiagonal", "NegativeEntry", "ZeroOffDiagonal",
+    "StrongTriangleViolation",
+])
+def test_planted_violation_of_each_axiom_on_64_points(axiom):
+    space = random_binary_space(11, 64)
+    rows = [list(row) for row in space.dist]
+    i, j = 37, 52
+    if axiom == "AsymmetricEntry":
+        rows[j][i] += 1
+    elif axiom == "NonzeroDiagonal":
+        # With one zero pair off the diagonal the matrix still holds n zeros.
+        rows[i][i] = rows[j][j] = Fraction(1, 2)
+        rows[i][j] = rows[j][i] = 0
+    elif axiom == "NegativeEntry":
+        rows[i][j] = rows[j][i] = -rows[i][j]
+    elif axiom == "ZeroOffDiagonal":
+        rows[i][j] = rows[j][i] = 0
+    else:
+        rows[i][j] = rows[j][i] = max(space.levels) + 1
+    got = _verdict(find_violation(rows))
+    assert got[0] == axiom
+    assert got == _verdict(find_violation_reference(rows))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(matrix=square_matrices, data=st.data())
+def test_smallest_ball_and_family_diameters_match_fraction_scans(matrix, data):
+    space = _space(matrix)
+    for _ in range(4):
+        subset = data.draw(st.lists(st.integers(-1, space.n), max_size=space.n))
+        got = _outcome(smallest_ball, space, subset)
+        assert got == _outcome(smallest_ball_reference, space, subset), subset
+    canonical = sorted(space.ball_table.canonical.values(), key=lambda b: b.members)
+    if len(canonical) > 1:
+        for _ in range(4):
+            family = data.draw(st.lists(
+                st.sampled_from(canonical), min_size=2, max_size=5, unique_by=lambda b: b.members
+            ))
+            family.append(family[0])  # a repeated ball counts once
+            got = _outcome(family_diameters, space, family)
+            assert got == _outcome(family_diameters_reference, space, family), family
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(matrix=square_matrices, data=st.data())
 def test_closed_ball_and_diam_match_fraction_scan(matrix, data):
@@ -233,3 +289,23 @@ def test_ranks_order_huge_near_equal_rationals():
     broken[0][1] = broken[1][0] = d
     assert _verdict(find_violation(broken)) == ("StrongTriangleViolation", (0, 1, 2))
     assert _verdict(find_violation(broken)) == _verdict(find_violation_reference(broken))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 9),
+    k=st.integers(1, 3),
+    kind=st.sampled_from(("random", "binary", "equidistant")),
+)
+def test_ballean_tree_tower_matches_iterated_ballean(seed, n, k, kind):
+    if kind == "equidistant":
+        space = equidistant_space(n, Fraction(seed % 7 + 1, 3))
+    else:
+        space = random_binary_space(seed, n) if kind == "binary" else random_space(seed, n, POOL)
+    tree = build_dendrogram(space)
+    for _ in range(k):
+        tree = ballean_tree(tree)
+    expected = iterate_ballean(space, k)
+    assert dendrogram_to_space(tree) == expected
+    assert canonical_code(tree) == canonical_code(build_dendrogram(expected))
