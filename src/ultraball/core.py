@@ -127,9 +127,9 @@ class FiniteUltrametricSpace:
     ``levels`` holds the distinct entries together with 0, sorted, and
     ``d(i, j) == levels[ranks[i][j]]``, so order questions compare ints.
     No level but 0 goes unused, so equal spaces have equal triples.
-    :attr:`dist` is the exact matrix, derived on first use, and the closed
-    balls are tabulated once in :attr:`ball_table`; neither cache can go
-    stale because the dataclass is frozen.
+    :attr:`dist` is the exact matrix, :attr:`ball_table` the closed balls and
+    :attr:`split` the merge tree, each built on first use (by validation, for
+    the tree); no cache can go stale because the dataclass is frozen.
 
     :func:`validate_ultrametric` checks the axioms; the other constructors
     build valid spaces by construction, and replay tooling carries
@@ -202,6 +202,47 @@ class FiniteUltrametricSpace:
         ordered = tuple(sorted(balls.values(), key=lambda b: (len(b.members), b.members)))
         return BallTable(ordered, canonical, rank, error)
 
+    @cached_property
+    def split(self) -> tuple[Dendrogram, bool]:
+        """The merge tree, split set by set on a stack, and whether it reproduces the matrix.
+
+        A set whose diameter has rank ``top`` splits into the classes of
+        ``ranks[c][x] < top``, in order of their smallest point c, and each
+        class splits the same way before the next is taken; in an ultrametric
+        space the classes are the maximal proper sub-balls.  The flag says
+        whether every pair in two classes of a set sits at exactly its
+        ``top``; on a symmetric matrix with positive entries off a zero
+        diagonal, that holds iff it is ultrametric (Carlsson & Memoli, JMLR
+        2010).  A point outside its own class raises AssertionError, so every
+        other class is a proper subset and the split ends on any square matrix.
+        """
+        levels, ranks = self.levels, self.ranks
+        if self.n == 1:
+            return Dendrogram(Leaf(0), self.labels), True
+        clean, out = True, []
+        # Per set being split: [top rank, points in no class yet, child trees, parent's list].
+        stack = [[max(ranks[0]), list(range(self.n)), [], out]]
+        while stack:
+            top, points, children, parent = frame = stack[-1]
+            if not points:
+                stack.pop()
+                parent.append(Merge(levels[top], tuple(children)))
+                continue
+            c, row = points[0], ranks[points[0]]
+            if row[c] >= top:
+                raise AssertionError(f"point {c} is not closer than {levels[top]} to itself")
+            inner = [x for x in points if row[x] < top]
+            frame[1] = points = [x for x in points if row[x] >= top]
+            if clean and points:
+                # The repeated last index makes the getter return a tuple.
+                cross, want = itemgetter(*points, points[0]), (top,) * (len(points) + 1)
+                clean = all(cross(ranks[a]) == want for a in inner)
+            if len(inner) == 1:
+                children.append(Leaf(c))
+            else:
+                stack.append([max(map(row.__getitem__, inner)), inner, [], children])
+        return Dendrogram(out[0], self.labels), clean
+
 
 def _first_radius_error(row: tuple[Fraction, ...]) -> tuple[type[UltraballError], str]:
     """The bad radius a scan of ``set(row)`` meets first.  A set of ranks
@@ -243,6 +284,30 @@ class BallTable(NamedTuple):
     canonical: dict[tuple[int, ...], Ball]
     rank: dict[tuple[int, ...], int]
     error: tuple[type[UltraballError], str] | None
+
+
+@dataclass(frozen=True)
+class Leaf:
+    point: int
+
+
+@dataclass(frozen=True)
+class Merge:
+    level: Fraction
+    children: tuple["Node", ...]
+
+
+Node = Leaf | Merge
+
+
+@dataclass(frozen=True)
+class Dendrogram:
+    root: Node
+    labels: tuple[str, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
 
 
 def _as_index_tuple(space: FiniteUltrametricSpace, subset: Iterable[int]) -> tuple[int, ...]:
@@ -325,7 +390,8 @@ def space_violation(space: FiniteUltrametricSpace) -> UltrametricViolation | Non
     entries, zero off-diagonal entries, strong triangle inequality) and each
     scan reports its lexicographically first witness, so the result is
     deterministic.  All but the last scan are O(n^2), and the last accepts in
-    O(n^2) (:func:`_splits_cleanly`); its cubic scan runs only to name a witness.
+    O(n^2) by the flag of :attr:`FiniteUltrametricSpace.split`, which caches
+    the merge tree; its cubic scan runs only to name a witness.
     """
     n, labs, rows, zero = space.n, space.labels, space.ranks, space.zero
     # Whole-matrix tests first: symmetric, nothing below 0, and exactly the n
@@ -347,7 +413,7 @@ def space_violation(space: FiniteUltrametricSpace) -> UltrametricViolation | Non
             witness = next((cell for cell in cells if broken(*cell)), None)
             if witness is not None:
                 return UltrametricViolation(axiom, witness, labs)
-    if _splits_cleanly(space):
+    if space.split[1]:
         return None
     # By now row j is column j, and no triple with i == j or k in {i, j} can
     # break the inequality, so scanning those too keeps the first witness.
@@ -358,31 +424,6 @@ def space_violation(space: FiniteUltrametricSpace) -> UltrametricViolation | Non
                 if dij > ri[k] and dij > rj[k]:
                     return UltrametricViolation("StrongTriangleViolation", (i, j, k), labs)
     return None
-
-
-def _splits_cleanly(space: FiniteUltrametricSpace) -> bool:
-    """Whether the split of ``build_dendrogram`` reproduces the matrix: every
-    pair in two classes of a set must sit at exactly its ``top``.  On a
-    symmetric matrix with positive entries off a zero diagonal, that holds iff
-    it is ultrametric (Carlsson & Memoli, JMLR 2010).  Reads each pair once."""
-    ranks = space.ranks
-    stack = [list(range(space.n))] if space.n > 1 else []
-    while stack:
-        points = stack.pop()
-        top = max(map(ranks[points[0]].__getitem__, points))
-        while points:
-            row = ranks[points[0]]
-            inner = [x for x in points if row[x] < top]
-            points = [x for x in points if row[x] >= top]
-            if points:
-                # The repeated last index makes the getter return a tuple.
-                cross = itemgetter(*points, points[0])
-                want = (top,) * (len(points) + 1)
-                if any(cross(ranks[a]) != want for a in inner):
-                    return False
-            if len(inner) > 1:
-                stack.append(inner)
-    return True
 
 
 def find_violation(

@@ -10,47 +10,26 @@ hence cheap isometry testing, and a convenient random-instance generator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import Sequence, Union
+from typing import Sequence
 
 from .core import (
     ZERO,
     BadParamsError,
+    Dendrogram,
     FiniteUltrametricSpace,
+    Leaf,
     MalformedTreeError,
+    Merge,
+    Node,
     RationalLike,
     ball_labels,
     parse_rational,
     rational_str,
 )
 
-
-@dataclass(frozen=True)
-class Leaf:
-    point: int
-
-
-@dataclass(frozen=True)
-class Merge:
-    level: Fraction
-    children: tuple["Node", ...]
-
-
-Node = Union[Leaf, Merge]
-
 CanonicalCode = str
-
-
-@dataclass(frozen=True)
-class Dendrogram:
-    root: Node
-    labels: tuple[str, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
 
 
 def node_leaf_sets(d: Dendrogram) -> set[tuple[int, ...]]:
@@ -77,32 +56,9 @@ def is_binary(d: Dendrogram) -> bool:
 
 
 def build_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
-    """Merge tree of a valid space, by recursive split on ranks.
-
-    A set of points whose diameter has rank ``top`` splits into the classes
-    of ``ranks[c][x] < top``; in an ultrametric space these are the maximal
-    proper sub-balls, and each class splits the same way.  Classes are taken
-    in order of their smallest point c, so children come out in that order,
-    and only entries on or above the diagonal are read.  A point outside its
-    own class raises AssertionError (no ultrametric has one); every other
-    class is a proper subset, so the split always ends.
-    """
-    levels, ranks = space.levels, space.ranks
-
-    def split(points: list[int]) -> Node:
-        if len(points) == 1:
-            return Leaf(points[0])
-        top = max(map(ranks[points[0]].__getitem__, points))
-        children: list[Node] = []
-        while points:
-            c, row = points[0], ranks[points[0]]
-            if row[c] >= top:
-                raise AssertionError(f"point {c} is not closer than {levels[top]} to itself")
-            children.append(split([x for x in points if row[x] < top]))
-            points = [x for x in points if row[x] >= top]
-        return Merge(levels[top], tuple(children))
-
-    return Dendrogram(split(list(range(space.n))), space.labels)
+    """Merge tree of a valid space: the tree that :attr:`FiniteUltrametricSpace.split`
+    caches.  Raises AssertionError on a point outside its own class."""
+    return space.split[0]
 
 
 def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:

@@ -6,14 +6,17 @@ detection scans every subset.  They stay slow so they stay trustworthy.
 The per-call ball routes at the end are the ones the ball table replaced;
 they rebuild every ball from a closed-ball scan on every call.  The
 ``Fraction`` routes are the ones integer ranks replaced: they compare the
-distances themselves, never their ranks.  The tail walks at the very end
-are the ones repeated squaring replaced: they visit every term in turn.
+distances themselves, never their ranks.  The two split routes are the
+recursive tree builder and the accepting walk that one iterative split on
+the space replaced.  The tail walks at the very end are the ones repeated
+squaring replaced: they visit every term in turn.
 """
 
 import math
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import itemgetter
 
 from ultraball.core import (
     ZERO,
@@ -27,7 +30,7 @@ from ultraball.core import (
     _parse_space,
     parse_rational,
 )
-from ultraball.dendrogram import Dendrogram, Leaf, Merge
+from ultraball.dendrogram import Dendrogram, Leaf, Merge, Node
 
 
 def diam_pairwise(space: FiniteUltrametricSpace, subset) -> object:
@@ -219,6 +222,63 @@ def build_dendrogram_reference(space: FiniteUltrametricSpace) -> Dendrogram:
                 nodes[new_root] = Merge(level, tuple(children))
     (root,) = nodes.values()
     return Dendrogram(root, space.labels)
+
+
+def recursive_split_reference(space: FiniteUltrametricSpace) -> Dendrogram:
+    """Merge tree of a valid space, by recursive split on ranks, one
+    interpreter frame per level: the route the space's iterative split
+    replaced.
+
+    A set of points whose diameter has rank ``top`` splits into the classes
+    of ``ranks[c][x] < top``; in an ultrametric space these are the maximal
+    proper sub-balls, and each class splits the same way.  Classes are taken
+    in order of their smallest point c, so children come out in that order,
+    and only entries on or above the diagonal are read.  A point outside its
+    own class raises AssertionError (no ultrametric has one); every other
+    class is a proper subset, so the split always ends.
+    """
+    levels, ranks = space.levels, space.ranks
+
+    def split(points: list[int]) -> Node:
+        if len(points) == 1:
+            return Leaf(points[0])
+        top = max(map(ranks[points[0]].__getitem__, points))
+        children: list[Node] = []
+        while points:
+            c, row = points[0], ranks[points[0]]
+            if row[c] >= top:
+                raise AssertionError(f"point {c} is not closer than {levels[top]} to itself")
+            children.append(split([x for x in points if row[x] < top]))
+            points = [x for x in points if row[x] >= top]
+        return Merge(levels[top], tuple(children))
+
+    return Dendrogram(split(list(range(space.n))), space.labels)
+
+
+def splits_cleanly_reference(space: FiniteUltrametricSpace) -> bool:
+    """Whether the split of ``build_dendrogram`` reproduces the matrix: every
+    pair in two classes of a set must sit at exactly its ``top``.  On a
+    symmetric matrix with positive entries off a zero diagonal, that holds iff
+    it is ultrametric (Carlsson & Memoli, JMLR 2010).  Reads each pair once.
+    This is the accepting walk that ran beside the tree-building split."""
+    ranks = space.ranks
+    stack = [list(range(space.n))] if space.n > 1 else []
+    while stack:
+        points = stack.pop()
+        top = max(map(ranks[points[0]].__getitem__, points))
+        while points:
+            row = ranks[points[0]]
+            inner = [x for x in points if row[x] < top]
+            points = [x for x in points if row[x] >= top]
+            if points:
+                # The repeated last index makes the getter return a tuple.
+                cross = itemgetter(*points, points[0])
+                want = (top,) * (len(points) + 1)
+                if any(cross(ranks[a]) != want for a in inner):
+                    return False
+            if len(inner) > 1:
+                stack.append(inner)
+    return True
 
 
 def tail_contains_walk(tail, x) -> bool:

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import caterpillar
 from ultraball.ballean import ballean_space, enumerate_ballean, iterate_ballean
@@ -186,6 +190,41 @@ def test_tree_and_isometric_on_a_400_deep_tree(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("(399 (398 (397 ")
     assert cli_main(["isometric", str(path), str(path)]) == 0
     assert capsys.readouterr().out.strip() == "true"
+
+
+def test_tree_commands_split_each_input_once(space_file, tmp_path, split_calls, capsys):
+    # Validation builds the merge tree; tree, ballean and isometric reuse it.
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**SPACE, "labels": ["x", "y", "z"]}))
+    for argv, inputs in [
+        (["tree", space_file], 1),
+        (["ballean", space_file, "--iterate", "2"], 1),
+        (["isometric", space_file, str(other)], 2),
+    ]:
+        split_calls.clear()
+        assert cli_main(argv) == 0
+        assert len(split_calls) == inputs
+    capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def caterpillar_1000(tmp_path_factory):
+    path = tmp_path_factory.mktemp("deep") / "caterpillar.json"
+    path.write_text(json.dumps(space_to_json_dict(caterpillar(1000))))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["tree", "ballean", "isometric"])
+def test_a_tree_too_deep_to_walk_is_a_structured_error(command, caterpillar_1000, capsys):
+    # Validation splits without recursion, but the walks that code, print and
+    # extend the 999-deep tree spend one frame per level.
+    argv = [command, caterpillar_1000] + ([caterpillar_1000] if command == "isometric" else [])
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "TooDeep"
+    assert "recursion" in payload["message"]
 
 
 def test_isometric(space_file, tmp_path, capsys):
@@ -382,3 +421,110 @@ def test_io_and_decode_failures_are_structured(case, error, space_file, tmp_path
     payload = json.loads(err)
     assert isinstance(payload, dict)
     assert payload["error"] == error
+
+
+# Hostile input: every command on malformed documents ends in exit 0, 1 or 2,
+# never a traceback, and a domain error carries structured JSON.
+ATOM = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.sampled_from([1.5, float("nan"), 10**400]),
+    st.sampled_from(["0", "1", "1/2", "-1", "1/0", "x", "", "1e-60000", "9" * 5000]),
+    st.sampled_from(["é", "½", "١", "a+b", '"', "\\", "\n"]),
+)
+LABELS = st.one_of(ATOM, st.lists(st.one_of(ATOM, st.text(max_size=2)), max_size=4))
+
+
+@st.composite
+def _space_doc(draw):
+    """A generated space with one entry or its labels perhaps replaced, or a
+    ragged, non-list or non-object document."""
+    kind = draw(st.sampled_from(["space", "entry", "labels", "ragged", "atom"]))
+    if kind == "ragged":
+        rows = st.one_of(ATOM, st.lists(st.sampled_from(["0", "1", 2]), max_size=3))
+        return {"labels": draw(LABELS), "matrix": draw(st.one_of(ATOM, st.lists(rows, max_size=3)))}
+    if kind == "atom":
+        return draw(st.one_of(ATOM, st.lists(ATOM, max_size=2), st.just({"labels": ["a"]})))
+    n = draw(st.integers(1, 4))
+    data = space_to_json_dict(random_space(draw(st.integers(0, 99)), n, ("1", "3/2", "2")))
+    if kind == "entry":
+        data["matrix"][draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(ATOM)
+    if kind == "labels":
+        data["labels"] = draw(LABELS)
+    return data
+
+
+TAIL = st.one_of(ATOM, st.fixed_dictionaries({"first": ATOM, "ratio": ATOM}))
+DLPS_DOC = st.one_of(
+    ATOM,
+    st.lists(ATOM, max_size=2),
+    st.fixed_dictionaries({}, optional={
+        "points": st.one_of(ATOM, st.lists(ATOM, max_size=3)),
+        "zero": ATOM,
+        "tails": st.one_of(ATOM, st.lists(TAIL, max_size=2)),
+    }),
+)
+REPLAY_DOC = st.one_of(
+    _space_doc(),
+    st.lists(st.one_of(_space_doc(), st.fixed_dictionaries({"space": _space_doc()})), max_size=2),
+)
+RAW_TEXT = st.sampled_from(["", "{", "[" * 3000, '{"labels": ["a"], "matrix": [[' + "1" * 5000 + "]]}"])
+NAME = st.one_of(st.text(max_size=3), st.sampled_from(["p0", "p1", "p0,p1", "p0,x"]))
+SMALL = st.integers(-1, 4).map(str)
+
+
+def _command(draw, path):
+    """One argv over documents written under ``path``."""
+    written = []
+
+    def doc(strategy):
+        written.append(path / f"doc{len(written)}.json")
+        text = draw(RAW_TEXT) if draw(st.integers(0, 4)) == 0 else json.dumps(draw(strategy))
+        written[-1].write_text(text, encoding="utf-8")
+        return str(written[-1])
+
+    command = draw(st.sampled_from([
+        "validate", "ballean", "hausdorff", "smallest-ball", "tree", "isometric",
+        "dlps analyze", "dlps sample", "verify", "probe-q63",
+    ]))
+    if command in ("validate", "tree"):
+        return [command, doc(_space_doc())]
+    if command == "ballean":
+        return [command, doc(_space_doc()), "--iterate", draw(SMALL)]
+    if command == "hausdorff":
+        return [command, doc(_space_doc()), "--ball", draw(NAME), "--ball", draw(NAME)]
+    if command == "smallest-ball":
+        return [command, doc(_space_doc()), "--subset", draw(NAME)]
+    if command == "isometric":
+        return [command, doc(_space_doc()), doc(_space_doc())]
+    if command == "dlps analyze":
+        return ["dlps", "analyze", doc(DLPS_DOC)]
+    if command == "dlps sample":
+        cut = draw(st.sampled_from(["1/8", "0", "-1", "x", "1e-60000"]))
+        return ["dlps", "sample", doc(DLPS_DOC), "-n", draw(SMALL), "--cut", cut]
+    flags = ["--trials", draw(st.sampled_from(["1", "0", "x"])), "--max-points", draw(SMALL)]
+    if command == "verify":
+        return [command, *flags, "--replay", doc(REPLAY_DOC)]
+    return [command, *flags]
+
+
+@pytest.fixture(scope="module")
+def hostile_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_hostile_input_ends_in_a_structured_exit(data, hostile_dir):
+    argv = _command(data.draw, hostile_dir)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 1:
+        # A domain error on stderr, a failed validation's witness, or a
+        # failing verify report.
+        payload = json.loads(err.getvalue() or out.getvalue())
+        assert "error" in payload or "axiom" in payload or payload.get("status") == "fail"

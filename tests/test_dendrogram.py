@@ -1,11 +1,17 @@
 import time
 from fractions import Fraction
+from operator import eq
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_isometric, caterpillar
+from oracles import (
+    brute_isometric,
+    caterpillar,
+    recursive_split_reference,
+    splits_cleanly_reference,
+)
 from ultraball.ballean import ballean_space, enumerate_ballean
 from ultraball.core import (
     BadParamsError,
@@ -14,6 +20,7 @@ from ultraball.core import (
     equidistant_space,
     find_violation,
     space_to_json_dict,
+    space_violation,
     validate_ultrametric,
 )
 from ultraball.dendrogram import (
@@ -199,6 +206,17 @@ def test_format_fractional_level():
     assert format_dendrogram(build_dendrogram(s)) == "(3/2 a b)"
 
 
+def test_validation_builds_the_tree_that_build_dendrogram_returns(split_calls):
+    data = space_to_json_dict(random_binary_space(3, 20))
+    space = validate_ultrametric(data["matrix"], data["labels"])
+    assert len(split_calls) == 1
+    tree, clean = split_calls[0]
+    assert clean
+    assert build_dendrogram(space).root is tree.root
+    assert are_isometric(space, space)
+    assert len(split_calls) == 1
+
+
 def test_walks_handle_a_600_deep_tree():
     # Every walk spends one interpreter frame per level, under the default
     # recursion limit of 1000.
@@ -247,16 +265,52 @@ def _leaves(node):
     return sorted(out)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    matrix=st.integers(1, 5).flatmap(
-        lambda n: st.lists(
-            st.lists(st.sampled_from(("-1", "0", "1/2", "1", "2", "3")), min_size=n, max_size=n),
-            min_size=n,
-            max_size=n,
-        )
+ENTRIES = ("-1", "0", "1/2", "1", "2", "3")
+SQUARE = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from(ENTRIES), min_size=n, max_size=n), min_size=n, max_size=n
     )
 )
+
+
+def _mirrored(matrix):
+    """The upper triangle mirrored, made positive, off a zero diagonal: a
+    matrix that passes every whole-matrix test and leaves the rest to the split."""
+    positive = {"-1": "1", "0": "2"}
+
+    def entry(i, j):
+        v = matrix[min(i, j)][max(i, j)]
+        return "0" if i == j else positive.get(v, v)
+
+    return [[entry(i, j) for j in range(len(matrix))] for i in range(len(matrix))]
+
+
+def _tree_or_error(build, space):
+    try:
+        return build(space)
+    except AssertionError as exc:
+        return f"AssertionError: {exc}"
+
+
+def _assert_split_matches_references(matrix):
+    """The space's split gives the recursive reference's tree or AssertionError
+    text, on a fresh space and after validation; where the whole-matrix tests
+    pass, its flag is the accepting walk's and decides validity."""
+    want = _tree_or_error(recursive_split_reference, _parse_space(matrix, None))
+    assert _tree_or_error(build_dendrogram, _parse_space(matrix, None)) == want
+    space = _parse_space(matrix, None)
+    violation = space_violation(space)
+    assert _tree_or_error(build_dendrogram, space) == want
+    rows, zero = space.ranks, space.zero
+    if all(map(eq, rows, zip(*rows))) and all(
+        k == zero if i == j else k > zero for i, row in enumerate(rows) for j, k in enumerate(row)
+    ):
+        assert space.split[1] == splits_cleanly_reference(space)
+        assert space.split[1] == (violation is None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(matrix=SQUARE)
 def test_any_square_matrix_gives_a_tree_or_assertion_error(matrix):
     # Replays carry broken matrices to the tree: it must not fail any other way.
     n = len(matrix)
@@ -269,3 +323,30 @@ def test_any_square_matrix_gives_a_tree_or_assertion_error(matrix):
         assert _leaves(d.root) == list(range(n))
     report = run_suite(TrialConfig(seed=1, trials=1, checks=("H5",)), [space_to_json_dict(space)])
     assert report.outcome("H5").trials == 1
+    _assert_split_matches_references(matrix)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(matrix=SQUARE.map(_mirrored))
+def test_split_matches_references_on_symmetric_positive_matrices(matrix):
+    _assert_split_matches_references(matrix)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from((48, 64)),
+    binary=st.booleans(),
+    mirror=st.booleans(),
+    data=st.data(),
+)
+def test_split_matches_references_on_large_spaces_with_one_entry_overwritten(
+    seed, n, binary, mirror, data
+):
+    base = random_binary_space(seed, n) if binary else random_space(seed, n, POOL)
+    matrix = [list(map(str, row)) for row in base.dist]
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    matrix[i][j] = data.draw(st.sampled_from(ENTRIES + POOL))
+    if mirror:
+        matrix[j][i] = matrix[i][j]
+    _assert_split_matches_references(matrix)
