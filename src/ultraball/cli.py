@@ -7,6 +7,7 @@ error (argparse synopsis).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii as encode
@@ -64,20 +65,22 @@ def _load_space(path: str) -> FiniteUltrametricSpace:
 
 
 def _emit(payload: dict[str, object], out: str | None) -> None:
-    """Write ``json.dumps(payload, indent=2)`` and a newline.
+    """Write ``json.dumps(payload, indent=2)`` and a newline, where a space
+    stands for its matrix of exact strings, and a pair ``(strings, rows)``
+    for the lists of ``strings`` that the index rows ``rows`` pick.
 
-    A value that is a list of lists of strings, such as a matrix, is written
-    a row at a time with one ``str.join`` per row: given an indent,
-    ``json.dumps`` runs its pure-Python encoder, which costs more per cell.
+    Both are written from their indices, each string encoded once and each
+    row one ``str.join``: given an indent, ``json.dumps`` runs its
+    pure-Python encoder, which costs more per cell.
     """
     items = []
     for key, value in payload.items():
-        if type(value) is list and all(type(r) is list and set(map(type, r)) <= {str} for r in value):
-            rows = [
-                "[\n      " + ",\n      ".join(map(encode, r)) + "\n    ]" if r else "[]"
-                for r in value
-            ]
-            text = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+        if isinstance(value, FiniteUltrametricSpace):
+            value = list(map(rational_str, value.levels)), value.ranks
+        if type(value) is tuple:
+            at = list(map(encode, value[0])).__getitem__
+            rows = ["[\n      " + ",\n      ".join(map(at, r)) + "\n    ]" for r in value[1]]
+            text = "[\n    " + ",\n    ".join(rows) + "\n  ]"
         else:
             text = json.dumps(value, indent=2).replace("\n", "\n  ")
         items.append(f"{encode(key)}: {text}")
@@ -113,10 +116,8 @@ def _cmd_ballean(args: argparse.Namespace) -> int:
     base = build_dendrogram(space)
     for _ in range(args.iterate - 1):
         base = ballean_tree(base)
-    members = sorted(node_leaf_sets(base), key=lambda m: (len(m), m))
-    balls = [list(map(base.labels.__getitem__, m)) for m in members]
-    matrix = space_to_json_dict(dendrogram_to_space(ballean_tree(base)))["matrix"]
-    _emit({"balls": balls, "hausdorff": matrix}, args.out)
+    balls = sorted(node_leaf_sets(base), key=lambda m: (len(m), m))
+    _emit({"balls": (base.labels, balls), "hausdorff": dendrogram_to_space(ballean_tree(base))}, args.out)
     return 0
 
 
@@ -176,7 +177,7 @@ def _cmd_dlps_analyze(args: argparse.Namespace) -> int:
 def _cmd_dlps_sample(args: argparse.Namespace) -> int:
     space = dlps_from_json_dict(_load_json(args.dlps))
     sample = dlps_sample(space, args.n, args.cut)
-    _emit(space_to_json_dict(sample), args.out)
+    _emit(space_to_json_dict(sample, matrix=sample), args.out)
     return 0
 
 
@@ -214,6 +215,7 @@ def _add_suite_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None)
 
 
+@functools.cache  # one parser per process: parse_args leaves a parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ultraball",

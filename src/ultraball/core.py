@@ -7,6 +7,7 @@ exact equalities, and a single rounded bit would make them unverifiable.
 
 from __future__ import annotations
 
+import re
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -78,6 +79,14 @@ class UltrametricViolation(UltraballError):
         return {"axiom": self.axiom, "witness": list(self.witness_labels)}
 
 
+_int_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit
+_TOO_LARGE = "rational too large: over {} digits in numerator or denominator"
+# Fraction's decimal form.  Fraction builds 10**(digits after the point) and
+# 10**abs(exponent) before anything can refuse them: seconds at 10**6 digits.
+_DIGITS = r"\d+(?:_\d+)*"
+_DECIMAL = re.compile(rf"[-+]?(?=\d|\.\d)({_DIGITS})?(?:\.({_DIGITS})?)?(?:e([-+]?{_DIGITS}))?", re.I)
+
+
 def parse_rational(value: RationalLike) -> Fraction:
     """Parse an exact rational from an int, Fraction, or string.
 
@@ -94,20 +103,37 @@ def parse_rational(value: RationalLike) -> Fraction:
         out = Fraction(value)
     elif isinstance(value, str):
         try:
-            out = Fraction(value.strip())
+            out = Fraction(_fraction_text(value.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise BadParamsError(f"cannot parse {value!r} as a rational: {exc}") from exc
     else:
         raise BadParamsError(f"cannot parse {type(value).__name__} value {value!r} as a rational")
     if not _prints(out):
-        limit = sys.get_int_max_str_digits()
-        raise BadParamsError(f"rational too large: over {limit} digits in numerator or denominator")
+        raise BadParamsError(_TOO_LARGE.format(_int_limit()))
     return out
+
+
+def _fraction_text(text: str) -> str:
+    """``text``, or "0" for a zero decimal with an exponent over 2 * limit
+    (``_int_limit()``); BadParamsError where Fraction would first build a
+    power of ten over limit digits: int() reads no more after the point, and
+    a mantissa of at most 2 * limit digits cannot bring 10**e back under."""
+    limit = _int_limit()
+    m = limit and (len(text) > limit or "e" in text or "E" in text) and _DECIMAL.fullmatch(text)
+    digits = (m[2] or "").replace("_", "") if m else ""
+    try:
+        if len(digits) <= limit and (not m or abs(int(m[3] or 0)) <= 2 * limit):
+            return text
+        if len(digits) <= limit and not (int(m[1] or 0) or int(digits or 0)):
+            return "0"
+    except ValueError:  # too many digits for int(), which Fraction refuses as fast
+        return text
+    raise BadParamsError(_TOO_LARGE.format(limit))
 
 
 def _prints(x: Fraction) -> bool:
     """Whether str() can print x under ``sys.get_int_max_str_digits()``."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _int_limit()
     parts = (abs(x.numerator), x.denominator)
     # n has at most floor(bits * log10(2)) + 1 digits, and 0.30103 > log10(2).
     return not limit or all(n.bit_length() * 30103 // 100000 < limit or n < 10**limit for n in parts)
@@ -346,25 +372,33 @@ def _parse_space(
     for row in matrix:
         if not isinstance(row, (list, tuple)) or len(row) != n:
             raise BadParamsError("distance matrix must be square")
-    # Each distinct entry is parsed once, when first seen.  Keys carry the
-    # type, because True, 1 and 1.0 are equal keys and only 1 is a rational.
-    slot_of: dict[tuple[type, RationalLike], int] = {}
-    values: list[Fraction] = []
-    slots = []
-    for row in matrix:
-        out = []
-        for v in row:
-            try:
-                out.append(slot_of[type(v), v])
-                continue
-            except (KeyError, TypeError):  # a new entry, or an unhashable one
-                pass
-            values.append(parse_rational(v))  # refuses every unhashable type
-            out.append(slot_of.setdefault((type(v), v), len(values) - 1))
-        slots.append(out)
-    levels = sorted(set(values) | {ZERO})
+    values = None
+    if type(matrix[0][0]) is str:  # JSON: parse each distinct entry once, then map
+        try:
+            distinct = set().union(*matrix)
+            if all(type(v) is str for v in distinct):  # so True, 1 and "1" never meet
+                values, slots = {v: parse_rational(v) for v in distinct}, matrix
+        except (TypeError, BadParamsError):  # an unhashable or unparsable entry
+            pass
+    if values is None:
+        # Parsed when first seen, so the first bad entry in row-major order is
+        # named.  Keys carry the type: True, 1 and 1.0 are equal keys.
+        slot_of: dict[tuple[type, RationalLike], int] = {}
+        values, slots = {}, []
+        for row in matrix:
+            out = []
+            for v in row:
+                try:
+                    out.append(slot_of[type(v), v])
+                    continue
+                except (KeyError, TypeError):  # a new entry, or an unhashable one
+                    pass
+                values[len(values)] = parse_rational(v)  # refuses every unhashable type
+                out.append(slot_of.setdefault((type(v), v), len(values) - 1))
+            slots.append(out)
+    levels = sorted(set(values.values()) | {ZERO})
     rank_of = {v: k for k, v in enumerate(levels)}
-    rank = [rank_of[v] for v in values]
+    rank = {key: rank_of[v] for key, v in values.items()}
     ranks = tuple(tuple(map(rank.__getitem__, row)) for row in slots)
     return FiniteUltrametricSpace(_make_labels(n, labels), tuple(levels), ranks)
 
@@ -578,13 +612,13 @@ def ball_labels(labels: Sequence[str], balls: Iterable[tuple[int, ...]]) -> tupl
     return tuple(out)
 
 
-def space_to_json_dict(space: FiniteUltrametricSpace) -> dict:
-    """JSON form: {"labels": [...], "matrix": [[exact strings]]}."""
-    text = [rational_str(v) for v in space.levels]
-    return {
-        "labels": list(space.labels),
-        "matrix": [list(map(text.__getitem__, row)) for row in space.ranks],
-    }
+def space_to_json_dict(space: FiniteUltrametricSpace, matrix: object = None) -> dict:
+    """JSON form: {"labels": [...], "matrix": [[exact strings]]}.  A writer
+    that writes the matrix from ranks passes the space as ``matrix``."""
+    if matrix is None:
+        text = [rational_str(v) for v in space.levels]
+        matrix = [list(map(text.__getitem__, row)) for row in space.ranks]
+    return {"labels": list(space.labels), "matrix": matrix}
 
 
 def space_from_json_dict(data: dict, validate: bool = True) -> FiniteUltrametricSpace:

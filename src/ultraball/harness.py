@@ -186,17 +186,20 @@ def _body_h2(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
 def _body_h3(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
     balls = enumerate_ballean(space).balls
     ball_sets = [set(b.members) for b in balls]
+    # The balls containing each ball, by index: a ball contains b1 | b2 iff
+    # it contains both.
+    sup = {b.members: {i for i, t in enumerate(ball_sets) if s <= t} for b, s in zip(balls, ball_sets)}
     for b1, b2 in combinations(balls, 2):
         bstar, value = smallest_ball_distance(space, b1, b2)
         if value != hausdorff_balls(space, b1, b2):
             return f"smallest-ball diameter != Hausdorff distance for {b1.members}, {b2.members}"
-        union = set(b1.members) | set(b2.members)
-        if not union <= set(bstar.members):
+        star = set(bstar.members)
+        if not set(b1.members) | set(b2.members) <= star:
             return f"smallest ball does not contain the union for {b1.members}, {b2.members}"
-        for other, other_set in zip(balls, ball_sets):
-            if union <= other_set and not set(bstar.members) <= other_set:
+        for i in sorted(sup[b1.members] & sup[b2.members]):
+            if not star <= ball_sets[i]:
                 return (
-                    f"ball {other.members} contains the union of {b1.members} and "
+                    f"ball {balls[i].members} contains the union of {b1.members} and "
                     f"{b2.members} but not their smallest ball"
                 )
     return None

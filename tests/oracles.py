@@ -17,7 +17,9 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations
 from operator import itemgetter
+from typing import Sequence
 
+from ultraball.ballean import enumerate_ballean, hausdorff_balls, smallest_ball_distance
 from ultraball.core import (
     ZERO,
     Ball,
@@ -25,8 +27,10 @@ from ultraball.core import (
     FiniteUltrametricSpace,
     ForeignBallError,
     NegativeRadiusError,
+    RationalLike,
     UltrametricViolation,
     _as_index_tuple,
+    _make_labels,
     _parse_space,
     parse_rational,
 )
@@ -279,6 +283,64 @@ def splits_cleanly_reference(space: FiniteUltrametricSpace) -> bool:
             if len(inner) > 1:
                 stack.append(inner)
     return True
+
+
+def parse_space_reference(
+    matrix: Sequence[Sequence[RationalLike]], labels: Sequence[str] | None
+) -> FiniteUltrametricSpace:
+    """``_parse_space`` as one loop over every entry, each distinct one
+    parsed when first seen: the route that parsing a string matrix by its set
+    of distinct entries replaced."""
+    if not isinstance(matrix, (list, tuple)):
+        raise BadParamsError(f"distance matrix must be a list of rows, got {type(matrix).__name__}")
+    n = len(matrix)
+    if n == 0:
+        raise BadParamsError("a space must contain at least one point")
+    for row in matrix:
+        if not isinstance(row, (list, tuple)) or len(row) != n:
+            raise BadParamsError("distance matrix must be square")
+    # Each distinct entry is parsed once, when first seen.  Keys carry the
+    # type, because True, 1 and 1.0 are equal keys and only 1 is a rational.
+    slot_of: dict[tuple[type, RationalLike], int] = {}
+    values: list[Fraction] = []
+    slots = []
+    for row in matrix:
+        out = []
+        for v in row:
+            try:
+                out.append(slot_of[type(v), v])
+                continue
+            except (KeyError, TypeError):  # a new entry, or an unhashable one
+                pass
+            values.append(parse_rational(v))  # refuses every unhashable type
+            out.append(slot_of.setdefault((type(v), v), len(values) - 1))
+        slots.append(out)
+    levels = sorted(set(values) | {ZERO})
+    rank_of = {v: k for k, v in enumerate(levels)}
+    rank = [rank_of[v] for v in values]
+    ranks = tuple(tuple(map(rank.__getitem__, row)) for row in slots)
+    return FiniteUltrametricSpace(_make_labels(n, labels), tuple(levels), ranks)
+
+
+def body_h3_reference(space: FiniteUltrametricSpace, rng=None) -> str | None:
+    """H3's body as it tested every ball against every pair of balls: the
+    scan that a table of each ball's containing balls replaced."""
+    balls = enumerate_ballean(space).balls
+    ball_sets = [set(b.members) for b in balls]
+    for b1, b2 in combinations(balls, 2):
+        bstar, value = smallest_ball_distance(space, b1, b2)
+        if value != hausdorff_balls(space, b1, b2):
+            return f"smallest-ball diameter != Hausdorff distance for {b1.members}, {b2.members}"
+        union = set(b1.members) | set(b2.members)
+        if not union <= set(bstar.members):
+            return f"smallest ball does not contain the union for {b1.members}, {b2.members}"
+        for other, other_set in zip(balls, ball_sets):
+            if union <= other_set and not set(bstar.members) <= other_set:
+                return (
+                    f"ball {other.members} contains the union of {b1.members} and "
+                    f"{b2.members} but not their smallest ball"
+                )
+    return None
 
 
 def tail_contains_walk(tail, x) -> bool:

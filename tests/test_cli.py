@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 
 from oracles import caterpillar
 from ultraball.ballean import ballean_space, enumerate_ballean, iterate_ballean
-from ultraball.cli import _emit, cli_main
+from ultraball.cli import _emit, build_parser, cli_main
 from ultraball.core import member_labels, space_from_json_dict, space_to_json_dict
 from ultraball.dendrogram import random_binary_space, random_space
+from ultraball.dlps import dlps_from_json_dict, dlps_sample
 
 SPACE = {"labels": ["a", "b", "c"], "matrix": [[0, 1, 2], [1, 0, 2], [2, 2, 0]]}
 BAD = {"labels": ["a", "b", "c"], "matrix": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]}
@@ -137,6 +139,14 @@ def test_emit_writes_what_json_dumps_writes(payload, tmp_path, capsys):
     assert (tmp_path / "out.json").read_text(encoding="utf-8") == expected
 
 
+def test_emit_writes_a_pair_as_the_lists_its_index_rows_pick(capsys):
+    strings = ['"q"', "b\\s", "\u00e9", "x\ny"]
+    rows = [(0,), (3, 1), (2, 2, 0)]
+    _emit({"n": 1, "pair": (strings, rows)}, None)
+    picked = [[strings[i] for i in r] for r in rows]
+    assert capsys.readouterr().out == json.dumps({"n": 1, "pair": picked}, indent=2) + "\n"
+
+
 def test_ballean_iterate_3_on_200_points_is_fast(tmp_path, capsys):
     # 0.33-0.35 s on a 2-vCPU machine, where the matrix route took 1.7-1.9 s.
     path = tmp_path / "space.json"
@@ -207,6 +217,53 @@ def test_tree_commands_split_each_input_once(space_file, tmp_path, split_calls, 
     capsys.readouterr()
 
 
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_main_builds_its_parser_once(space_file, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    build_parser.cache_clear()
+    assert _run(["validate", space_file])[0] == 0
+    assert built  # the top parser and its sub-parsers
+    first = len(built)
+    for argv in (["validate", space_file], ["tree", space_file], ["ballean", space_file]) * 4:
+        assert _run(argv)[0] == 0
+    assert len(built) == first
+
+
+def test_a_shared_parser_carries_nothing_from_call_to_call(space_file):
+    # --ball appends to a list: a list left over from the first call would
+    # make the second one see three balls, or pass with one.
+    sequence = [
+        ["hausdorff", space_file, "--ball", "a,b", "--ball", "c"],
+        ["hausdorff", space_file, "--ball", "a,b"],
+        ["hausdorff", space_file, "--ball", "c", "--ball", "a,b"],
+        ["ballean", space_file, "--iterate"],
+        ["--help"],
+        ["validate", space_file],
+        ["hausdorff", space_file, "--ball", "a"],
+        ["ballean", space_file, "--iterate", "4"],
+        ["dlps", "sample", "--help"],
+        ["hausdorff", space_file, "--ball", "a,b", "--ball", "c"],
+    ]
+    alone = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        alone.append(_run(argv))
+    interleaved = [_run(argv) for argv in sequence]
+    assert interleaved == alone
+    assert [code for code, _, _ in alone] == [0, 1, 0, 2, 0, 0, 1, 1, 0, 0]
+    assert json.loads(alone[1][2])["message"] == "give --ball exactly twice"
+    assert json.loads(alone[6][2])["message"] == "give --ball exactly twice"
+
+
 @pytest.fixture(scope="module")
 def caterpillar_1000(tmp_path_factory):
     path = tmp_path_factory.mktemp("deep") / "caterpillar.json"
@@ -249,7 +306,14 @@ def test_dlps_sample(dlps_file, tmp_path, capsys):
     target = tmp_path / "sampled.json"
     assert cli_main(["dlps", "sample", dlps_file, "-n", "4", "--cut", "1/8", "--out", str(target)]) == 0
     data = json.loads(target.read_text())
+    assert list(data) == ["labels", "matrix"]
     assert data["labels"] == ["0", "1/4", "1/2", "1"]
+    # Written from ranks, the text is what json.dumps writes for the space.
+    sample = dlps_sample(dlps_from_json_dict(DLPS), 4, "1/8")
+    expected = json.dumps(space_to_json_dict(sample), indent=2) + "\n"
+    assert target.read_text(encoding="utf-8") == expected
+    assert cli_main(["dlps", "sample", dlps_file, "-n", "4", "--cut", "1/8"]) == 0
+    assert capsys.readouterr().out == expected
     # the emitted space round-trips through validate
     assert cli_main(["validate", str(target)]) == 0
 
@@ -425,12 +489,15 @@ def test_io_and_decode_failures_are_structured(case, error, space_file, tmp_path
 
 # Hostile input: every command on malformed documents ends in exit 0, 1 or 2,
 # never a traceback, and a domain error carries structured JSON.
+# Fraction would build 10**6000000 or 10**1000000 before refusing these.
+LONG_DECIMALS = ["1e6000000", "-1e-6000000", "0." + "0" * 10**6]
 ATOM = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-2, 3),
     st.sampled_from([1.5, float("nan"), 10**400]),
     st.sampled_from(["0", "1", "1/2", "-1", "1/0", "x", "", "1e-60000", "9" * 5000]),
+    st.sampled_from(LONG_DECIMALS),
     st.sampled_from(["é", "½", "١", "a+b", '"', "\\", "\n"]),
 )
 LABELS = st.one_of(ATOM, st.lists(st.one_of(ATOM, st.text(max_size=2)), max_size=4))
@@ -501,7 +568,7 @@ def _command(draw, path):
     if command == "dlps analyze":
         return ["dlps", "analyze", doc(DLPS_DOC)]
     if command == "dlps sample":
-        cut = draw(st.sampled_from(["1/8", "0", "-1", "x", "1e-60000"]))
+        cut = draw(st.sampled_from(["1/8", "0", "-1", "x", "1e-60000", *LONG_DECIMALS]))
         return ["dlps", "sample", doc(DLPS_DOC), "-n", draw(SMALL), "--cut", cut]
     flags = ["--trials", draw(st.sampled_from(["1", "0", "x"])), "--max-points", draw(SMALL)]
     if command == "verify":

@@ -88,6 +88,41 @@ def test_parse_rational_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize(
+    "raw",
+    ["1e6000000", "-1e-6000000", "0." + "0" * 10**6, " 5E+9000 ", "1.5e-8601"],
+    ids=["1e6000000", "-1e-6000000", "0.(10**6 zeros)", "5E+9000", "1.5e-8601"],
+)
+def test_a_long_decimal_is_refused_before_fraction_builds_its_power(raw):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int digit limit")
+    start = time.perf_counter()
+    with pytest.raises(BadParamsError, match="rational too large"):
+        parse_rational(raw)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_a_long_exponent_refuses_only_what_could_not_print():
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int digit limit")
+    limit = sys.get_int_max_str_digits()
+    # A mantissa of up to 2 * limit digits can cancel an exponent past the
+    # limit, and a zero mantissa cancels any exponent.
+    assert parse_rational("0." + "0" * (limit - 1) + f"1e{limit + 700}") == 10**700
+    assert parse_rational("1" + "0" * (limit - 1) + f"e-{limit + 1}") == Fraction(1, 100)
+    for raw in ("0e6000000", "-0.000e-6000000", "0_0.0_0E9999999"):
+        start = time.perf_counter()
+        assert parse_rational(raw) == 0
+        assert time.perf_counter() - start < 0.1
+    with pytest.raises(BadParamsError, match="cannot parse"):
+        parse_rational("0.0__0e9999999")  # not Fraction syntax: refused as before
+    sys.set_int_max_str_digits(0)  # 0: no limit, so nothing is refused as too large
+    try:
+        assert parse_rational("0." + "0" * (limit + 1) + "1") == Fraction(1, 10 ** (limit + 2))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # --- validation --------------------------------------------------------------
 
 

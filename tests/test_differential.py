@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -23,13 +23,17 @@ from oracles import (
     diam_reference,
     enumerate_ballean_reference,
     family_diameters_reference,
+    body_h3_reference,
     find_violation_reference,
+    parse_space_reference,
     require_canonical_reference,
     smallest_ball_reference,
 )
 from ultraball.ballean import enumerate_ballean, family_diameters, hausdorff_balls, iterate_ballean
 from ultraball.core import (
     Ball,
+    BadParamsError,
+    _parse_space,
     closed_ball,
     diam,
     equidistant_space,
@@ -38,6 +42,7 @@ from ultraball.core import (
     smallest_ball,
     space_from_json_dict,
 )
+from ultraball.harness import _body_h3
 from ultraball.dendrogram import (
     ballean_tree,
     build_dendrogram,
@@ -309,3 +314,65 @@ def test_ballean_tree_tower_matches_iterated_ballean(seed, n, k, kind):
     expected = iterate_ballean(space, k)
     assert dendrogram_to_space(tree) == expected
     assert canonical_code(tree) == canonical_code(build_dendrogram(expected))
+
+
+# Strings as JSON carries them, padded, decimal, unparsable or too long.
+STRINGS = st.sampled_from(
+    ["0", "1", "2", "3/2", "1.5", "1.50", " 1", "2 ", "\t3/2", "0.0", "-1", "1/0", "x", "", "1e-60000"]
+)
+ODD = st.sampled_from([0, 1, 2, True, False, Fraction(3, 2), Fraction(1), 1.5, None, [1], "1"])
+
+
+def _square(entry):
+    return st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(matrix=st.one_of(_square(STRINGS), _square(st.one_of(STRINGS, ODD))))
+# 1, True, 1.0 and Fraction(1) are one set element: only str entries may
+# take the set route.
+@example(matrix=[["0", 1], [True, "0"]])
+@example(matrix=[["0", 0], [False, "0"]])
+@example(matrix=[["0", Fraction(1)], [1, "0"]])
+@example(matrix=[["0", 1.0], [1, "0"]])
+def test_parse_by_set_matches_the_entry_loop(matrix):
+    outcomes = []
+    for parse in (_parse_space, parse_space_reference):
+        try:
+            space = parse(matrix, None)
+        except BadParamsError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append((space.labels, space.levels, space.ranks))
+    assert outcomes[0] == outcomes[1]
+
+
+def _h3_corpus():
+    """Valid spaces, and spaces with one symmetric pair moved to another level."""
+    rng = random.Random(3)
+    for k in range(60):
+        n = rng.randint(2, 7)
+        space = random_binary_space(k, n) if k % 2 else random_space(k, n, POOL)
+        yield space
+        data = {"labels": list(space.labels), "matrix": [[str(v) for v in row] for row in space.dist]}
+        i, j = rng.sample(range(n), 2)
+        data["matrix"][i][j] = data["matrix"][j][i] = rng.choice(POOL + ("1/2", "5"))
+        yield space_from_json_dict(data, validate=False)
+
+
+def test_h3_by_containing_balls_matches_the_pairwise_scan():
+    outcomes = []
+    for space in _h3_corpus():
+        try:
+            expected = body_h3_reference(space)
+        except Exception as exc:  # a corrupted space may make the ballean raise
+            expected = repr(exc)
+        try:
+            got = _body_h3(space, random.Random(0))
+        except Exception as exc:
+            got = repr(exc)
+        assert got == expected
+        outcomes.append(expected)
+    assert outcomes.count(None) < len(outcomes)  # some corrupted spaces fail H3
