@@ -46,26 +46,12 @@ class Ballean:
         return {b.members for b in self.balls}
 
 
-@dataclass(frozen=True)
-class BallFamily:
-    """A nonempty collection of balls together with the union of their points."""
-
-    balls: tuple[Ball, ...]
-
-    @property
-    def union(self) -> tuple[int, ...]:
-        return tuple(sorted({m for b in self.balls for m in b.members}))
-
-
 def enumerate_ballean(space: FiniteUltrametricSpace) -> Ballean:
     """Every closed ball of the space, one entry per distinct member set."""
-    table = space.ball_table
-    if table.error is not None:
-        error_type, message = table.error
-        raise error_type(message)
-    if len(table.balls) > 2 * space.n - 1:
+    balls = space.ball_table.balls
+    if len(balls) > 2 * space.n - 1:
         raise AssertionError("ballean exceeded the 2n-1 bound")
-    return Ballean(table.balls)
+    return Ballean(balls)
 
 
 def hausdorff_oracle(
@@ -97,7 +83,7 @@ def hausdorff_by_cases(space: FiniteUltrametricSpace, b1: Ball, b2: Ball) -> Fra
 
 def _hausdorff_rank(space: FiniteUltrametricSpace, b1: Ball, b2: Ball) -> int:
     """The rank of the Hausdorff distance between two canonical balls of the
-    space; callers check each ball once."""
+    space; callers check each ball once, or take it from the ball table."""
     if b1.members == b2.members:
         return space.zero
     # In an ultrametric space diam(A | B) = max(diam A, diam B, d(a, b))
@@ -106,26 +92,11 @@ def _hausdorff_rank(space: FiniteUltrametricSpace, b1: Ball, b2: Ball) -> int:
     return max(rank[b1.members], rank[b2.members], space.ranks[b1.members[0]][b2.members[0]])
 
 
-def hausdorff_balls(
-    space: FiniteUltrametricSpace, b1: Ball, b2: Ball, *, debug: bool = False
-) -> Fraction:
-    """Hausdorff distance between two balls: the diameter of their union.
-
-    With debug on, the case-split form and the sup-inf definition are
-    evaluated too and all three must agree exactly.
-    """
+def hausdorff_balls(space: FiniteUltrametricSpace, b1: Ball, b2: Ball) -> Fraction:
+    """Hausdorff distance between two balls: the diameter of their union."""
     require_canonical(space, b1)
     require_canonical(space, b2)
-    result = space.levels[_hausdorff_rank(space, b1, b2)]
-    if debug:
-        cases = hausdorff_by_cases(space, b1, b2)
-        oracle = hausdorff_oracle(space, b1.members, b2.members)
-        if not (result == cases == oracle):
-            raise AssertionError(
-                f"Hausdorff routes disagree on {b1.members} vs {b2.members}: "
-                f"union-diam={result}, cases={cases}, sup-inf={oracle}"
-            )
-    return result
+    return space.levels[_hausdorff_rank(space, b1, b2)]
 
 
 def smallest_ball_distance(
@@ -154,8 +125,6 @@ def ballean_space(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
     """
     balls = enumerate_ballean(space).balls
     labels = ball_labels(space.labels, [b.members for b in balls])
-    for b in balls:
-        require_canonical(space, b)
     m = len(balls)
     rows = [[space.zero] * m for _ in range(m)]
     for i in range(m):
@@ -184,7 +153,7 @@ def iterate_ballean(space: FiniteUltrametricSpace, depth: int) -> FiniteUltramet
 
 
 def family_diameters(
-    space: FiniteUltrametricSpace, family: BallFamily | Iterable[Ball]
+    space: FiniteUltrametricSpace, family: Iterable[Ball]
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Three diameters of a family of at least two distinct balls.
 
@@ -192,8 +161,7 @@ def family_diameters(
     of the union of the balls, diameter of the smallest ball containing the
     union).  The three are provably equal and the function insists on it.
     """
-    balls = family.balls if isinstance(family, BallFamily) else tuple(family)
-    distinct = sorted({b.members: b for b in balls}.values(), key=lambda b: b.members)
+    distinct = sorted({b.members: b for b in family}.values(), key=lambda b: b.members)
     if len(distinct) < 2:
         raise FamilyTooSmallError(
             "need at least two distinct balls; for a lone ball the three "

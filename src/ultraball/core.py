@@ -157,9 +157,9 @@ class FiniteUltrametricSpace:
     :attr:`split` the merge tree, each built on first use (by validation, for
     the tree); no cache can go stale because the dataclass is frozen.
 
-    :func:`validate_ultrametric` checks the axioms; the other constructors
-    build valid spaces by construction, and replay tooling carries
-    known-bad matrices through :func:`_parse_space`.
+    Every space is ultrametric: :func:`validate_ultrametric` and
+    :func:`space_from_json_dict` refuse a matrix that is not, and the other
+    constructors build valid spaces by construction.
     """
 
     labels: tuple[str, ...]
@@ -202,31 +202,19 @@ class FiniteUltrametricSpace:
     @cached_property
     def ball_table(self) -> "BallTable":
         """Every closed ball, from one pass over each center and each radius
-        realized from it, plus zero; any other radius repeats one of those
-        balls.  Works on any square matrix, valid or not."""
-        levels, ranks, zero = self.levels, self.ranks, self.zero
-        n = self.n
-        balls: dict[tuple[int, ...], Ball] = {}
+        realized from it; any other radius repeats one of those balls."""
+        levels, ranks, n = self.levels, self.ranks, self.n
         canonical: dict[tuple[int, ...], Ball] = {}
         rank: dict[tuple[int, ...], int] = {}
-        error = None
-        for c in range(n):
-            row = ranks[c]
-            for k in set(row) | {zero}:
+        for row in ranks:
+            for k in set(row):
                 # Members are the points x with k >= row[x].
-                members = tuple(compress(range(n), map(k.__ge__, row))) if k >= zero else ()
-                if not members:
-                    error = error or _first_radius_error(self.dist[c])
-                    continue
-                if members not in balls:
-                    rank[members] = top = max(map(ranks[members[0]].__getitem__, members))
-                    balls[members] = Ball(members, levels[top])
-                # closed_ball(members[0], diameter) reproduces the ball exactly
-                # when its first member produces it at a nonnegative diameter.
-                if members[0] == c and rank[members] >= zero:
-                    canonical[members] = balls[members]
-        ordered = tuple(sorted(balls.values(), key=lambda b: (len(b.members), b.members)))
-        return BallTable(ordered, canonical, rank, error)
+                members = tuple(compress(range(n), map(k.__ge__, row)))
+                if members not in canonical:
+                    rank[members] = top = max(map(row.__getitem__, members))
+                    canonical[members] = Ball(members, levels[top])
+        ordered = tuple(sorted(canonical.values(), key=lambda b: (len(b.members), b.members)))
+        return BallTable(ordered, canonical, rank)
 
     @cached_property
     def split(self) -> tuple[Dendrogram, bool]:
@@ -270,17 +258,6 @@ class FiniteUltrametricSpace:
         return Dendrogram(out[0], self.labels), clean
 
 
-def _first_radius_error(row: tuple[Fraction, ...]) -> tuple[type[UltraballError], str]:
-    """The bad radius a scan of ``set(row)`` meets first.  A set of ranks
-    iterates in another order, and the reported radius must not change."""
-    radii = set(row)
-    radii.add(ZERO)
-    bad = next(r for r in radii if r < 0 or not any(v <= r for v in row))
-    if bad < 0:
-        return NegativeRadiusError, f"radius must be nonnegative, got {bad}"
-    return EmptySubsetError, "subset must be nonempty"
-
-
 @dataclass(frozen=True)
 class Ball:
     """A canonical closed ball: its member set and its diameter.
@@ -298,18 +275,14 @@ class BallTable(NamedTuple):
     """The closed balls of one space.
 
     ``balls`` lists every distinct ball, sorted by (size, members).
-    ``canonical`` maps member tuples to the balls that ``closed_ball(space,
-    members[0], diameter)`` reproduces, and ``rank`` maps the member tuple
-    of every ball to the rank of its diameter.  ``error`` is the first bad
-    radius met in the pass (a negative distance, or a radius that leaves a
-    center's ball empty) as (exception type, message); it is None for a
-    valid space.
+    ``canonical`` maps the member tuple of every ball to the ball, which
+    ``closed_ball(space, members[0], diameter)`` reproduces, and ``rank``
+    maps it to the rank of the ball's diameter.
     """
 
     balls: tuple[Ball, ...]
     canonical: dict[tuple[int, ...], Ball]
     rank: dict[tuple[int, ...], int]
-    error: tuple[type[UltraballError], str] | None
 
 
 @dataclass(frozen=True)
@@ -621,18 +594,21 @@ def space_to_json_dict(space: FiniteUltrametricSpace, matrix: object = None) -> 
     return {"labels": list(space.labels), "matrix": matrix}
 
 
-def space_from_json_dict(data: dict, validate: bool = True) -> FiniteUltrametricSpace:
-    """Load a space from its JSON form.
-
-    With ``validate=False`` the axioms are not checked, which is what replay
-    tooling needs in order to carry a known-bad matrix to the check that
-    should reject it; the shape of the matrix and labels is checked either way.
-    """
+def _json_fields(data: dict) -> tuple[object, object]:
+    """The matrix and labels of a space's JSON form."""
     try:
         labels = data["labels"]
-        matrix = data["matrix"]
+        return data["matrix"], labels
     except (KeyError, TypeError) as exc:
         raise BadParamsError(f"space JSON needs 'labels' and 'matrix': {exc}") from exc
-    if validate:
-        return validate_ultrametric(matrix, labels)
-    return _parse_space(matrix, labels)
+
+
+def _parse_space_json(data: dict) -> FiniteUltrametricSpace:
+    """A space's JSON form, its shape checked but not its axioms.  Replay
+    loading validates each result once and runs nothing on an invalid one."""
+    return _parse_space(*_json_fields(data))
+
+
+def space_from_json_dict(data: dict) -> FiniteUltrametricSpace:
+    """Load a space from its JSON form, raising UltrametricViolation on bad input."""
+    return validate_ultrametric(*_json_fields(data))

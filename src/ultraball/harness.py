@@ -22,6 +22,8 @@ from .ballean import (
     enumerate_ballean,
     family_diameters,
     hausdorff_balls,
+    hausdorff_by_cases,
+    hausdorff_oracle,
     min_positive_distance,
     singleton_embedding,
     smallest_ball_distance,
@@ -32,10 +34,10 @@ from .core import (
     FiniteUltrametricSpace,
     UltraballError,
     UltrametricViolation,
+    _parse_space_json,
     equidistant_space,
     parse_rational,
     rational_str,
-    space_from_json_dict,
     space_to_json_dict,
     space_violation,
     validate_ultrametric,
@@ -171,7 +173,15 @@ def _body_h1(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
     if len(pairs) > 300:
         pairs = rng.sample(pairs, 300)
     for i, j in pairs:
-        hausdorff_balls(space, balls[i], balls[j], debug=True)  # raises on disagreement
+        b1, b2 = balls[i], balls[j]
+        result = hausdorff_balls(space, b1, b2)
+        cases = hausdorff_by_cases(space, b1, b2)
+        oracle = hausdorff_oracle(space, b1.members, b2.members)
+        if not (result == cases == oracle):
+            return (
+                f"Hausdorff routes disagree on {b1.members} vs {b2.members}: "
+                f"union-diam={result}, cases={cases}, sup-inf={oracle}"
+            )
     return None
 
 
@@ -332,30 +342,31 @@ def _run_per_space_check(
     check_id: str,
     cfg: TrialConfig,
     outcome: CheckOutcome,
-    replay: list[FiniteUltrametricSpace] | None,
+    replay: list[tuple[FiniteUltrametricSpace, UltrametricViolation | None]] | None,
 ) -> None:
     body = _PER_SPACE_BODIES[check_id]
     cap = _SMALL_SPACE_CHECKS.get(check_id)
     sizes: list[int] = []
     # Generators, so a generated space and its caches go once its trial ends.
     if replay is not None:
-        instances = ((t, s, _trial_rng(cfg, check_id, t)) for t, s in enumerate(replay))
+        instances = ((t, s, v, _trial_rng(cfg, check_id, t)) for t, (s, v) in enumerate(replay))
     else:
         max_points = min(cfg.max_points, cap) if cap else None
         instances = (
-            (trial, *_trial_space(cfg, check_id, trial, max_points)) for trial in range(cfg.trials)
+            (trial, space, None, rng)
+            for trial in range(cfg.trials)
+            for space, rng in [_trial_space(cfg, check_id, trial, max_points)]
         )
-    for trial, space, rng in instances:
+    for trial, space, violation, rng in instances:
         outcome.trials += 1
         sizes.append(space.n)
-        try:
-            detail = body(space, rng)
-        except (UltraballError, AssertionError) as exc:
-            detail = f"{type(exc).__name__}: {exc}"
-            # A replayed matrix may itself be broken; surface its witness.
-            input_violation = space_violation(space)
-            if input_violation is not None:
-                detail += f"; input space invalid: {input_violation.to_json_dict()}"
+        if violation is not None:  # every check states a theorem about ultrametric spaces
+            detail = f"input space invalid: {violation.to_json_dict()}"
+        else:
+            try:
+                detail = body(space, rng)
+            except (UltraballError, AssertionError) as exc:
+                detail = f"{type(exc).__name__}: {exc}"
         if detail is not None:
             outcome.failures.append(_failure(trial, detail, space))
     if sizes:
@@ -495,13 +506,18 @@ def run_suite(
 ) -> CheckReport:
     """Run the selected checks and collect a deterministic report.
 
-    ``replay_spaces`` bypasses generation: each listed space (loaded without
-    validation, so known-bad matrices reach the checks that must reject
-    them) is fed to every selected per-space check.
+    ``replay_spaces`` bypasses generation: each listed space is parsed and
+    validated once, then fed to every selected per-space check.  A space
+    that is not ultrametric fails each of them with its first violation,
+    and no check body runs on it; when no per-space check is selected, its
+    violation is raised.
     """
     replay = None
     if replay_spaces is not None:
-        replay = [space_from_json_dict(d, validate=False) for d in replay_spaces]
+        replay = [(s, space_violation(s)) for s in map(_parse_space_json, replay_spaces)]
+        first = next((v for _, v in replay if v is not None), None)
+        if first is not None and _PER_SPACE_BODIES.keys().isdisjoint(config.selected_checks()):
+            raise first  # no selected check reads the replay to report it
 
     outcomes = []
     for check_id in config.selected_checks():

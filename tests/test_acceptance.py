@@ -195,7 +195,7 @@ def test_criterion_08_dlps_block():
         for i in range(len(balls)):
             for j in range(i + 1, len(balls)):
                 b1, b2 = balls[i], balls[j]
-                u = hausdorff_balls(sample, b1, b2, debug=False)
+                u = hausdorff_balls(sample, b1, b2)
                 if not (u == hausdorff_by_cases(sample, b1, b2)
                         == hausdorff_oracle(sample, b1.members, b2.members)):
                     problems.append(f"{name}: three-way agreement broke on the sample")

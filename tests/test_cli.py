@@ -595,3 +595,9 @@ def test_hostile_input_ends_in_a_structured_exit(data, hostile_dir):
         # failing verify report.
         payload = json.loads(err.getvalue() or out.getvalue())
         assert "error" in payload or "axiom" in payload or payload.get("status") == "fail"
+    if argv[0] == "verify" and code == 0:
+        # A passing verify replayed only ultrametric spaces.
+        with open(argv[argv.index("--replay") + 1], encoding="utf-8") as f:
+            loaded = json.load(f)
+        for entry in loaded if isinstance(loaded, list) else [loaded]:
+            space_from_json_dict(entry.get("space", entry))  # raises on an invalid space

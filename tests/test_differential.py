@@ -1,10 +1,12 @@
 """The ball table and the integer-rank routes against the routes they
 replaced.
 
-Matrices here are arbitrary square rational matrices, not only ultrametric
-ones: nonzero diagonals, negative and asymmetric entries all reach the
-table through replayed spaces, and there it must fail exactly as the
-per-call routes did.
+Parsing, ranks, ``closed_ball``, ``diam``, ``smallest_ball`` and H3's body
+take arbitrary square rational matrices here (nonzero diagonals, negative
+and asymmetric entries), loaded without validation as a replay is, and must
+answer or fail exactly as the routes they replaced.  The ball table is
+defined on ultrametric spaces only, so the routes that read it are compared
+on generated spaces.
 """
 
 import random
@@ -34,13 +36,13 @@ from ultraball.core import (
     Ball,
     BadParamsError,
     _parse_space,
+    _parse_space_json,
     closed_ball,
     diam,
     equidistant_space,
     find_violation,
     require_canonical,
     smallest_ball,
-    space_from_json_dict,
 )
 from ultraball.harness import _body_h3
 from ultraball.dendrogram import (
@@ -56,13 +58,11 @@ POOL = ("1", "3/2", "2", "3", "7/2", "4")
 
 
 def _entries(low):
-    # Rows with two or more negative values (and a non-integer one) decide
-    # which bad radius the ball table reports first.
     return st.sampled_from(list(range(low, 5)) + ([Fraction(-1, 2)] if low < 0 else []))
 
 
-# Half the matrices draw no negative entry, so that the runs past the
-# radius errors (and the 2n-1 bound) get exercised too.
+# Half the matrices draw no negative entry, so that radii past the
+# negative-radius errors get exercised too.
 square_matrices = st.tuples(st.integers(1, 6), st.sampled_from((-3, 0))).flatmap(
     lambda shape: st.lists(
         st.lists(_entries(shape[1]), min_size=shape[0], max_size=shape[0]),
@@ -97,7 +97,16 @@ def rational_matrices(draw):
 
 def _space(matrix):
     labels = [f"p{i}" for i in range(len(matrix))]
-    return space_from_json_dict({"labels": labels, "matrix": matrix}, validate=False)
+    return _parse_space_json({"labels": labels, "matrix": matrix})
+
+
+# Generated spaces are ultrametric by construction.
+valid_spaces = st.builds(
+    lambda seed, n, binary: random_binary_space(seed, n) if binary else random_space(seed, n, POOL),
+    st.integers(0, 10**6),
+    st.integers(1, 8),
+    st.booleans(),
+)
 
 
 def _outcome(fn, *args):
@@ -108,17 +117,15 @@ def _outcome(fn, *args):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(matrix=square_matrices)
-def test_enumerate_ballean_matches_per_center_loop(matrix):
-    space = _space(matrix)
+@given(space=valid_spaces)
+def test_enumerate_ballean_matches_per_center_loop(space):
     got = _outcome(lambda s: enumerate_ballean(s).balls, space)
     assert got == _outcome(enumerate_ballean_reference, space)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(matrix=square_matrices, data=st.data())
-def test_require_canonical_matches_per_call_check(matrix, data):
-    space = _space(matrix)
+@given(space=valid_spaces, data=st.data())
+def test_require_canonical_matches_per_call_check(space, data):
     n = space.n
     # A float diameter and list members: the wrong field types.
     candidates = list(space.ball_table.balls) + [Ball((0,), 0.0), Ball([0], Fraction(0))]
@@ -213,22 +220,22 @@ def test_planted_violation_of_each_axiom_on_64_points(axiom):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(matrix=square_matrices, data=st.data())
-def test_smallest_ball_and_family_diameters_match_fraction_scans(matrix, data):
+@given(matrix=square_matrices, valid=valid_spaces, data=st.data())
+def test_smallest_ball_and_family_diameters_match_fraction_scans(matrix, valid, data):
     space = _space(matrix)
     for _ in range(4):
         subset = data.draw(st.lists(st.integers(-1, space.n), max_size=space.n))
         got = _outcome(smallest_ball, space, subset)
         assert got == _outcome(smallest_ball_reference, space, subset), subset
-    canonical = sorted(space.ball_table.canonical.values(), key=lambda b: b.members)
-    if len(canonical) > 1:
+    balls = valid.ball_table.balls
+    if len(balls) > 1:
         for _ in range(4):
             family = data.draw(st.lists(
-                st.sampled_from(canonical), min_size=2, max_size=5, unique_by=lambda b: b.members
+                st.sampled_from(balls), min_size=2, max_size=5, unique_by=lambda b: b.members
             ))
             family.append(family[0])  # a repeated ball counts once
-            got = _outcome(family_diameters, space, family)
-            assert got == _outcome(family_diameters_reference, space, family), family
+            got = _outcome(family_diameters, valid, family)
+            assert got == _outcome(family_diameters_reference, valid, family), family
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -359,7 +366,7 @@ def _h3_corpus():
         data = {"labels": list(space.labels), "matrix": [[str(v) for v in row] for row in space.dist]}
         i, j = rng.sample(range(n), 2)
         data["matrix"][i][j] = data["matrix"][j][i] = rng.choice(POOL + ("1/2", "5"))
-        yield space_from_json_dict(data, validate=False)
+        yield _parse_space_json(data)
 
 
 def test_h3_by_containing_balls_matches_the_pairwise_scan():

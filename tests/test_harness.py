@@ -10,9 +10,17 @@ import pytest
 
 import ultraball
 from ultraball.cli import cli_main
-from ultraball.core import BadParamsError, ConfigError, space_to_json_dict, validate_ultrametric
+from ultraball import harness
+from ultraball.core import (
+    BadParamsError,
+    ConfigError,
+    find_violation,
+    space_to_json_dict,
+    validate_ultrametric,
+)
 from ultraball.dendrogram import random_binary_space, random_space
 from ultraball.harness import (
+    _PER_SPACE_BODIES,
     CHECKS,
     DEFAULT_LEVEL_POOL,
     TrialConfig,
@@ -130,6 +138,81 @@ def test_replay_report_unchanged_under_python_O():
     out = json.loads(result.stdout)
     assert out["optimize"] == 1
     assert out["report"] == expected
+
+
+def _invalid_detail(data):
+    return f"input space invalid: {find_violation(data['matrix'], data['labels']).to_json_dict()}"
+
+
+def test_invalid_corpus_spaces_fail_every_per_space_check():
+    corpus = _corrupted_corpus()
+    invalid = [t for t, d in enumerate(corpus) if find_violation(d["matrix"], d["labels"])]
+    assert len(invalid) == 51
+    report = run_suite(TrialConfig(seed=1, trials=1), replay_spaces=corpus)
+    runs = {}
+    for outcome in report.checks:
+        if outcome.check_id in _PER_SPACE_BODIES:
+            for record in outcome.failures:
+                runs[outcome.check_id, record["trial"]] = record["detail"]
+    # 510 of 510 runs on invalid spaces fail, each with its space's own
+    # first violation; the 9 valid spaces pass every check.
+    assert runs == {(c, t): _invalid_detail(corpus[t]) for c in _PER_SPACE_BODIES for t in invalid}
+
+
+# One matrix per axiom, each breaking only that one.
+AXIOM_MATRICES = {
+    "AsymmetricEntry": [[0, 3], ["3/2", 0]],
+    "NonzeroDiagonal": [[1, 2], [2, 0]],
+    "NegativeEntry": [[0, -1], [-1, 0]],
+    "ZeroOffDiagonal": [[0, 0, 1], [0, 0, 1], [1, 1, 0]],
+    "StrongTriangleViolation": [[0, 1, 3], [1, 0, 1], [3, 1, 0]],
+}
+
+
+def _axiom_space(axiom):
+    matrix = AXIOM_MATRICES[axiom]
+    return {"labels": ["a", "b", "c"][: len(matrix)], "matrix": matrix}
+
+
+@pytest.mark.parametrize("axiom", list(AXIOM_MATRICES))
+def test_invalid_replay_fails_each_check_with_the_validate_witness(axiom, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_axiom_space(axiom)))
+    assert cli_main(["validate", str(path)]) == 1
+    witness = json.loads(capsys.readouterr().out)
+    assert witness["axiom"] == axiom
+    subsets = [[c] for c in _PER_SPACE_BODIES] + [["H2", "H5", "H6", "H12"], list(CHECKS)]
+    for checks in subsets:
+        assert cli_main(["verify", "--replay", str(path), "--checks", ",".join(checks)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        for outcome in report["checks"]:
+            if outcome["id"] in _PER_SPACE_BODIES:
+                (record,) = outcome["failures"]
+                assert record["detail"] == f"input space invalid: {witness}"
+    # H8 and H10 do not read replayed spaces, so the violation is the error.
+    for checks in ("H8", "H10", "H8,H10"):
+        assert cli_main(["verify", "--replay", str(path), "--checks", checks]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "UltrametricViolation"
+        assert {"axiom": error["axiom"], "witness": error["witness"]} == witness
+
+
+def test_no_check_body_runs_on_an_invalid_replay(monkeypatch):
+    called = []
+
+    def raising(space, rng):
+        called.append(space.labels)
+        raise AssertionError("body ran")
+
+    for check_id in _PER_SPACE_BODIES:
+        monkeypatch.setitem(harness._PER_SPACE_BODIES, check_id, raising)
+    good = {"labels": ["x", "y"], "matrix": [[0, 1], [1, 0]]}
+    spaces = [_axiom_space(axiom) for axiom in AXIOM_MATRICES] + [good]
+    report = run_suite(TrialConfig(seed=1, trials=1), replay_spaces=spaces)
+    assert called == [("x", "y")] * len(_PER_SPACE_BODIES)  # the patch took, on the valid space only
+    for check_id in _PER_SPACE_BODIES:
+        details = [r["detail"] for r in report.outcome(check_id).failures]
+        assert details == [_invalid_detail(d) for d in spaces[:-1]] + ["AssertionError: body ran"]
 
 
 def test_h11_scans_every_corpus_space():
