@@ -8,9 +8,10 @@ possible accumulation point is 0, so the presentation keeps every predicate
 of interest (isolation, discreteness, metrical discreteness, local
 finiteness, bounded compactness) exactly decidable while the underlying set
 is genuinely infinite.  A tail answers membership and "largest term <= r" at
-exponent k in O(log k) exact steps, by repeated squaring of its ratio.  A
-largest term whose numerator or denominator has more digits than ``str`` may
-print (``sys.get_int_max_str_digits()``) is refused with BadParamsError.
+exponent k in O(log k) integer products, from the denominator of x / first
+and by squaring the ratio's numerator and denominator.  A largest term whose
+numerator or denominator has more digits than ``str`` may print
+(``sys.get_int_max_str_digits()``) is refused with BadParamsError.
 """
 
 from __future__ import annotations
@@ -61,22 +62,34 @@ class GeometricTail:
     ratio: Fraction
 
     def _first_at_most(self, r: Fraction, bits: float) -> Fraction | None:
-        """The term at the least k with first * ratio**k <= r, squaring ratio until
-        a step passes r, then stepping back down; None once q**k passes ``bits`` bits."""
-        t = r / self.first
-        steps = [self.ratio]
-        while steps[-1] > t:
-            if steps[-1].denominator.bit_length() > bits:
+        """The term at the least k with first * ratio**k <= r; None once q**k passes
+        ``bits`` bits.  With first = a/b, r = c/d and ratio**j = P/Q, a term passes r
+        iff a*d*P > b*c*Q: square (p, q) until a step passes r, then step back down."""
+        (a, b), (p, q) = self.first.as_integer_ratio(), self.ratio.as_integer_ratio()
+        lhs, rhs = a * r.denominator, b * r.numerator
+        steps = [(p, q)]
+        while lhs * steps[-1][0] > rhs * steps[-1][1]:
+            if steps[-1][1].bit_length() > bits:
                 return None
-            steps.append(steps[-1] * steps[-1])
-        above = Fraction(1)  # ratio**j for the largest j found with ratio**j > t
-        for step in reversed(steps[:-1]):
-            above = deeper if (deeper := above * step) > t else above
-        return self.first * above * self.ratio if above > t else self.first
+            steps.append((steps[-1][0] ** 2, steps[-1][1] ** 2))
+        big_p = big_q = 1  # ratio**j for the largest j found with the term past r
+        for step_p, step_q in reversed(steps[:-1]):
+            if lhs * big_p * step_p > rhs * big_q * step_q:
+                big_p, big_q = big_p * step_p, big_q * step_q
+        return Fraction(a * big_p * p, b * big_q * q) if lhs * big_p > rhs * big_q else self.first
 
     def contains(self, x: Fraction) -> bool:
-        # On the tail x / first == ratio**k has denominator q**k: no deeper k matches.
-        return self._first_at_most(x, (x / self.first).denominator.bit_length()) == x
+        """x is the k-th term iff x / first in lowest terms is p**k / q**k: read k
+        off the denominator by squaring q alone, then match both powers exactly."""
+        t = x / self.first
+        den, squares = t.denominator, [self.ratio.denominator]
+        while 2 * squares[-1].bit_length() - 1 <= den.bit_length():  # else its square > den
+            squares.append(squares[-1] ** 2)
+        k, power = 0, 1  # power = q**k, the largest found that is <= den
+        for j in reversed(range(len(squares))):
+            if power * squares[j] <= den:
+                k, power = k + (1 << j), power * squares[j]
+        return power == den and t.numerator == self.ratio.numerator**k
 
     def terms_at_least(self, cut: Fraction, n: int) -> list[Fraction]:
         """The largest n terms >= cut (fewer if fewer exist), descending.  The
@@ -168,7 +181,9 @@ def _tails_intersect(t1: GeometricTail, t2: GeometricTail) -> bool:
     c = [x - y for x, y in zip(_exponent_vector(b, basis), _exponent_vector(a, basis))]
 
     def verify(k: int, l: int) -> bool:
-        return k >= 0 and l >= 0 and a * r**k == b * s**l
+        # Over a coprime basis, a * r**k == b * s**l iff the exponent vectors
+        # agree, so no power is built (k can be the square of the input size).
+        return k >= 0 and l >= 0 and all(k * x - l * y == z for x, y, z in zip(u, w, c))
 
     # Independent exponent directions: a 2x2 subsystem pins (k, l).
     dim = len(basis)

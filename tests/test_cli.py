@@ -14,10 +14,14 @@ from ultraball.cli import _emit, build_parser, cli_main
 from ultraball.core import member_labels, space_from_json_dict, space_to_json_dict
 from ultraball.dendrogram import random_binary_space, random_space
 from ultraball.dlps import dlps_from_json_dict, dlps_sample
+from ultraball.harness import CHECKS
 
 SPACE = {"labels": ["a", "b", "c"], "matrix": [[0, 1, 2], [1, 0, 2], [2, 2, 0]]}
 BAD = {"labels": ["a", "b", "c"], "matrix": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]}
 DLPS = {"points": [], "zero": True, "tails": [{"first": "1", "ratio": "1/2"}]}
+# Two tails that meet only at exponents 200**2 and 200*199.
+MEETING_DEEP = {"tails": [{"first": "1", "ratio": f"2/{3**199}"},
+                          {"first": str(2**200), "ratio": f"2/{3**200}"}]}
 
 
 @pytest.fixture
@@ -368,6 +372,17 @@ def test_dlps_sample_of_terms_that_cannot_print_is_refused_fast(doc, n, cut, tmp
     assert json.loads(capsys.readouterr().err)["error"] == "BadParamsError"
 
 
+@pytest.mark.parametrize("command", ["analyze", "sample"])
+def test_dlps_tails_meeting_deep_are_refused_fast(command, tmp_path, capsys):
+    path = tmp_path / "dlps.json"
+    path.write_text(json.dumps(MEETING_DEEP))
+    extra = ["-n", "3", "--cut", "1/8"] if command == "sample" else []
+    start = time.perf_counter()
+    assert cli_main(["dlps", command, str(path), *extra]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "intersect" in json.loads(capsys.readouterr().err)["message"]
+
+
 def test_dlps_huge_rational_is_bad_params(tmp_path, capsys):
     # A 60,001-digit denominator: no message could print it.
     doc = {"tails": [{"first": "1", "ratio": "1/10"}, {"first": "1e-60000", "ratio": "1/3"}]}
@@ -503,6 +518,10 @@ ATOM = st.one_of(
 LABELS = st.one_of(ATOM, st.lists(st.one_of(ATOM, st.text(max_size=2)), max_size=4))
 
 
+def _generated_doc(seed: int, n: int) -> dict:
+    return space_to_json_dict(random_space(seed, n, ("1", "3/2", "2")))
+
+
 @st.composite
 def _space_doc(draw):
     """A generated space with one entry or its labels perhaps replaced, or a
@@ -514,7 +533,7 @@ def _space_doc(draw):
     if kind == "atom":
         return draw(st.one_of(ATOM, st.lists(ATOM, max_size=2), st.just({"labels": ["a"]})))
     n = draw(st.integers(1, 4))
-    data = space_to_json_dict(random_space(draw(st.integers(0, 99)), n, ("1", "3/2", "2")))
+    data = _generated_doc(draw(st.integers(0, 99)), n)
     if kind == "entry":
         data["matrix"][draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(ATOM)
     if kind == "labels":
@@ -531,7 +550,13 @@ DLPS_DOC = st.one_of(
         "zero": ATOM,
         "tails": st.one_of(ATOM, st.lists(TAIL, max_size=2)),
     }),
+    st.just(MEETING_DEEP),
 )
+
+
+# A generated space, bare or wrapped as a failure record's "space".
+VALID_SPACE = st.builds(_generated_doc, st.integers(0, 99), st.integers(1, 4)).flatmap(
+    lambda data: st.sampled_from([data, {"space": data}]))
 REPLAY_DOC = st.one_of(
     _space_doc(),
     st.lists(st.one_of(_space_doc(), st.fixed_dictionaries({"space": _space_doc()})), max_size=2),
@@ -553,7 +578,7 @@ def _command(draw, path):
 
     command = draw(st.sampled_from([
         "validate", "ballean", "hausdorff", "smallest-ball", "tree", "isometric",
-        "dlps analyze", "dlps sample", "verify", "probe-q63",
+        "dlps analyze", "dlps sample", "verify", "verify generated", "probe-q63",
     ]))
     if command in ("validate", "tree"):
         return [command, doc(_space_doc())]
@@ -570,10 +595,17 @@ def _command(draw, path):
     if command == "dlps sample":
         cut = draw(st.sampled_from(["1/8", "0", "-1", "x", "1e-60000", *LONG_DECIMALS]))
         return ["dlps", "sample", doc(DLPS_DOC), "-n", draw(SMALL), "--cut", cut]
-    flags = ["--trials", draw(st.sampled_from(["1", "0", "x"])), "--max-points", draw(SMALL)]
-    if command == "verify":
-        return [command, *flags, "--replay", doc(REPLAY_DOC)]
-    return [command, *flags]
+    if command == "verify generated":  # well-formed flags over generated spaces
+        flags = ["--trials", "1", "--max-points", draw(st.sampled_from("1234"))]
+        replay = st.lists(VALID_SPACE, min_size=1, max_size=3)
+    else:
+        flags = ["--trials", draw(st.sampled_from(["1", "0", "x"])), "--max-points", draw(SMALL)]
+        replay = REPLAY_DOC
+    if command == "probe-q63":
+        return [command, *flags]
+    checks = draw(st.one_of(st.none(), st.sets(st.sampled_from(sorted(CHECKS)), min_size=1)))
+    selection = [] if checks is None else ["--checks", ",".join(sorted(checks))]
+    return ["verify", *flags, *selection, "--replay", doc(replay)]
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import tail_contains_walk, tail_max_at_most_walk, tail_terms_at_least_walk
@@ -178,6 +178,59 @@ def test_tail_max_at_most_and_terms_at_least_match_walks(tail, k, n):
         assert tail.max_at_most(r) == tail_max_at_most_walk(tail, r), r
         if r > 0:
             assert tail.terms_at_least(r, n) == tail_terms_at_least_walk(tail, r)[:n], r
+
+
+# At workload depth: ratios (m-1)/m and (m-2)/m with m up to 10**6, exponents
+# up to 700, and first terms carrying a prime above 10**6, which no ratio has.
+# m is drawn by its number of digits, so that few examples pay for a walk at
+# 4,200 digits; the two explicit examples are the deepest case and one like
+# the dlps-symbolic workload's.
+deep_tails = st.builds(
+    lambda m, d, num, den, up: GeometricTail(
+        F(num * 1000003, den) if up else F(num, den * 1000003), F(m - d, m)
+    ),
+    st.integers(1, 6).flatmap(lambda digits: st.integers(10 ** (digits - 1) + 2, 10**digits)),
+    st.integers(1, 2),
+    st.integers(1, 30),
+    st.integers(1, 30),
+    st.booleans(),
+)
+deep_exponents = st.integers(0, 700)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tail=deep_tails, k=deep_exponents, l=deep_exponents)
+@example(tail=GeometricTail(F(1000003, 7), F(999999, 10**6)), k=700, l=699)
+@example(tail=GeometricTail(F(13, 1000003), F(92, 93)), k=650, l=500)
+def test_tail_questions_match_walks_at_workload_depth(tail, k, l):
+    p, q = tail.ratio.numerator, tail.ratio.denominator
+    term = tail.first * tail.ratio**k
+    # A second tail, disjoint from the first, whose terms the walks reach
+    # within a few steps of its own exponent.
+    other = GeometricTail(tail.first * F(1000033, 1000037), tail.ratio)
+    values = [
+        term,
+        # Right denominator q**k, wrong numerator (the first decoy is the
+        # first term itself when p + 1 == q).
+        tail.first * F(p + 1, q) ** k,
+        tail.first * F(p**k + q, q**k),
+        other.first * other.ratio**l,
+        F(0),
+        -term,
+    ]
+    for x in values:
+        assert tail.contains(x) == tail_contains_walk(tail, x), x
+    for r in (*values, (term + term * tail.ratio) / 2):
+        assert tail.max_at_most(r) == tail_max_at_most_walk(tail, r), r
+
+
+@pytest.mark.parametrize("w", [200, 1000])
+def test_tails_meeting_at_a_squared_exponent_are_refused_fast(w):
+    # (1, 2/3**(w-1)) and (2**w, 2/3**w) meet at k = w**2, l = w*(w-1).
+    start = time.perf_counter()
+    with pytest.raises(BadParamsError, match="intersect"):
+        dlps_space(tails=[(1, F(2, 3 ** (w - 1))), (2**w, F(2, 3**w))])
+    assert time.perf_counter() - start < 0.5
 
 
 def test_ratio_near_one_cutoff_that_cannot_print_is_refused_fast():
