@@ -8,10 +8,9 @@ split so the three routes can be checked against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .core import (
     ZERO,
@@ -30,28 +29,13 @@ from .core import (
     smallest_ball,
 )
 
-@dataclass(frozen=True)
-class Ballean:
-    """All distinct closed balls of a space, sorted by (size, members)."""
-
-    balls: tuple[Ball, ...]
-
-    def __iter__(self) -> Iterator[Ball]:
-        return iter(self.balls)
-
-    def __len__(self) -> int:
-        return len(self.balls)
-
-    def member_sets(self) -> set[tuple[int, ...]]:
-        return {b.members for b in self.balls}
-
-
-def enumerate_ballean(space: FiniteUltrametricSpace) -> Ballean:
-    """Every closed ball of the space, one entry per distinct member set."""
+def enumerate_ballean(space: FiniteUltrametricSpace) -> tuple[Ball, ...]:
+    """Every closed ball of the space, one entry per distinct member set,
+    sorted by (size, members): the space's ball table."""
     balls = space.ball_table.balls
     if len(balls) > 2 * space.n - 1:
         raise AssertionError("ballean exceeded the 2n-1 bound")
-    return Ballean(balls)
+    return balls
 
 
 def hausdorff_oracle(
@@ -123,7 +107,7 @@ def ballean_space(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
     the ball list and not revalidated here, so checking it against the
     ultrametric axioms stays a meaningful test rather than a tautology.
     """
-    balls = enumerate_ballean(space).balls
+    balls = enumerate_ballean(space)
     labels = ball_labels(space.labels, [b.members for b in balls])
     m = len(balls)
     rows = [[space.zero] * m for _ in range(m)]
@@ -195,11 +179,11 @@ def b0_set(space: FiniteUltrametricSpace) -> set[Ball]:
     is isolated, so this is the whole ballean (which is also the set of
     isolated points of the ballean), and that is asserted.
     """
-    bl = enumerate_ballean(space)
+    balls = enumerate_ballean(space)
     iso = isolated_points(space)
-    result = {b for b in bl.balls if space.ball_table.rank[b.members] > space.zero}
+    result = {b for b in balls if space.ball_table.rank[b.members] > space.zero}
     result.update(closed_ball(space, x, ZERO) for x in iso)
-    if result != set(bl.balls):
+    if result != set(balls):
         raise AssertionError("finite-scale positive-radius balls must exhaust the ballean")
     return result
 

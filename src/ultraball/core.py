@@ -201,20 +201,18 @@ class FiniteUltrametricSpace:
 
     @cached_property
     def ball_table(self) -> "BallTable":
-        """Every closed ball, from one pass over each center and each radius
-        realized from it; any other radius repeats one of those balls."""
-        levels, ranks, n = self.levels, self.ranks, self.n
-        canonical: dict[tuple[int, ...], Ball] = {}
+        """Every closed ball, built once from its smallest member c: every
+        point of a ball is a center of it, so c emits the ranks k in its row
+        below its rank to each earlier point, and B(c, k) has diameter rank k."""
+        levels, ranks, points = self.levels, self.ranks, range(self.n)
         rank: dict[tuple[int, ...], int] = {}
-        for row in ranks:
+        for c, row in enumerate(ranks):
+            below = min(row[:c], default=len(levels))
             for k in set(row):
-                # Members are the points x with k >= row[x].
-                members = tuple(compress(range(n), map(k.__ge__, row)))
-                if members not in canonical:
-                    rank[members] = top = max(map(row.__getitem__, members))
-                    canonical[members] = Ball(members, levels[top])
-        ordered = tuple(sorted(canonical.values(), key=lambda b: (len(b.members), b.members)))
-        return BallTable(ordered, canonical, rank)
+                if k < below:
+                    rank[tuple(compress(points, map(k.__ge__, row)))] = k
+        ordered = sorted(rank, key=lambda members: (len(members), members))
+        return BallTable(tuple(Ball(m, levels[rank[m]]) for m in ordered), rank)
 
     @cached_property
     def split(self) -> tuple[Dendrogram, bool]:
@@ -274,14 +272,11 @@ class Ball:
 class BallTable(NamedTuple):
     """The closed balls of one space.
 
-    ``balls`` lists every distinct ball, sorted by (size, members).
-    ``canonical`` maps the member tuple of every ball to the ball, which
-    ``closed_ball(space, members[0], diameter)`` reproduces, and ``rank``
-    maps it to the rank of the ball's diameter.
+    ``balls`` lists every distinct ball, sorted by (size, members), and
+    ``rank`` maps the member tuple of each to the rank of its diameter.
     """
 
     balls: tuple[Ball, ...]
-    canonical: dict[tuple[int, ...], Ball]
     rank: dict[tuple[int, ...], int]
 
 
@@ -500,11 +495,11 @@ def smallest_ball(space: FiniteUltrametricSpace, subset: Iterable[int]) -> Ball:
 
 def require_canonical(space: FiniteUltrametricSpace, ball: Ball) -> None:
     """Raise ForeignBallError unless ball is a canonical ball of the space."""
-    # A hand-built ball with a float diameter compares equal to a table entry,
-    # and one with list members is unhashable; the miss path rejects both.
+    # A hand-built ball's float diameter can equal its level, and list members
+    # are unhashable; the miss path rejects both.
     if isinstance(ball.members, tuple):
-        entry = space.ball_table.canonical.get(ball.members)
-        if entry is ball or (entry == ball and isinstance(ball.diameter, Fraction)):
+        k, d = space.ball_table.rank.get(ball.members), ball.diameter
+        if k is not None and (d is space.levels[k] or (isinstance(d, Fraction) and d == space.levels[k])):
             return
     if not ball.members:
         raise ForeignBallError("a ball must have at least one member")
@@ -563,9 +558,11 @@ def equidistant_space(
         raise BadParamsError("n must be at least 1")
     if t <= 0:
         raise BadParamsError("the common distance must be positive")
-    # Ultrametric by construction; only the labels need checking.
+    # Ultrametric by construction; only the labels need checking.  One point
+    # leaves t unused, and no level but 0 may go unused.
     ranks = tuple(tuple(int(i != j) for j in range(n)) for i in range(n))
-    return FiniteUltrametricSpace(_make_labels(n, labels), (ZERO, t), ranks)
+    levels = (ZERO,) if n == 1 else (ZERO, t)
+    return FiniteUltrametricSpace(_make_labels(n, labels), levels, ranks)
 
 
 def member_labels(space: FiniteUltrametricSpace, members: Iterable[int]) -> tuple[str, ...]:

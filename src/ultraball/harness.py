@@ -102,17 +102,15 @@ class CheckOutcome:
     stats: dict = field(default_factory=dict)
     elapsed_s: float = 0.0
 
-    def to_json_dict(self, include_elapsed: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "id": self.check_id,
             "claim": self.claim,
             "trials": self.trials,
             "failures": self.failures,
             "stats": self.stats,
+            "elapsed_s": round(self.elapsed_s, 6),
         }
-        if include_elapsed:
-            out["elapsed_s"] = round(self.elapsed_s, 6)
-        return out
 
 
 @dataclass
@@ -130,10 +128,10 @@ class CheckReport:
                 return c
         raise KeyError(check_id)
 
-    def to_json_dict(self, include_elapsed: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "config": self.config.to_json_dict(),
-            "checks": [c.to_json_dict(include_elapsed) for c in self.checks],
+            "checks": [c.to_json_dict() for c in self.checks],
             "status": "pass" if self.passed else "fail",
         }
 
@@ -168,7 +166,7 @@ def _failure(trial: int, detail: str, space: FiniteUltrametricSpace | None = Non
 
 
 def _body_h1(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
-    balls = enumerate_ballean(space).balls
+    balls = enumerate_ballean(space)
     pairs = list(combinations(range(len(balls)), 2))
     if len(pairs) > 300:
         pairs = rng.sample(pairs, 300)
@@ -194,7 +192,7 @@ def _body_h2(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
 
 
 def _body_h3(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
-    balls = enumerate_ballean(space).balls
+    balls = enumerate_ballean(space)
     ball_sets = [set(b.members) for b in balls]
     # The balls containing each ball, by index: a ball contains b1 | b2 iff
     # it contains both.
@@ -216,7 +214,7 @@ def _body_h3(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
 
 
 def _body_h4(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
-    balls = enumerate_ballean(space).balls
+    balls = enumerate_ballean(space)
     if len(balls) < 2:
         return None
     for _ in range(50):
@@ -230,12 +228,12 @@ def _body_h4(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
 
 
 def _body_h5(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
-    bl = enumerate_ballean(space)  # raises past the 2n-1 bound
+    balls = enumerate_ballean(space)  # raises past the 2n-1 bound
     dend = build_dendrogram(space)
-    if node_leaf_sets(dend) != bl.member_sets():
+    if node_leaf_sets(dend) != {b.members for b in balls}:
         return "merge-tree node leaf sets differ from ball member sets"
-    if is_binary(dend) and len(bl) != 2 * space.n - 1:
-        return f"binary merge tree but only {len(bl)} balls (expected {2 * space.n - 1})"
+    if is_binary(dend) and len(balls) != 2 * space.n - 1:
+        return f"binary merge tree but only {len(balls)} balls (expected {2 * space.n - 1})"
     return None
 
 
@@ -255,16 +253,16 @@ def _body_h7(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
 
 
 def _body_h9(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
-    bl = enumerate_ballean(space)
-    for y in bl.balls:
+    balls = enumerate_ballean(space)
+    for y in balls:
         y_set = set(y.members)
         position = {orig: i for i, orig in enumerate(y.members)}
         expected = {
             tuple(sorted(position[m] for m in b.members))
-            for b in bl.balls
+            for b in balls
             if set(b.members) <= y_set
         }
-        actual = enumerate_ballean(space.restrict(y.members)).member_sets()
+        actual = {b.members for b in enumerate_ballean(space.restrict(y.members))}
         if expected != actual:
             return f"subballs of {y.members} do not match the ballean of the restriction"
     return None

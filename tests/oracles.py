@@ -325,7 +325,7 @@ def parse_space_reference(
 def body_h3_reference(space: FiniteUltrametricSpace, rng=None) -> str | None:
     """H3's body as it tested every ball against every pair of balls: the
     scan that a table of each ball's containing balls replaced."""
-    balls = enumerate_ballean(space).balls
+    balls = enumerate_ballean(space)
     ball_sets = [set(b.members) for b in balls]
     for b1, b2 in combinations(balls, 2):
         bstar, value = smallest_ball_distance(space, b1, b2)

@@ -191,7 +191,7 @@ def test_criterion_08_dlps_block():
         if find_violation(sample.dist, sample.labels) is not None:
             problems.append(f"{name}: sample fails validation")
             continue
-        balls = enumerate_ballean(sample).balls
+        balls = enumerate_ballean(sample)
         for i in range(len(balls)):
             for j in range(i + 1, len(balls)):
                 b1, b2 = balls[i], balls[j]

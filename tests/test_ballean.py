@@ -1,9 +1,10 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from oracles import balls_by_subset_scan
+from oracles import balls_by_subset_scan, caterpillar
 from ultraball.ballean import (
     b0_set,
     ballean_space,
@@ -41,25 +42,37 @@ def three_point_space():
 
 def test_enumerate_three_point_space():
     bl = enumerate_ballean(three_point_space())
-    assert [b.members for b in bl.balls] == [(0,), (1,), (2,), (0, 1), (0, 1, 2)]
+    assert [b.members for b in bl] == [(0,), (1,), (2,), (0, 1), (0, 1, 2)]
     assert len(bl) == 2 * 3 - 1
 
 
 def test_enumerate_one_point_space():
     bl = enumerate_ballean(validate_ultrametric([[0]], ["x0"]))
-    assert [b.members for b in bl.balls] == [(0,)]
+    assert [b.members for b in bl] == [(0,)]
 
 
 def test_enumerate_equidistant_four_points():
     bl = enumerate_ballean(equidistant_space(4, 1))
     assert len(bl) == 5  # four singletons plus the whole space
-    assert bl.balls[-1].members == (0, 1, 2, 3)
+    assert bl[-1].members == (0, 1, 2, 3)
+
+
+def test_enumerate_a_999_deep_space_in_quadratic_time():
+    # Each ball is built once, from its smallest member, so the table is
+    # quadratic on a 999-deep tree; building it from every center is cubic.
+    space = caterpillar(1000)
+    start = time.perf_counter()
+    balls = enumerate_ballean(space)
+    assert time.perf_counter() - start < 2
+    assert len(balls) == 2 * 1000 - 1
+    assert balls[-1].members == tuple(range(1000))
+    assert balls[-1].diameter == 999
 
 
 def test_enumerate_matches_subset_scan():
     for seed in range(8):
         s = random_space(seed, 7, POOL)
-        assert enumerate_ballean(s).member_sets() == balls_by_subset_scan(s)
+        assert {b.members for b in enumerate_ballean(s)} == balls_by_subset_scan(s)
 
 
 def test_hausdorff_oracle_examples():
@@ -88,7 +101,7 @@ def test_hausdorff_balls_examples():
 def test_three_way_agreement_random():
     for seed in range(12):
         s = random_space(seed, 8, POOL)
-        balls = enumerate_ballean(s).balls
+        balls = enumerate_ballean(s)
         for b1, b2 in combinations(balls, 2):
             expected = hausdorff_oracle(s, b1.members, b2.members)
             assert hausdorff_balls(s, b1, b2) == expected
@@ -142,7 +155,7 @@ def test_iterate_ballean_capped():
 
 def test_family_diameters_examples():
     s = three_point_space()
-    balls = enumerate_ballean(s).balls
+    balls = enumerate_ballean(s)
     assert family_diameters(s, balls) == (Fraction(2),) * 3
     a, b = closed_ball(s, 0, 0), closed_ball(s, 1, 0)
     assert family_diameters(s, (a, b)) == (Fraction(1),) * 3
@@ -161,7 +174,7 @@ def test_each_ball_is_checked_once_not_once_per_pair(monkeypatch):
 
     monkeypatch.setattr("ultraball.ballean.require_canonical", counting)
     s = random_binary_space(0, 10)
-    balls = enumerate_ballean(s).balls
+    balls = enumerate_ballean(s)
     ballean_space(s)
     assert checked == []  # its 19 balls come from the table
     family_diameters(s, [balls[3], balls[0], balls[5], balls[3]])
@@ -178,7 +191,7 @@ def test_b0_set_is_whole_ballean():
     for seed in range(5):
         s = random_space(seed, 6, POOL)
         bl = enumerate_ballean(s)
-        assert b0_set(s) == set(bl.balls)
+        assert b0_set(s) == set(bl)
     one = validate_ultrametric([[0]], ["x0"])
     assert {b.members for b in b0_set(one)} == {(0,)}
 
@@ -200,15 +213,15 @@ def test_subball_closure_matches_restriction():
     for seed in range(6):
         s = random_space(seed, 7, POOL)
         bl = enumerate_ballean(s)
-        for y in bl.balls:
+        for y in bl:
             sub = s.restrict(y.members)
             position = {orig: i for i, orig in enumerate(y.members)}
             expected = {
                 tuple(position[m] for m in b.members)
-                for b in bl.balls
+                for b in bl
                 if set(b.members) <= set(y.members)
             }
-            assert enumerate_ballean(sub).member_sets() == expected
+            assert {b.members for b in enumerate_ballean(sub)} == expected
 
 
 def test_min_positive_distance_preserved():

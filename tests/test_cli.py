@@ -288,6 +288,15 @@ def test_a_tree_too_deep_to_walk_is_a_structured_error(command, caterpillar_1000
     assert "recursion" in payload["message"]
 
 
+def test_hausdorff_on_a_999_deep_space(caterpillar_1000, capsys):
+    # Resolving the balls builds the ball table, which must stay quadratic on
+    # a 999-deep tree.
+    start = time.perf_counter()
+    assert cli_main(["hausdorff", caterpillar_1000, "--ball", "p0", "--ball", "p1"]) == 0
+    assert time.perf_counter() - start < 3
+    assert capsys.readouterr().out.strip() == "1"
+
+
 def test_isometric(space_file, tmp_path, capsys):
     other = tmp_path / "other.json"
     other.write_text(

@@ -369,6 +369,7 @@ def _constructed_spaces():
         "random_binary_space": binary,
         "dendrogram_to_space": dendrogram_to_space(build_dendrogram(shallow)),
         "equidistant_space": equidistant_space(5, "3/2"),
+        "equidistant_space_one_point": equidistant_space(1, "3/2"),
         "restrict": binary.restrict([0, 2, 5]),
         "restrict_one_point": binary.restrict([4]),
         "ballean_space": ballean_space(shallow),

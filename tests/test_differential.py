@@ -31,7 +31,13 @@ from oracles import (
     require_canonical_reference,
     smallest_ball_reference,
 )
-from ultraball.ballean import enumerate_ballean, family_diameters, hausdorff_balls, iterate_ballean
+from ultraball.ballean import (
+    ballean_space,
+    enumerate_ballean,
+    family_diameters,
+    hausdorff_balls,
+    iterate_ballean,
+)
 from ultraball.core import (
     Ball,
     BadParamsError,
@@ -109,6 +115,27 @@ valid_spaces = st.builds(
 )
 
 
+@st.composite
+def table_spaces(draw):
+    """Spaces on which the ball table skips many centers: the generated ones
+    above, binary and shallow ones up to 40 points, caterpillars, and
+    balleans, towers and restrictions, which rank into a base's levels."""
+    kind = draw(st.sampled_from(("small", "large", "caterpillar", "ballean", "tower", "restrict")))
+    if kind == "large":
+        seed, n = draw(st.integers(0, 10**6)), draw(st.integers(9, 40))
+        return random_binary_space(seed, n) if draw(st.booleans()) else random_space(seed, n, POOL)
+    if kind == "caterpillar":
+        return caterpillar(draw(st.integers(1, 40)))
+    base = draw(valid_spaces)
+    if kind == "ballean":
+        return ballean_space(base)
+    if kind == "tower":
+        return iterate_ballean(base, 2)
+    if kind == "restrict":  # in drawn order, so a ball's smallest member moves
+        return base.restrict(draw(st.permutations(range(base.n)))[: draw(st.integers(1, base.n))])
+    return base
+
+
 def _outcome(fn, *args):
     try:
         return ("ok", fn(*args))
@@ -117,14 +144,14 @@ def _outcome(fn, *args):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(space=valid_spaces)
+@given(space=table_spaces())
 def test_enumerate_ballean_matches_per_center_loop(space):
-    got = _outcome(lambda s: enumerate_ballean(s).balls, space)
+    got = _outcome(enumerate_ballean, space)
     assert got == _outcome(enumerate_ballean_reference, space)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(space=valid_spaces, data=st.data())
+@given(space=table_spaces(), data=st.data())
 def test_require_canonical_matches_per_call_check(space, data):
     n = space.n
     # A float diameter and list members: the wrong field types.
@@ -143,7 +170,7 @@ def test_require_canonical_matches_per_call_check(space, data):
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 9))
 def test_hausdorff_balls_is_union_diameter(seed, n):
     space = random_space(seed, n, POOL)
-    balls = enumerate_ballean(space).balls
+    balls = enumerate_ballean(space)
     for b1, b2 in combinations(balls, 2):
         expected = diam_pairwise(space, b1.members + b2.members)
         assert hausdorff_balls(space, b1, b2) == expected

@@ -489,7 +489,7 @@ def test_finite_shadow_agreement_full_survival():
             members = (index_of[ball.value],)
         else:
             members = tuple(sorted(index_of[v] for v in index_of if v <= ball.cutoff))
-        for b in enumerate_ballean(sample).balls:
+        for b in enumerate_ballean(sample):
             if b.members == members:
                 return b
         raise AssertionError(f"symbolic ball {ball} did not survive sampling")
