@@ -11,6 +11,7 @@ import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii as encode
+from operator import itemgetter
 
 from .ballean import hausdorff_balls
 from .core import (
@@ -27,14 +28,7 @@ from .core import (
     space_from_json_dict,
     space_to_json_dict,
 )
-from .dendrogram import (
-    are_isometric,
-    ballean_tree,
-    build_dendrogram,
-    dendrogram_to_space,
-    format_dendrogram,
-    node_leaf_sets,
-)
+from .dendrogram import are_isometric, ballean_ranks, ballean_tree, build_dendrogram, format_dendrogram
 from .dlps import (
     dlps_acc,
     dlps_ballean_analysis,
@@ -70,16 +64,18 @@ def _emit(payload: dict[str, object], out: str | None) -> None:
     for the lists of ``strings`` that the index rows ``rows`` pick.
 
     Both are written from their indices, each string encoded once and each
-    row one ``str.join``: given an indent, ``json.dumps`` runs its
-    pure-Python encoder, which costs more per cell.
+    row one getter and one ``str.join``: given an indent, ``json.dumps`` runs
+    its pure-Python encoder, which costs more per cell.
     """
     items = []
     for key, value in payload.items():
         if isinstance(value, FiniteUltrametricSpace):
             value = list(map(rational_str, value.levels)), value.ranks
         if type(value) is tuple:
-            at = list(map(encode, value[0])).__getitem__
-            rows = ["[\n      " + ",\n      ".join(map(at, r)) + "\n    ]" for r in value[1]]
+            strings = list(map(encode, value[0]))
+            # The repeated index makes a 1-element row's getter return a tuple.
+            rows = ["[\n      " + ",\n      ".join(itemgetter(*r, r[0])(strings)[:-1]) + "\n    ]"
+                    for r in value[1]]
             text = "[\n    " + ",\n    ".join(rows) + "\n  ]"
         else:
             text = json.dumps(value, indent=2).replace("\n", "\n  ")
@@ -116,8 +112,8 @@ def _cmd_ballean(args: argparse.Namespace) -> int:
     base = build_dendrogram(space)
     for _ in range(args.iterate - 1):
         base = ballean_tree(base)
-    balls = sorted(node_leaf_sets(base), key=lambda m: (len(m), m))
-    _emit({"balls": (base.labels, balls), "hausdorff": dendrogram_to_space(ballean_tree(base))}, args.out)
+    balls, levels, rows = ballean_ranks(base)
+    _emit({"balls": (base.labels, balls), "hausdorff": (list(map(rational_str, levels)), rows)}, args.out)
     return 0
 
 

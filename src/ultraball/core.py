@@ -102,8 +102,15 @@ def parse_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         out = Fraction(value)
     elif isinstance(value, str):
+        text = value.strip()
+        num, slash, den = text.partition("/")
         try:
-            out = Fraction(_fraction_text(value.strip()))
+            if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+                try:  # int() reads no more digits than str() prints
+                    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+                except ValueError:  # over the digit limit: the general route says so
+                    pass
+            out = Fraction(_fraction_text(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise BadParamsError(f"cannot parse {value!r} as a rational: {exc}") from exc
     else:
@@ -495,11 +502,14 @@ def smallest_ball(space: FiniteUltrametricSpace, subset: Iterable[int]) -> Ball:
 
 def require_canonical(space: FiniteUltrametricSpace, ball: Ball) -> None:
     """Raise ForeignBallError unless ball is a canonical ball of the space."""
-    # A hand-built ball's float diameter can equal its level, and list members
-    # are unhashable; the miss path rejects both.
+    # A hand-built ball's float or bool diameter can equal its level, and list
+    # members are unhashable; the miss path rejects all three.
     if isinstance(ball.members, tuple):
         k, d = space.ball_table.rank.get(ball.members), ball.diameter
-        if k is not None and (d is space.levels[k] or (isinstance(d, Fraction) and d == space.levels[k])):
+        if k is not None and (
+            d is space.levels[k]
+            or (isinstance(d, (Fraction, int)) and not isinstance(d, bool) and d == space.levels[k])
+        ):
             return
     if not ball.members:
         raise ForeignBallError("a ball must have at least one member")

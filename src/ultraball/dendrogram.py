@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain, combinations
+from operator import itemgetter
 from typing import Sequence
 
 from .core import (
@@ -30,6 +31,7 @@ from .core import (
 )
 
 CanonicalCode = str
+Members = tuple[int, ...]
 
 
 def node_leaf_sets(d: Dendrogram) -> set[tuple[int, ...]]:
@@ -115,21 +117,14 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
     return FiniteUltrametricSpace(tuple(d.labels), tuple(levels), tuple(map(tuple, rows)))
 
 
-def ballean_tree(d: Dendrogram) -> Dendrogram:
-    """Merge tree of the ballean of the space that ``d`` realizes.
-
-    The balls are the node leaf sets.  Between two balls the Hausdorff
-    distance is the level of the smaller ball containing both, so the tree is
-    ``d`` with one extra leaf, the node's own ball, under each internal node,
-    at the node's level.  Points are numbered in ``ball_table`` order, by
-    (size, members), so the singletons keep their indices, and are labelled
-    as :func:`ballean.ballean_space` labels them.  Applying this k times
-    gives the k-th ballean with no matrix and no depth cap.
-    """
+def _ballean_walk(d: Dendrogram) -> tuple[list[tuple[Members, Fraction, list[Members]]], list[Members]]:
+    """The internal nodes of ``d`` in post-order, each as (members, level,
+    child member tuples), and the member tuples of all nodes, which are the
+    balls, by (size, members): the singletons first, in point order."""
     n = d.n
-    merges: list[tuple[tuple[int, ...], Fraction, list[tuple[int, ...]]]] = []  # post-order
+    merges: list[tuple[Members, Fraction, list[Members]]] = []
 
-    def walk(node: Node) -> tuple[int, ...]:
+    def walk(node: Node) -> Members:
         if isinstance(node, Leaf):
             return (node.point,)
         if len(node.children) < 2:
@@ -141,12 +136,60 @@ def ballean_tree(d: Dendrogram) -> Dendrogram:
 
     if walk(d.root) != tuple(range(n)):
         raise MalformedTreeError(f"leaf indices must be exactly 0..{n - 1}")
-    balls = [(p,) for p in range(n)] + sorted((m for m, _, _ in merges), key=lambda m: (len(m), m))
+    return merges, [(p,) for p in range(n)] + sorted((m for m, _, _ in merges), key=lambda m: (len(m), m))
+
+
+def ballean_tree(d: Dendrogram) -> Dendrogram:
+    """Merge tree of the ballean of the space that ``d`` realizes.
+
+    The balls are the node leaf sets.  Between two balls the Hausdorff
+    distance is the level of the smaller ball containing both, so the tree is
+    ``d`` with one extra leaf, the node's own ball, under each internal node,
+    at the node's level.  Points are numbered in ``ball_table`` order, by
+    (size, members), so the singletons keep their indices, and are labelled
+    as :func:`ballean.ballean_space` labels them.  Applying this k times
+    gives the k-th ballean with no matrix and no depth cap.
+    """
+    merges, balls = _ballean_walk(d)
     index = {m: i for i, m in enumerate(balls)}
-    built: dict[tuple[int, ...], Node] = {(p,): Leaf(p) for p in range(n)}
+    built: dict[Members, Node] = {(p,): Leaf(p) for p in range(d.n)}
     for members, level, parts in merges:
         built[members] = Merge(level, (*map(built.__getitem__, parts), Leaf(index[members])))
     return Dendrogram(built[balls[-1]], ball_labels(d.labels, balls))
+
+
+def ballean_ranks(d: Dendrogram) -> tuple[list[Members], tuple[Fraction, ...], list[tuple[int, ...]]]:
+    """The balls of the space that ``d`` realizes, by (size, members), and
+    the levels and rank rows of the ballean's Hausdorff matrix: what
+    ``dendrogram_to_space(ballean_tree(d))`` holds, less its labels.  ``d``
+    must be a merge tree as :func:`build_dendrogram` or :func:`ballean_tree`
+    returns it; only the shape checks of :func:`ballean_tree` are made.
+
+    In pre-order, the balls inside a node are one run of positions.  A ball
+    is at its own level from every ball inside it, and as far from any other
+    as its parent is, so its row is its parent's row with its run set to its
+    rank, and its own cell is zeroed once its children have copied the row.
+    One getter then puts the rows' columns in output order.
+    """
+    merges, balls = _ballean_walk(d)
+    levels = tuple(sorted({ZERO}.union(level for _, level, _ in merges)))
+    rank_of = {v: k for k, v in enumerate(levels)}
+    span = dict.fromkeys(balls[: d.n], (1, 0))  # ball -> (balls inside it, its rank)
+    for members, level, parts in merges:
+        span[members] = (1 + sum(span[p][0] for p in parts), rank_of[level])
+    m, root = len(balls), balls[-1]
+    at, rows = {root: 0}, {root: [span[root][1]] * m}
+    for members, _, parts in reversed(merges):  # each node after its parent
+        row, start = rows[members], at[members] + 1
+        for part in parts:
+            size, k = span[part]
+            child = rows[part] = row.copy()
+            child[start:start + size] = [k] * size
+            at[part], start = start, start + size
+        row[at[members]] = 0
+    order = [at[b] for b in balls]
+    pick = itemgetter(*order, order[0])  # the repeated index makes a 1-ball getter return a tuple
+    return balls, levels, [pick(rows.pop(b))[:-1] for b in balls]
 
 
 def canonical_code(d: Dendrogram) -> CanonicalCode:

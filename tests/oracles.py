@@ -8,7 +8,8 @@ they rebuild every ball from a closed-ball scan on every call.  The
 ``Fraction`` routes are the ones integer ranks replaced: they compare the
 distances themselves, never their ranks.  The two split routes are the
 recursive tree builder and the accepting walk that one iterative split on
-the space replaced.  The tail walks at the very end are the ones repeated
+the space replaced.  The rational parser reads every string through
+``Fraction``'s own parser, as it did before digit-only text got a shortcut.  The tail walks at the very end are the ones repeated
 squaring replaced: they visit every term in turn.
 """
 
@@ -31,7 +32,11 @@ from ultraball.core import (
     UltrametricViolation,
     _as_index_tuple,
     _make_labels,
+    _TOO_LARGE,
+    _fraction_text,
+    _int_limit,
     _parse_space,
+    _prints,
     parse_rational,
 )
 from ultraball.dendrogram import Dendrogram, Leaf, Merge, Node
@@ -285,12 +290,33 @@ def splits_cleanly_reference(space: FiniteUltrametricSpace) -> bool:
     return True
 
 
+def parse_rational_reference(value: RationalLike) -> Fraction:
+    """``parse_rational`` with every string read by ``Fraction``: the route
+    that reading digit-only text with ``int()`` replaced."""
+    if isinstance(value, bool):
+        raise BadParamsError(f"cannot use boolean {value!r} as a rational")
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        out = Fraction(value)
+    elif isinstance(value, str):
+        try:
+            out = Fraction(_fraction_text(value.strip()))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise BadParamsError(f"cannot parse {value!r} as a rational: {exc}") from exc
+    else:
+        raise BadParamsError(f"cannot parse {type(value).__name__} value {value!r} as a rational")
+    if not _prints(out):
+        raise BadParamsError(_TOO_LARGE.format(_int_limit()))
+    return out
+
+
 def parse_space_reference(
     matrix: Sequence[Sequence[RationalLike]], labels: Sequence[str] | None
 ) -> FiniteUltrametricSpace:
     """``_parse_space`` as one loop over every entry, each distinct one
-    parsed when first seen: the route that parsing a string matrix by its set
-    of distinct entries replaced."""
+    parsed when first seen by :func:`parse_rational_reference`: the route
+    that parsing a string matrix by its set of distinct entries replaced."""
     if not isinstance(matrix, (list, tuple)):
         raise BadParamsError(f"distance matrix must be a list of rows, got {type(matrix).__name__}")
     n = len(matrix)
@@ -312,7 +338,7 @@ def parse_space_reference(
                 continue
             except (KeyError, TypeError):  # a new entry, or an unhashable one
                 pass
-            values.append(parse_rational(v))  # refuses every unhashable type
+            values.append(parse_rational_reference(v))  # refuses every unhashable type
             out.append(slot_of.setdefault((type(v), v), len(values) - 1))
         slots.append(out)
     levels = sorted(set(values) | {ZERO})

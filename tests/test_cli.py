@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from oracles import caterpillar
 from ultraball.ballean import ballean_space, enumerate_ballean, iterate_ballean
 from ultraball.cli import _emit, build_parser, cli_main
-from ultraball.core import member_labels, space_from_json_dict, space_to_json_dict
+from ultraball import dendrogram
+from ultraball.core import equidistant_space, member_labels, space_from_json_dict, space_to_json_dict
 from ultraball.dendrogram import random_binary_space, random_space
 from ultraball.dlps import dlps_from_json_dict, dlps_sample
 from ultraball.harness import CHECKS
@@ -97,7 +98,8 @@ def test_ballean_out_file_pinned(tmp_path):
 
 
 # Labels with quotes, backslashes, a newline and non-ASCII text, a one-point
-# space and a label that collides with a "+"-joined ball label.
+# space, a label that collides with a "+"-joined ball label, a deep tree, a
+# node with 30 children and wide nodes at several levels.
 BALLEAN_INPUTS = [
     SPACE,
     {"labels": ['q"x', "b\\s", "\u00e9", "\u65e5\u672c", "x\ny"],
@@ -107,6 +109,9 @@ BALLEAN_INPUTS = [
     {"labels": ["a", "b", "a+b"], "matrix": [[0, 1, 2], [1, 0, 2], [2, 2, 0]]},
     space_to_json_dict(random_binary_space(3, 12)),
     space_to_json_dict(random_space(5, 10, ("1", "3/2", "2", "3"))),
+    space_to_json_dict(caterpillar(60)),
+    space_to_json_dict(equidistant_space(30, 1)),
+    space_to_json_dict(random_space(7, 40, ("1", "3/2", "2", "3"))),
 ]
 
 
@@ -152,7 +157,8 @@ def test_emit_writes_a_pair_as_the_lists_its_index_rows_pick(capsys):
 
 
 def test_ballean_iterate_3_on_200_points_is_fast(tmp_path, capsys):
-    # 0.33-0.35 s on a 2-vCPU machine, where the matrix route took 1.7-1.9 s.
+    # 0.09-0.12 s on a 2-vCPU machine (0.11-0.16 s when the last step built
+    # the ballean tree), where the matrix route took 1.7-1.9 s.
     path = tmp_path / "space.json"
     path.write_text(json.dumps(space_to_json_dict(random_binary_space(0, 200))))
     start = time.perf_counter()
@@ -206,18 +212,24 @@ def test_tree_and_isometric_on_a_400_deep_tree(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "true"
 
 
-def test_tree_commands_split_each_input_once(space_file, tmp_path, split_calls, capsys):
+def test_tree_commands_split_each_input_once(space_file, tmp_path, split_calls, capsys, monkeypatch):
     # Validation builds the merge tree; tree, ballean and isometric reuse it.
+    # Ball labels are built only for a tree that a tower extends.
+    labelled = []
+    ball_labels = dendrogram.ball_labels
+    monkeypatch.setattr(dendrogram, "ball_labels", lambda *a: labelled.append(a) or ball_labels(*a))
     other = tmp_path / "other.json"
     other.write_text(json.dumps({**SPACE, "labels": ["x", "y", "z"]}))
-    for argv, inputs in [
-        (["tree", space_file], 1),
-        (["ballean", space_file, "--iterate", "2"], 1),
-        (["isometric", space_file, str(other)], 2),
+    for argv, inputs, labels in [
+        (["tree", space_file], 1, 0),
+        (["ballean", space_file], 1, 0),
+        (["ballean", space_file, "--iterate", "2"], 1, 1),
+        (["isometric", space_file, str(other)], 2, 0),
     ]:
         split_calls.clear()
+        labelled.clear()
         assert cli_main(argv) == 0
-        assert len(split_calls) == inputs
+        assert (len(split_calls), len(labelled)) == (inputs, labels)
     capsys.readouterr()
 
 

@@ -10,6 +10,7 @@ on generated spaces.
 """
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -52,6 +53,7 @@ from ultraball.core import (
 )
 from ultraball.harness import _body_h3
 from ultraball.dendrogram import (
+    ballean_ranks,
     ballean_tree,
     build_dendrogram,
     canonical_code,
@@ -154,13 +156,17 @@ def test_enumerate_ballean_matches_per_center_loop(space):
 @given(space=table_spaces(), data=st.data())
 def test_require_canonical_matches_per_call_check(space, data):
     n = space.n
-    # A float diameter and list members: the wrong field types.
-    candidates = list(space.ball_table.balls) + [Ball((0,), 0.0), Ball([0], Fraction(0))]
+    # A float or bool diameter and list members: the wrong field types.  An
+    # int diameter is a rational, as everywhere else.
+    balls = space.ball_table.balls
+    candidates = list(balls) + [Ball((0,), 0.0), Ball((0,), False), Ball([0], Fraction(0))]
+    candidates += [Ball(b.members, int(b.diameter)) for b in balls if b.diameter.denominator == 1]
     for _ in range(8):
         members = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 1))
         if data.draw(st.booleans()):
             members = sorted(set(members))
-        candidates.append(Ball(tuple(members), Fraction(data.draw(st.integers(-1, 4)))))
+        diameter = data.draw(st.integers(-1, 4))
+        candidates.append(Ball(tuple(members), data.draw(st.sampled_from((diameter, Fraction(diameter))))))
     for ball in candidates:
         got = _outcome(require_canonical, space, ball)
         assert got == _outcome(require_canonical_reference, space, ball), ball
@@ -343,16 +349,25 @@ def test_ballean_tree_tower_matches_iterated_ballean(seed, n, k, kind):
     else:
         space = random_binary_space(seed, n) if kind == "binary" else random_space(seed, n, POOL)
     tree = build_dendrogram(space)
-    for _ in range(k):
+    for _ in range(k - 1):
         tree = ballean_tree(tree)
+    balls, levels, rows = ballean_ranks(tree)
+    tree = ballean_tree(tree)
     expected = iterate_ballean(space, k)
     assert dendrogram_to_space(tree) == expected
+    assert balls == [b.members for b in enumerate_ballean(iterate_ballean(space, k - 1))]
+    assert (levels, tuple(rows)) == (expected.levels, expected.ranks)
     assert canonical_code(tree) == canonical_code(build_dendrogram(expected))
 
 
-# Strings as JSON carries them, padded, decimal, unparsable or too long.
+# Strings as JSON carries them, padded, decimal, unparsable or too long, and
+# text near the digit-only shortcut: leading zeros, unreduced, underscores,
+# a sign, non-ASCII digits, a stray slash, and integers of exactly the digit
+# limit and one digit more.
 STRINGS = st.sampled_from(
-    ["0", "1", "2", "3/2", "1.5", "1.50", " 1", "2 ", "\t3/2", "0.0", "-1", "1/0", "x", "", "1e-60000"]
+    ["0", "1", "2", "3/2", "1.5", "1.50", " 1", "2 ", "\t3/2", "0.0", "-1", "1/0", "x", "", "1e-60000",
+     "007", "0/5", "14/2", "1_0", "+5", "\u0663", "\u00b2", "1/", "/2", "3//2",
+     "9" * sys.get_int_max_str_digits(), "9" * (sys.get_int_max_str_digits() + 1)]
 )
 ODD = st.sampled_from([0, 1, 2, True, False, Fraction(3, 2), Fraction(1), 1.5, None, [1], "1"])
 
