@@ -110,10 +110,14 @@ def ballean_space(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
     balls = enumerate_ballean(space)
     labels = ball_labels(space.labels, [b.members for b in balls])
     m = len(balls)
+    # _hausdorff_rank of each pair, reading each ball's rank and first point once.
+    rank, ranks = space.ball_table.rank, space.ranks
+    tops, firsts = [rank[b.members] for b in balls], [b.members[0] for b in balls]
     rows = [[space.zero] * m for _ in range(m)]
     for i in range(m):
+        top, at = tops[i], ranks[firsts[i]]
         for j in range(i + 1, m):
-            rows[i][j] = rows[j][i] = _hausdorff_rank(space, balls[i], balls[j])
+            rows[i][j] = rows[j][i] = max(top, tops[j], at[firsts[j]])
     return _over_levels_of(space, labels, tuple(map(tuple, rows)))
 
 

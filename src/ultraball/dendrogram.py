@@ -4,7 +4,8 @@ A finite ultrametric space is the same data as a rooted tree whose internal
 nodes carry strictly decreasing positive levels: the distance between two
 points is the level of their lowest common ancestor, and the node leaf-sets
 are exactly the closed balls.  The tree gives a linear-time canonical form,
-hence cheap isometry testing, and a convenient random-instance generator.
+hence cheap isometry testing.  The random generators draw such a tree and
+fill the rank matrix as they go, so they build no tree objects.
 """
 
 from __future__ import annotations
@@ -249,27 +250,28 @@ def _split(rng: random.Random, items: list[int]) -> list[list[int]]:
     return parts
 
 
-def _grow(rng: random.Random, points: list[int], pool: list[Fraction]) -> Node:
-    # The pool is sorted and distinct, so the levels below pool[i] are pool[:i].
-    i = rng.randrange(len(pool))
-    level, sub = pool[i], pool[:i]
-    children: dict[int, Node] = {}  # keyed by smallest leaf; parts are sorted
-    for part in _split(rng, points):
-        if len(part) == 1:
-            children[part[0]] = Leaf(part[0])
-        elif sub:
-            children[part[0]] = _grow(rng, part, sub)
-        else:
-            # No strictly smaller level available: the part flattens into
-            # leaves merged here, keeping levels strictly decreasing.
-            children.update((p, Leaf(p)) for p in part)
-    return Merge(level, tuple(children[k] for k in sorted(children)))
+def _grow(rng: random.Random, points: list[int], top: int, rows: list[list[int]]) -> None:
+    # Pre-order on a stack.  A node at pool index k < top sets its block of
+    # ``rows`` to rank k + 1; each part of two or more points then overwrites
+    # its own block, unless k is 0 and the part flattens into leaves merged here.
+    stack = [(points, top)]
+    while stack:
+        points, top = stack.pop()
+        k = rng.randrange(top)
+        for p in points:
+            row = rows[p]
+            for q in points:
+                row[q] = k + 1
+        parts = _split(rng, points)
+        if k:
+            stack.extend((part, k) for part in reversed(parts) if len(part) > 1)
 
 
 def random_space(
     seed: int, n: int, level_pool: Sequence[RationalLike]
 ) -> FiniteUltrametricSpace:
-    """Seed-deterministic random space built through a random merge tree.
+    """Seed-deterministic random space, its ranks filled as a random merge
+    tree is drawn.
 
     Levels are drawn from the pool with strict decrease along root-to-leaf
     paths, so the output always satisfies the ultrametric axioms.  A pool
@@ -279,12 +281,22 @@ def random_space(
         raise BadParamsError("n must be at least 1")
     pool = _parse_pool(level_pool)
     labels = tuple(f"p{i}" for i in range(n))
-    root = _grow(random.Random(seed), list(range(n)), pool) if n > 1 else Leaf(0)
-    return dendrogram_to_space(Dendrogram(root, labels))
+    rows = [[0] * n for _ in range(n)]
+    if n > 1:
+        _grow(random.Random(seed), list(range(n)), len(pool), rows)
+        for p in range(n):
+            rows[p][p] = 0
+    # Rank k stands for levels[k]; keep 0 and the levels some node drew.
+    levels, used = (ZERO, *pool), sorted(set().union(*rows))
+    renumber = {k: i for i, k in enumerate(used)}
+    ranks = tuple(tuple(map(renumber.__getitem__, row)) for row in rows)
+    return FiniteUltrametricSpace(labels, tuple(map(levels.__getitem__, used)), ranks)
 
 
 def random_binary_space(seed: int, n: int) -> FiniteUltrametricSpace:
-    """Random space whose merge tree is binary with the levels 1..n-1.
+    """Random space whose merge tree is binary with the levels 1..n-1, its
+    ranks filled as the tree is drawn: each merge sets its cross pairs to its
+    level, which is also its rank.
 
     Such a space realizes the maximal ballean: exactly 2n-1 balls.
     """
@@ -292,11 +304,14 @@ def random_binary_space(seed: int, n: int) -> FiniteUltrametricSpace:
         raise BadParamsError("n must be at least 1")
     labels = tuple(f"p{i}" for i in range(n))
     rng = random.Random(seed)
-    # (smallest leaf, subtree) pairs; n-1 merges leave exactly one.
-    clusters: list[tuple[int, Node]] = [(i, Leaf(i)) for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    # Member lists of the subtrees; n-1 merges leave exactly one.
+    clusters = [[i] for i in range(n)]
     for level in range(1, n):
         a = clusters.pop(rng.randrange(len(clusters)))
         b = clusters.pop(rng.randrange(len(clusters)))
-        (low, x), (_, y) = sorted((a, b), key=lambda pair: pair[0])
-        clusters.append((low, Merge(Fraction(level), (x, y))))
-    return dendrogram_to_space(Dendrogram(clusters[0][1], labels))
+        for x in a:
+            for y in b:
+                rows[x][y] = rows[y][x] = level
+        clusters.append(a + b)
+    return FiniteUltrametricSpace(labels, tuple(map(Fraction, range(n))), tuple(map(tuple, rows)))

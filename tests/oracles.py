@@ -9,18 +9,27 @@ they rebuild every ball from a closed-ball scan on every call.  The
 distances themselves, never their ranks.  The two split routes are the
 recursive tree builder and the accepting walk that one iterative split on
 the space replaced.  The rational parser reads every string through
-``Fraction``'s own parser, as it did before digit-only text got a shortcut.  The tail walks at the very end are the ones repeated
-squaring replaced: they visit every term in turn.
+``Fraction``'s own parser, as it did before digit-only text got a shortcut.
+The two generators build a merge tree and read the space off it, as they
+did before they filled ranks while drawing.  The tail walks at the very end
+are the ones repeated squaring replaced: they visit every term in turn.
 """
 
 import math
+import random
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations
 from operator import itemgetter
 from typing import Sequence
 
-from ultraball.ballean import enumerate_ballean, hausdorff_balls, smallest_ball_distance
+from ultraball.ballean import (
+    b0_set,
+    ballean_space,
+    enumerate_ballean,
+    hausdorff_balls,
+    smallest_ball_distance,
+)
 from ultraball.core import (
     ZERO,
     Ball,
@@ -39,7 +48,16 @@ from ultraball.core import (
     _prints,
     parse_rational,
 )
-from ultraball.dendrogram import Dendrogram, Leaf, Merge, Node
+from ultraball.harness import _H11_MAX_BALLS
+from ultraball.dendrogram import (
+    Dendrogram,
+    Leaf,
+    Merge,
+    Node,
+    _parse_pool,
+    _split,
+    dendrogram_to_space,
+)
 
 
 def diam_pairwise(space: FiniteUltrametricSpace, subset) -> object:
@@ -367,6 +385,95 @@ def body_h3_reference(space: FiniteUltrametricSpace, rng=None) -> str | None:
                     f"{b2.members} but not their smallest ball"
                 )
     return None
+
+
+def body_h11_reference(space: FiniteUltrametricSpace, rng=None) -> str | None:
+    """H11's body as it built every subset as a frozenset and its isolated
+    and accumulation points as sets: the scan that bitmasks replaced."""
+    bspace = ballean_space(space)
+    m = bspace.n
+    if m > _H11_MAX_BALLS:
+        return f"ballean has {m} balls, over the H11 subset-scan limit of {_H11_MAX_BALLS}"
+    universe = set(range(m))
+    ranks, zero = bspace.ranks, bspace.zero
+
+    def iso_of(subset: frozenset[int]) -> set[int]:
+        return {s for s in subset if all(ranks[s][t] > zero for t in subset if t != s)}
+
+    def acc_of(subset: frozenset[int]) -> set[int]:
+        # No Hausdorff distance is negative, so a zero one is the least.
+        return {c for c in range(m) if any(ranks[c][s] == zero for s in subset if s != c)}
+
+    dense_discrete: list[frozenset[int]] = []
+    for bits in range(1, 2**m):
+        subset = frozenset(i for i in range(m) if bits >> i & 1)
+        iso, acc = iso_of(subset), acc_of(subset)
+        if iso & acc:
+            return f"iso and acc intersect for subset {sorted(subset)}"
+        dense = subset == universe  # in a finite space only the whole set is dense
+        if ((iso | acc) == universe) != dense:
+            return f"iso+acc covers the space but subset {sorted(subset)} is not dense"
+        if dense and iso == subset:
+            dense_discrete.append(subset)
+    if dense_discrete != [frozenset(universe)]:
+        return f"dense discrete subsets are not unique: {len(dense_discrete)} found"
+    # The unique dense discrete subset is the positive-radius ball family:
+    # b0_set raises unless that family is the whole ballean.
+    b0_set(space)
+    return None
+
+
+def _grow_reference(rng: random.Random, points: list[int], pool: list[Fraction]) -> Node:
+    # The pool is sorted and distinct, so the levels below pool[i] are pool[:i].
+    i = rng.randrange(len(pool))
+    level, sub = pool[i], pool[:i]
+    children: dict[int, Node] = {}  # keyed by smallest leaf; parts are sorted
+    for part in _split(rng, points):
+        if len(part) == 1:
+            children[part[0]] = Leaf(part[0])
+        elif sub:
+            children[part[0]] = _grow_reference(rng, part, sub)
+        else:
+            # No strictly smaller level available: the part flattens into
+            # leaves merged here, keeping levels strictly decreasing.
+            children.update((p, Leaf(p)) for p in part)
+    return Merge(level, tuple(children[k] for k in sorted(children)))
+
+
+def random_space_reference(
+    seed: int, n: int, level_pool: Sequence[RationalLike]
+) -> FiniteUltrametricSpace:
+    """Seed-deterministic random space built through a random merge tree.
+
+    Levels are drawn from the pool with strict decrease along root-to-leaf
+    paths, so the output always satisfies the ultrametric axioms.  A pool
+    with a single level forces an equidistant space.
+    """
+    if n < 1:
+        raise BadParamsError("n must be at least 1")
+    pool = _parse_pool(level_pool)
+    labels = tuple(f"p{i}" for i in range(n))
+    root = _grow_reference(random.Random(seed), list(range(n)), pool) if n > 1 else Leaf(0)
+    return dendrogram_to_space(Dendrogram(root, labels))
+
+
+def random_binary_space_reference(seed: int, n: int) -> FiniteUltrametricSpace:
+    """Random space whose merge tree is binary with the levels 1..n-1.
+
+    Such a space realizes the maximal ballean: exactly 2n-1 balls.
+    """
+    if n < 1:
+        raise BadParamsError("n must be at least 1")
+    labels = tuple(f"p{i}" for i in range(n))
+    rng = random.Random(seed)
+    # (smallest leaf, subtree) pairs; n-1 merges leave exactly one.
+    clusters: list[tuple[int, Node]] = [(i, Leaf(i)) for i in range(n)]
+    for level in range(1, n):
+        a = clusters.pop(rng.randrange(len(clusters)))
+        b = clusters.pop(rng.randrange(len(clusters)))
+        (low, x), (_, y) = sorted((a, b), key=lambda pair: pair[0])
+        clusters.append((low, Merge(Fraction(level), (x, y))))
+    return dendrogram_to_space(Dendrogram(clusters[0][1], labels))
 
 
 def tail_contains_walk(tail, x) -> bool:

@@ -1,11 +1,12 @@
 """Acceptance criteria, one test per criterion, exact equality throughout.
 
-Criteria 1, 2, 5, 6 and the bound half of 3 are read off the shared
+Criteria 1, 2, 5, 6, 11 and the bound half of 3 are read off the shared
 acceptance-scale verification run (seed 42, 200 trials, up to 12 points);
 the rest drive the library directly.  Every test prints a single verdict
 line for its criterion.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 from itertools import permutations
@@ -251,3 +252,16 @@ def test_criterion_10_determinism(tmp_path, capsys):
     if reports[0] != reports[1]:
         problems.append("reports differ beyond timing fields")
     _verdict(10, "seeded verify runs are identical", problems)
+
+
+# The seed-42 report without its timings, as sha256 of its sorted JSON: any
+# drift in a generator's or a check's random stream changes it.
+ACCEPTANCE_REPORT_SHA256 = "f59d1239776bf3b0356121e21506aa29c51f86e64a3240f7a3ff1fcf61ad2a4c"
+
+
+def test_criterion_11_acceptance_report_is_pinned(default_report):
+    data = default_report.to_json_dict()
+    for entry in data["checks"]:
+        del entry["elapsed_s"]
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    _verdict(11, "the acceptance report is unchanged", [] if digest == ACCEPTANCE_REPORT_SHA256 else [digest])

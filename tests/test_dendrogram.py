@@ -12,6 +12,7 @@ from oracles import (
     recursive_split_reference,
     splits_cleanly_reference,
 )
+from ultraball import dendrogram
 from ultraball.ballean import ballean_space, enumerate_ballean
 from ultraball.core import (
     BadParamsError,
@@ -195,6 +196,20 @@ def test_random_binary_space_maximal_ballean():
             s = random_binary_space(seed, n)
             assert is_binary(build_dendrogram(s))
             assert len(enumerate_ballean(s)) == 2 * n - 1
+
+
+def test_generators_fill_ranks_without_a_tree(monkeypatch):
+    # The ranks are filled as the tree is drawn: no Merge, no tree read back.
+    merges, reads = [], []
+    init = Merge.__init__
+    monkeypatch.setattr(Merge, "__init__", lambda self, *a: merges.append(a) or init(self, *a))
+    monkeypatch.setattr(dendrogram, "dendrogram_to_space", lambda d: reads.append(d) or dendrogram_to_space(d))
+    for seed in range(20):
+        random_space(seed, 12, POOL)
+        random_binary_space(seed, 12)
+    assert (len(merges), len(reads)) == (0, 0)
+    Merge(Fraction(1), (Leaf(0), Leaf(1)))
+    assert len(merges) == 1  # the patch took
 
 
 def test_format_three_point():

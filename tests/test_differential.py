@@ -12,12 +12,13 @@ on generated spaces.
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     build_dendrogram_reference,
     caterpillar,
@@ -27,8 +28,11 @@ from oracles import (
     enumerate_ballean_reference,
     family_diameters_reference,
     body_h3_reference,
+    body_h11_reference,
     find_violation_reference,
     parse_space_reference,
+    random_binary_space_reference,
+    random_space_reference,
     require_canonical_reference,
     smallest_ball_reference,
 )
@@ -42,6 +46,7 @@ from ultraball.ballean import (
 from ultraball.core import (
     Ball,
     BadParamsError,
+    FiniteUltrametricSpace,
     _parse_space,
     _parse_space_json,
     closed_ball,
@@ -51,7 +56,8 @@ from ultraball.core import (
     require_canonical,
     smallest_ball,
 )
-from ultraball.harness import _body_h3
+from ultraball import harness
+from ultraball.harness import _H11_MAX_BALLS, _body_h3, _body_h11
 from ultraball.dendrogram import (
     ballean_ranks,
     ballean_tree,
@@ -425,3 +431,85 @@ def test_h3_by_containing_balls_matches_the_pairwise_scan():
         assert got == expected
         outcomes.append(expected)
     assert outcomes.count(None) < len(outcomes)  # some corrupted spaces fail H3
+
+
+# One level; unsorted with duplicates; non-integers and decimals.
+GENERATOR_POOLS = [("2",), POOL, ("2", "1", "2/1"), ("7/3", "0.5", "1/4", "9", "13/2", "3", "1/4")]
+
+
+def test_random_space_fills_the_ranks_of_the_tree_route():
+    for pool in GENERATOR_POOLS:
+        for seed in range(1200):
+            n = 1 + seed % 20
+            assert random_space(seed, n, pool) == random_space_reference(seed, n, pool), (seed, n, pool)
+
+
+def test_random_binary_space_fills_the_ranks_of_the_tree_route():
+    for n in range(1, 65):
+        for seed in range(8):
+            assert random_binary_space(seed, n) == random_binary_space_reference(seed, n), (seed, n)
+
+
+def _h11_outcomes(spaces):
+    outcomes = []
+    for space in spaces:
+        expected = body_h11_reference(space)
+        assert _body_h11(space, random.Random(0)) == expected
+        outcomes.append(expected)
+    return outcomes
+
+
+def _replayed(space):
+    return _space([[str(v) for v in row] for row in space.dist])
+
+
+def test_h11_bitmasks_match_the_subset_scan():
+    generated = [random_space(seed, 1 + seed % 4, POOL) for seed in range(120)]
+    generated += [random_binary_space(seed, n) for seed in range(5) for n in (1, 2, 3, 4)]
+    assert _h11_outcomes(generated) == [None] * len(generated)
+    candidates = [random_space(seed, n, POOL) for seed in range(12) for n in range(5, 11)]
+    replays = [_replayed(s) for s in candidates if len(enumerate_ballean(s)) <= _H11_MAX_BALLS]
+    assert {len(enumerate_ballean(s)) for s in replays} >= {9, 10, 11}
+    assert _h11_outcomes(replays) == [None] * len(replays)
+    over = _replayed(random_binary_space(0, 7))  # 13 balls
+    assert _h11_outcomes([over]) == [
+        f"ballean has 13 balls, over the H11 subset-scan limit of {_H11_MAX_BALLS}"
+    ]
+
+
+class _ZeroAndAbove(int):
+    """A rank that reads as both zero and above it: no integer rank can put
+    a ball in a subset's isolated and accumulation points at once."""
+
+    def __gt__(self, other):
+        return True
+
+    def __eq__(self, other):
+        return True
+
+    __hash__ = int.__hash__
+
+
+def test_h11_bitmasks_match_the_subset_scan_on_crafted_balleans(monkeypatch):
+    # Every 2- and 3-ball matrix over ranks below, at and above zero (rank 1
+    # of the levels -1, 0, 1), plus one rank that is both, as the ballean of
+    # a one-point space.
+    crafted, levels = [], (Fraction(-1), Fraction(0), Fraction(1))
+    for m in (2, 3):
+        cells = [(i, j) for i in range(m) for j in range(m) if i != j]
+        for values in product((0, 1, 2, _ZeroAndAbove(1)), repeat=len(cells)):
+            rows = [[1] * m for _ in range(m)]
+            for (i, j), v in zip(cells, values):
+                rows[i][j] = v
+            crafted.append(FiniteUltrametricSpace(tuple(f"b{i}" for i in range(m)), levels, tuple(map(tuple, rows))))
+    base, outcomes = equidistant_space(1, 1), []
+    for bspace in crafted:
+        for module in (harness, oracles):
+            monkeypatch.setattr(module, "ballean_space", lambda space, b=bspace: b)
+        outcomes += _h11_outcomes([base])
+    details = (
+        "iso and acc intersect for subset",
+        "iso+acc covers the space but subset",
+        "dense discrete subsets are not unique",
+    )
+    assert {next((d for d in details if o and o.startswith(d)), o) for o in outcomes} == {None, *details}
