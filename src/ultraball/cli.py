@@ -293,8 +293,6 @@ def cli_main(argv: list[str] | None = None) -> int:
             payload.update(exc.to_json_dict())
     except _InvalidJSON as exc:
         payload = {"error": "InvalidJSON", "message": str(exc)}
-    except RecursionError as exc:  # a walk of a tree deeper than the recursion limit
-        payload = {"error": "TooDeep", "message": f"input too deep to process: {exc}"}
     except OSError as exc:
         name = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
         payload = {"error": name, "message": str(exc)}

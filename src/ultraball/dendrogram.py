@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from itertools import chain, combinations
 from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .core import (
     ZERO,
@@ -33,29 +33,44 @@ from .core import (
 
 CanonicalCode = str
 Members = tuple[int, ...]
+T = TypeVar("T")
+Checked = tuple[list[int], str | None, str | None]  # leaves, own fault, first fault below
+
+
+def _fold(root: Node, leaf: Callable[[Leaf], T], merge: Callable[[Merge, list[T]], T]) -> T:
+    """Fold a tree children first, on lists rather than the call stack: a Leaf
+    gives ``leaf(node)``, a Merge ``merge(node, its children's values in order)``.
+    Values go by position, as hashing or comparing a node walks its subtree."""
+    order, todo = [], [root]
+    while todo:  # right-to-left pre-order; reversed, a left-to-right post-order
+        node = todo.pop()
+        order.append(node)
+        if not isinstance(node, Leaf):
+            todo.extend(node.children)
+    values: list[T] = []
+    for node in reversed(order):
+        if isinstance(node, Leaf):
+            values.append(leaf(node))
+        else:  # its children's values, the last ones on the list, give way to its own
+            start = len(values) - len(node.children)
+            values[start:] = [merge(node, values[start:])]
+    return values[0]
 
 
 def node_leaf_sets(d: Dendrogram) -> set[tuple[int, ...]]:
     """Leaf sets of all nodes; these coincide with the ball member sets."""
     out: set[tuple[int, ...]] = set()
 
-    def walk(node: Node) -> list[int]:
-        leaves = [node.point] if isinstance(node, Leaf) else sorted(chain(*map(walk, node.children)))
+    def add(leaves: list[int]) -> list[int]:
         out.add(tuple(leaves))
         return leaves
 
-    walk(d.root)
+    _fold(d.root, lambda node: add([node.point]), lambda _, parts: add(sorted(chain(*parts))))
     return out
 
 
 def is_binary(d: Dendrogram) -> bool:
-    # Direct calls: all(map(...)) would spend two frames per level.
-    def walk(node: Node) -> bool:
-        if isinstance(node, Leaf):
-            return True
-        return len(node.children) == 2 and walk(node.children[0]) and walk(node.children[1])
-
-    return walk(d.root)
+    return _fold(d.root, lambda _: True, lambda _, parts: len(parts) == 2 and all(parts))
 
 
 def build_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
@@ -72,25 +87,24 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
     """
     found = {ZERO}
 
-    def check(node: Node, above: Fraction | None) -> list[int]:
-        """Validate the subtree and return its leaves, left to right."""
-        if isinstance(node, Leaf):
-            return [node.point]
-        if len(node.children) < 2:
-            raise MalformedTreeError("internal nodes need at least two children")
-        if node.level <= 0:
-            raise MalformedTreeError(f"levels must be positive, got {node.level}")
-        if above is not None and node.level >= above:
-            raise MalformedTreeError(
-                f"levels must strictly decrease from the root: {node.level} under {above}"
-            )
+    def check(node: Merge, parts: list[Checked]) -> Checked:
+        """The subtree's leaves, left to right, the node's own fault, and the
+        first fault below it in pre-order: a child's level is checked against
+        this node's after the child's own checks and before its subtree."""
         found.add(node.level)
-        leaves: list[int] = []
-        for c in node.children:
-            leaves.extend(check(c, node.level))
-        return leaves
+        below = None
+        for child, (_, fault, sub) in zip(node.children, parts):
+            if fault is None and not isinstance(child, Leaf) and child.level >= node.level:
+                fault = f"levels must strictly decrease from the root: {child.level} under {node.level}"
+            if below := fault or sub:
+                break
+        own = ("internal nodes need at least two children" if len(parts) < 2
+               else f"levels must be positive, got {node.level}" if node.level <= 0 else None)
+        return [x for leaves, _, _ in parts for x in leaves], own, below
 
-    leaves = check(d.root, None)
+    leaves, own, below = _fold(d.root, lambda node: ([node.point], None, None), check)
+    if own or below:
+        raise MalformedTreeError(own or below)
     n = len(leaves)
     if sorted(leaves) != list(range(n)):
         raise MalformedTreeError(f"leaf indices must be exactly 0..{n - 1}, got {sorted(leaves)}")
@@ -103,18 +117,15 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
     rank_of = {v: k for k, v in enumerate(levels)}
     rows = [[0] * n for _ in range(n)]
 
-    def fill(node: Node) -> list[int]:
-        if isinstance(node, Leaf):
-            return [node.point]
+    def fill(node: Merge, parts: list[list[int]]) -> list[int]:
         k = rank_of[node.level]
-        child_leaves = list(map(fill, node.children))
-        for xs, ys in combinations(child_leaves, 2):
+        for xs, ys in combinations(parts, 2):
             for x in xs:
                 for y in ys:
                     rows[x][y] = rows[y][x] = k
-        return [x for part in child_leaves for x in part]
+        return [x for part in parts for x in part]
 
-    fill(d.root)
+    _fold(d.root, lambda node: [node.point], fill)
     return FiniteUltrametricSpace(tuple(d.labels), tuple(levels), tuple(map(tuple, rows)))
 
 
@@ -125,17 +136,14 @@ def _ballean_walk(d: Dendrogram) -> tuple[list[tuple[Members, Fraction, list[Mem
     n = d.n
     merges: list[tuple[Members, Fraction, list[Members]]] = []
 
-    def walk(node: Node) -> Members:
-        if isinstance(node, Leaf):
-            return (node.point,)
-        if len(node.children) < 2:
+    def merge(node: Merge, parts: list[Members]) -> Members:
+        if len(parts) < 2:
             raise MalformedTreeError("internal nodes need at least two children")
-        parts = list(map(walk, node.children))
         members = tuple(sorted(chain(*parts)))
         merges.append((members, node.level, parts))
         return members
 
-    if walk(d.root) != tuple(range(n)):
+    if _fold(d.root, lambda node: (node.point,), merge) != tuple(range(n)):
         raise MalformedTreeError(f"leaf indices must be exactly 0..{n - 1}")
     return merges, [(p,) for p in range(n)] + sorted((m for m, _, _ in merges), key=lambda m: (len(m), m))
 
@@ -199,14 +207,9 @@ def canonical_code(d: Dendrogram) -> CanonicalCode:
     Two dendrograms get equal codes exactly when a level-preserving tree
     isomorphism (forgetting leaf labels) maps one onto the other.
     """
-
-    def encode(node: Node) -> str:
-        if isinstance(node, Leaf):
-            return "*"
-        inner = ",".join(sorted(map(encode, node.children)))
-        return f"({rational_str(node.level)}:{inner})"
-
-    return encode(d.root)
+    return _fold(
+        d.root, lambda _: "*", lambda node, parts: f"({rational_str(node.level)}:{','.join(sorted(parts))})"
+    )
 
 
 def are_isometric(s1: FiniteUltrametricSpace, s2: FiniteUltrametricSpace) -> bool:
@@ -219,14 +222,12 @@ def are_isometric(s1: FiniteUltrametricSpace, s2: FiniteUltrametricSpace) -> boo
 def format_dendrogram(d: Dendrogram) -> str:
     """Text form in nested brackets, e.g. ``(2 (1 a b) c)``."""
 
-    def fmt(node: Node) -> tuple[int, str]:
+    def merge(node: Merge, parts: list[tuple[int, str]]) -> tuple[int, str]:
         """The subtree's smallest leaf and its text, children in smallest-leaf order."""
-        if isinstance(node, Leaf):
-            return node.point, d.labels[node.point]
-        parts = sorted(map(fmt, node.children))
+        parts.sort()
         return parts[0][0], f"({rational_str(node.level)} {' '.join(text for _, text in parts)})"
 
-    return fmt(d.root)[1]
+    return _fold(d.root, lambda node: (node.point, d.labels[node.point]), merge)[1]
 
 
 def _parse_pool(level_pool: Sequence[RationalLike]) -> list[Fraction]:

@@ -11,15 +11,17 @@ recursive tree builder and the accepting walk that one iterative split on
 the space replaced.  The rational parser reads every string through
 ``Fraction``'s own parser, as it did before digit-only text got a shortcut.
 The two generators build a merge tree and read the space off it, as they
-did before they filled ranks while drawing.  The tail walks at the very end
-are the ones repeated squaring replaced: they visit every term in turn.
+did before they filled ranks while drawing.  The tree walks after them are
+the recursive ones, one interpreter frame per level, that one iterative fold
+replaced.  The tail walks at the very end are the ones repeated squaring
+replaced: they visit every term in turn.
 """
 
 import math
 import random
 from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from operator import itemgetter
 from typing import Sequence
 
@@ -36,6 +38,7 @@ from ultraball.core import (
     BadParamsError,
     FiniteUltrametricSpace,
     ForeignBallError,
+    MalformedTreeError,
     NegativeRadiusError,
     RationalLike,
     UltrametricViolation,
@@ -47,6 +50,7 @@ from ultraball.core import (
     _parse_space,
     _prints,
     parse_rational,
+    rational_str,
 )
 from ultraball.harness import _H11_MAX_BALLS
 from ultraball.dendrogram import (
@@ -208,6 +212,15 @@ def caterpillar(n: int) -> FiniteUltrametricSpace:
     levels deep."""
     ranks = tuple(tuple(max(i, j) if i != j else 0 for j in range(n)) for i in range(n))
     return FiniteUltrametricSpace(tuple(f"p{i}" for i in range(n)), tuple(map(Fraction, range(n))), ranks)
+
+
+def caterpillar_tree(n: int, level=Fraction, children=lambda node, k: (node, Leaf(k))) -> Node:
+    """The merge tree of ``caterpillar(n)``, built bottom up with no matrix;
+    ``level(k)`` and ``children(node, k)`` make the merge that adds point k."""
+    node = Leaf(0)
+    for k in range(1, n):
+        node = Merge(level(k), children(node, k))
+    return node
 
 
 def _min_leaf(node) -> int:
@@ -474,6 +487,134 @@ def random_binary_space_reference(seed: int, n: int) -> FiniteUltrametricSpace:
         (low, x), (_, y) = sorted((a, b), key=lambda pair: pair[0])
         clusters.append((low, Merge(Fraction(level), (x, y))))
     return dendrogram_to_space(Dendrogram(clusters[0][1], labels))
+
+
+def node_leaf_sets_reference(d: Dendrogram) -> set[tuple[int, ...]]:
+    """Leaf sets of all nodes; these coincide with the ball member sets."""
+    out: set[tuple[int, ...]] = set()
+
+    def walk(node: Node) -> list[int]:
+        leaves = [node.point] if isinstance(node, Leaf) else sorted(chain(*map(walk, node.children)))
+        out.add(tuple(leaves))
+        return leaves
+
+    walk(d.root)
+    return out
+
+
+def is_binary_reference(d: Dendrogram) -> bool:
+    # Direct calls: all(map(...)) would spend two frames per level.
+    def walk(node: Node) -> bool:
+        if isinstance(node, Leaf):
+            return True
+        return len(node.children) == 2 and walk(node.children[0]) and walk(node.children[1])
+
+    return walk(d.root)
+
+
+def dendrogram_to_space_reference(d: Dendrogram) -> FiniteUltrametricSpace:
+    """Distance matrix realized by the tree: d(x, y) = LCA level.
+
+    Raises MalformedTreeError on unary internal nodes, non-decreasing
+    levels, leaf indices that are not exactly 0..n-1, or repeated labels.
+    """
+    found = {ZERO}
+
+    def check(node: Node, above: Fraction | None) -> list[int]:
+        """Validate the subtree and return its leaves, left to right."""
+        if isinstance(node, Leaf):
+            return [node.point]
+        if len(node.children) < 2:
+            raise MalformedTreeError("internal nodes need at least two children")
+        if node.level <= 0:
+            raise MalformedTreeError(f"levels must be positive, got {node.level}")
+        if above is not None and node.level >= above:
+            raise MalformedTreeError(
+                f"levels must strictly decrease from the root: {node.level} under {above}"
+            )
+        found.add(node.level)
+        leaves: list[int] = []
+        for c in node.children:
+            leaves.extend(check(c, node.level))
+        return leaves
+
+    leaves = check(d.root, None)
+    n = len(leaves)
+    if sorted(leaves) != list(range(n)):
+        raise MalformedTreeError(f"leaf indices must be exactly 0..{n - 1}, got {sorted(leaves)}")
+    if len(d.labels) != n:
+        raise MalformedTreeError(f"{len(d.labels)} labels for {n} leaves")
+    if len(set(d.labels)) != n:
+        raise MalformedTreeError("labels must be unique within a space")
+
+    levels = sorted(found)
+    rank_of = {v: k for k, v in enumerate(levels)}
+    rows = [[0] * n for _ in range(n)]
+
+    def fill(node: Node) -> list[int]:
+        if isinstance(node, Leaf):
+            return [node.point]
+        k = rank_of[node.level]
+        child_leaves = list(map(fill, node.children))
+        for xs, ys in combinations(child_leaves, 2):
+            for x in xs:
+                for y in ys:
+                    rows[x][y] = rows[y][x] = k
+        return [x for part in child_leaves for x in part]
+
+    fill(d.root)
+    return FiniteUltrametricSpace(tuple(d.labels), tuple(levels), tuple(map(tuple, rows)))
+
+
+def ballean_walk_reference(d: Dendrogram) -> tuple[list[tuple[tuple[int, ...], Fraction, list]], list]:
+    """The internal nodes of ``d`` in post-order, each as (members, level,
+    child member tuples), and the member tuples of all nodes, which are the
+    balls, by (size, members): the singletons first, in point order."""
+    n = d.n
+    merges: list[tuple[tuple[int, ...], Fraction, list]] = []
+
+    def walk(node: Node) -> tuple[int, ...]:
+        if isinstance(node, Leaf):
+            return (node.point,)
+        if len(node.children) < 2:
+            raise MalformedTreeError("internal nodes need at least two children")
+        parts = list(map(walk, node.children))
+        members = tuple(sorted(chain(*parts)))
+        merges.append((members, node.level, parts))
+        return members
+
+    if walk(d.root) != tuple(range(n)):
+        raise MalformedTreeError(f"leaf indices must be exactly 0..{n - 1}")
+    return merges, [(p,) for p in range(n)] + sorted((m for m, _, _ in merges), key=lambda m: (len(m), m))
+
+
+def canonical_code_reference(d: Dendrogram) -> str:
+    """Label-free canonical form: recursive (level, sorted child codes).
+
+    Two dendrograms get equal codes exactly when a level-preserving tree
+    isomorphism (forgetting leaf labels) maps one onto the other.
+    """
+
+    def encode(node: Node) -> str:
+        if isinstance(node, Leaf):
+            return "*"
+        inner = ",".join(sorted(map(encode, node.children)))
+        return f"({rational_str(node.level)}:{inner})"
+
+    return encode(d.root)
+
+
+def format_dendrogram_reference(d: Dendrogram) -> str:
+    """Text form in nested brackets, e.g. ``(2 (1 a b) c)``."""
+
+    def fmt(node: Node) -> tuple[int, str]:
+        """The subtree's smallest leaf and its text, children in smallest-leaf order."""
+        if isinstance(node, Leaf):
+            return node.point, d.labels[node.point]
+        parts = sorted(map(fmt, node.children))
+        return parts[0][0], f"({rational_str(node.level)} {' '.join(text for _, text in parts)})"
+
+    return fmt(d.root)[1]
 
 
 def tail_contains_walk(tail, x) -> bool:

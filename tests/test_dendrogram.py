@@ -1,6 +1,8 @@
+import ast
 import time
 from fractions import Fraction
 from operator import eq
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import (
     brute_isometric,
     caterpillar,
+    caterpillar_tree,
     recursive_split_reference,
     splits_cleanly_reference,
 )
@@ -29,6 +32,7 @@ from ultraball.dendrogram import (
     Leaf,
     Merge,
     are_isometric,
+    ballean_ranks,
     ballean_tree,
     build_dendrogram,
     canonical_code,
@@ -232,20 +236,45 @@ def test_validation_builds_the_tree_that_build_dendrogram_returns(split_calls):
     assert len(split_calls) == 1
 
 
-def test_walks_handle_a_600_deep_tree():
-    # Every walk spends one interpreter frame per level, under the default
-    # recursion limit of 1000.
-    space = caterpillar(601)
-    d = build_dendrogram(space)
-    assert dendrogram_to_space(d) == space
+def test_walks_handle_a_3000_deep_tree():
+    n = 3001
+    d = Dendrogram(caterpillar_tree(n), tuple(f"p{i}" for i in range(n)))
+    space = dendrogram_to_space(d)
+    assert space.levels == tuple(map(Fraction, range(n)))
+    assert all(row == (i,) * i + (0,) + tuple(range(i + 1, n)) for i, row in enumerate(space.ranks))
     assert is_binary(d)
-    assert len(node_leaf_sets(d)) == 2 * 601 - 1
-    assert canonical_code(d).count("*") == 601
-    assert format_dendrogram(d).startswith("(600 (599 (598 ")
-    tower = ballean_tree(ballean_tree(d))
-    assert tower.n == 601 + 2 * 600
-    code = canonical_code(tower)
-    assert code.startswith("(600:(599:(598:") and "(2:(1:*,*,*,*),*,*,*)" in code
+    assert len(node_leaf_sets(d)) == 2 * n - 1
+    assert canonical_code(d).count("*") == n
+    assert format_dendrogram(d).startswith("(3000 (2999 (2998 ")
+    # One ballean: a tower's labels grow with the cube of the depth.
+    code = canonical_code(ballean_tree(d))
+    assert code.startswith("(3000:(2999:(2998:") and "(2:(1:*,*,*),*,*)" in code
+    # The ballean of a 3000-deep tree has a 6001-ball square matrix, so the
+    # rank rows are read off a 999-deep tree.
+    balls, levels, rows = ballean_ranks(Dendrogram(caterpillar_tree(1000), d.labels[:1000]))
+    assert len(balls) == len(rows) == 2 * 1000 - 1 and levels == tuple(map(Fraction, range(1000)))
+    assert rows[-1][:3] == (999, 999, 999) and rows[0][0] == 0
+
+
+def _recursive_functions(source: str) -> list[str]:
+    """Functions, nested ones and methods included, that name themselves in
+    their own body, called or passed (``map(walk, ...)``, ``self.walk``)."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")}
+            if fn.name in names:
+                found.append(f"{fn.name} (line {fn.lineno})")
+    return found
+
+
+def test_no_function_in_the_package_recurses():
+    # Walks keep their pending work on lists, so no tree is too deep to walk.
+    for path in sorted(Path(dendrogram.__file__).parent.glob("*.py")):
+        assert _recursive_functions(path.read_text(encoding="utf-8")) == [], path.name
+    assert _recursive_functions("def f(t):\n    return list(map(f, t))") == ["f (line 1)"]
 
 
 def test_ballean_tree_labels_a_collision_as_ballean_space_does():

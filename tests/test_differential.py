@@ -22,6 +22,7 @@ import oracles
 from oracles import (
     build_dendrogram_reference,
     caterpillar,
+    caterpillar_tree,
     closed_ball_reference,
     diam_pairwise,
     diam_reference,
@@ -29,7 +30,13 @@ from oracles import (
     family_diameters_reference,
     body_h3_reference,
     body_h11_reference,
+    ballean_walk_reference,
+    canonical_code_reference,
+    dendrogram_to_space_reference,
     find_violation_reference,
+    format_dendrogram_reference,
+    is_binary_reference,
+    node_leaf_sets_reference,
     parse_space_reference,
     random_binary_space_reference,
     random_space_reference,
@@ -59,11 +66,18 @@ from ultraball.core import (
 from ultraball import harness
 from ultraball.harness import _H11_MAX_BALLS, _body_h3, _body_h11
 from ultraball.dendrogram import (
+    Dendrogram,
+    Leaf,
+    Merge,
+    _ballean_walk,
     ballean_ranks,
     ballean_tree,
     build_dendrogram,
     canonical_code,
     dendrogram_to_space,
+    format_dendrogram,
+    is_binary,
+    node_leaf_sets,
     random_binary_space,
     random_space,
 )
@@ -513,3 +527,99 @@ def test_h11_bitmasks_match_the_subset_scan_on_crafted_balleans(monkeypatch):
         "dense discrete subsets are not unique",
     )
     assert {next((d for d in details if o and o.startswith(d)), o) for o in outcomes} == {None, *details}
+
+
+TREE_WALKS = [
+    (node_leaf_sets, node_leaf_sets_reference),
+    (is_binary, is_binary_reference),
+    (dendrogram_to_space, dendrogram_to_space_reference),
+    (_ballean_walk, ballean_walk_reference),
+    (canonical_code, canonical_code_reference),
+    (format_dendrogram, format_dendrogram_reference),
+]
+
+
+def _assert_walks_match(tree):
+    for walk, reference in TREE_WALKS:
+        assert _outcome(walk, tree) == _outcome(reference, tree), walk.__name__
+
+
+def test_tree_walks_match_the_recursive_walks_on_generated_trees():
+    trees = []
+    for n in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 200):
+        for seed in range(3):
+            trees.append(build_dendrogram(random_space(seed, n, POOL)))
+            trees.append(build_dendrogram(random_binary_space(seed, n)))
+    for n in (1, 4, 12, 50):
+        tree = build_dendrogram(random_space(n, n, POOL))
+        for _ in range(3):
+            tree = ballean_tree(tree)
+            trees.append(tree)
+    trees.append(build_dendrogram(caterpillar(900)))
+    for tree in trees:
+        _assert_walks_match(tree)
+
+
+def _malformed_trees():
+    f = Fraction
+    leaf = Leaf(0)
+    one_fault = [
+        (Merge(f(1), ()), ()),
+        (Merge(f(2), (Merge(f(1), ()), Leaf(0))), ("a",)),
+        (Merge(f(1), (Leaf(0),)), ("a",)),
+        (Merge(f(2), (Merge(f(1), (Leaf(0),)), Leaf(1))), ("a", "b")),
+        (Merge(f(0), (Leaf(0), Leaf(1))), ("a", "b")),
+        (Merge(f(-1), (Leaf(0), Leaf(1))), ("a", "b")),
+        (Merge(f(2), (Merge(f(-1, 2), (Leaf(0), Leaf(1))), Leaf(2))), ("a", "b", "c")),
+        (Merge(f(1), (Merge(f(1), (Leaf(0), Leaf(1))), Leaf(2))), ("a", "b", "c")),
+        (Merge(f(1), (Merge(f(2), (Leaf(0), Leaf(1))), Leaf(2))), ("a", "b", "c")),
+        (Merge(f(1), (Leaf(0), Leaf(2))), ("a", "b")),
+        (Merge(f(1), (Leaf(1), Leaf(2))), ("a", "b")),
+        (Merge(f(1), (Leaf(-1), Leaf(0))), ("a", "b")),
+        (Merge(f(1), (Leaf(0), Leaf(0))), ("a", "b")),
+        (Merge(f(2), (Merge(f(1), (leaf, Leaf(1))), leaf)), ("a", "b")),
+        (Merge(f(1), (leaf, leaf)), ("a",)),
+        (Merge(f(1), (Leaf(0), Leaf(1))), ("a",)),
+        (Merge(f(1), (Leaf(0), Leaf(1))), ("a", "b", "c")),
+        (Merge(f(1), (Leaf(0), Leaf(1))), ("a", "a")),
+        (Leaf(1), ("a",)),
+        (Leaf(0), ()),
+    ]
+    two_faults = [
+        (Merge(f(2), (Merge(f(0), (Leaf(0), Leaf(1))), Merge(f(1), (Leaf(2),)))), ("a", "b", "c")),
+        (Merge(f(2), (Merge(f(1), (Leaf(0),)), Merge(f(3), (Leaf(1), Leaf(2))))), ("a", "b", "c")),
+        (Merge(f(1), (Merge(f(2), (Leaf(0),)), Leaf(1))), ("a", "b")),
+        (Merge(f(1), (Merge(f(2), (Merge(f(0), (Leaf(0), Leaf(1))), Leaf(2))), Leaf(3))), ("a", "b", "c", "d")),
+        (Merge(f(-1), (Merge(f(-2), (Leaf(0),)), Leaf(1))), ("a", "b")),
+        (Merge(f(0), (Leaf(0), Leaf(2))), ("a", "b")),
+        (Merge(f(1), (Leaf(0), Leaf(2))), ("a",)),
+        (Merge(f(1), (Leaf(0), Leaf(1))), ("a", "a", "a")),
+        (Merge(f(1), (Merge(f(1), (leaf, Leaf(1))), leaf)), ("a", "b")),
+        (Merge(f(1), (Merge(f(1), ()), Leaf(0))), ("a",)),
+    ]
+    # 900 deep: a level too high at point 5 and a zero level at point 700,
+    # which comes first in pre-order; a one-child merge at point 3.
+    deep = caterpillar_tree(900, level=lambda k: f({5: 7, 700: 0}.get(k, k)))
+    unary = caterpillar_tree(900, children=lambda node, k: (node,) if k == 3 else (node, Leaf(k)))
+    labels = tuple(f"p{i}" for i in range(900))
+    return one_fault + two_faults + [(deep, labels), (unary, labels[:899])]
+
+
+def _random_hand_built(rng, leaves, level, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(leaves)
+    width = rng.choice((0, 1, 2, 2, 2, 3))
+    below = level - rng.choice((-1, 0, 1, 1, 1, 2))
+    return Merge(level, tuple(_random_hand_built(rng, leaves, below, depth - 1) for _ in range(width)))
+
+
+def test_tree_walks_match_the_recursive_walks_on_malformed_trees():
+    for root, labels in _malformed_trees():
+        _assert_walks_match(Dendrogram(root, labels))
+    rng = random.Random(0)
+    for _ in range(3000):
+        leaves = [Leaf(i) for i in range(rng.randint(1, 5))]
+        root = _random_hand_built(rng, leaves, Fraction(rng.randint(-1, 5)), 4)
+        labels = tuple(rng.choice("abcd") for _ in range(rng.randint(0, 6)))
+        _assert_walks_match(Dendrogram(root, labels))
+
