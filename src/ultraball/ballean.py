@@ -110,14 +110,20 @@ def ballean_space(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
     balls = enumerate_ballean(space)
     labels = ball_labels(space.labels, [b.members for b in balls])
     m = len(balls)
-    # _hausdorff_rank of each pair, reading each ball's rank and first point once.
+    # _hausdorff_rank of each pair, reading each ball's rank and first point
+    # once; two comparisons pick the largest of the three for less than max().
     rank, ranks = space.ball_table.rank, space.ranks
     tops, firsts = [rank[b.members] for b in balls], [b.members[0] for b in balls]
     rows = [[space.zero] * m for _ in range(m)]
     for i in range(m):
-        top, at = tops[i], ranks[firsts[i]]
+        top, at, row = tops[i], ranks[firsts[i]], rows[i]
         for j in range(i + 1, m):
-            rows[i][j] = rows[j][i] = max(top, tops[j], at[firsts[j]])
+            k, t = at[firsts[j]], tops[j]
+            if k < t:
+                k = t
+            if k < top:
+                k = top
+            row[j] = rows[j][i] = k
     return _over_levels_of(space, labels, tuple(map(tuple, rows)))
 
 
@@ -149,26 +155,29 @@ def family_diameters(
     of the union of the balls, diameter of the smallest ball containing the
     union).  The three are provably equal and the function insists on it.
     """
-    distinct = sorted({b.members: b for b in family}.values(), key=lambda b: b.members)
+    by_members = {b.members: b for b in family}
+    distinct = sorted(by_members)  # member tuples; the first foreign one is reported
     if len(distinct) < 2:
         raise FamilyTooSmallError(
             "need at least two distinct balls; for a lone ball the three "
             "diameters agree only when the ball is a singleton"
         )
-    for b in distinct:
-        require_canonical(space, b)
+    for members in distinct:
+        require_canonical(space, by_members[members])
     # The max over pairs of _hausdorff_rank, reading each ball's rank once.
     rank, ranks = space.ball_table.rank, space.ranks
-    firsts = [b.members[0] for b in distinct]
+    firsts = [members[0] for members in distinct]
     top = max(
-        max(rank[b.members] for b in distinct),
+        max(map(rank.__getitem__, distinct)),
         max(ranks[x][y] for x, y in combinations(firsts, 2)),
     )
     hd = space.levels[top]
-    union = sorted({m for b in distinct for m in b.members})
+    union = sorted(set().union(*distinct))
     ud = diam(space, union)
     sd = smallest_ball(space, union).diameter
-    if not (hd == ud == sd):
+    # Levels of one space: equal ones are mostly one object, and `is` spares
+    # Fraction.__eq__; a mismatch still compares by value.
+    if not ((hd is ud or hd == ud) and (ud is sd or ud == sd)):
         raise AssertionError(
             f"family diameters disagree: hausdorff={hd}, union={ud}, smallest-ball={sd}"
         )
@@ -198,7 +207,8 @@ def singleton_embedding(space: FiniteUltrametricSpace) -> dict[int, Ball]:
     labels = space.labels
     for i in range(space.n):
         for j in range(i + 1, space.n):
-            if hausdorff_balls(space, mapping[i], mapping[j]) != space.d(i, j):
+            h, d = hausdorff_balls(space, mapping[i], mapping[j]), space.d(i, j)
+            if h is not d and h != d:
                 raise AssertionError(
                     f"singleton embedding failed to preserve d({labels[i]},{labels[j]})"
                 )

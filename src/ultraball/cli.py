@@ -296,6 +296,8 @@ def cli_main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         name = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
         payload = {"error": name, "message": str(exc)}
+    except MemoryError as exc:  # e.g. ballean --iterate 3, whose labels grow with each level
+        payload = {"error": "MemoryError", "message": str(exc)}
     print(json.dumps(payload, indent=2), file=sys.stderr)
     return 1
 

@@ -173,7 +173,7 @@ class FiniteUltrametricSpace:
     levels: tuple[Fraction, ...]
     ranks: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.labels)
 
@@ -218,7 +218,7 @@ class FiniteUltrametricSpace:
             for k in set(row):
                 if k < below:
                     rank[tuple(compress(points, map(k.__ge__, row)))] = k
-        ordered = sorted(rank, key=lambda members: (len(members), members))
+        ordered = sorted(sorted(rank), key=len)  # stable: by (size, members)
         return BallTable(tuple(Ball(m, levels[rank[m]]) for m in ordered), rank)
 
     @cached_property

@@ -10,6 +10,7 @@ fill the rank matrix as they go, so they build no tree objects.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from itertools import chain, combinations
@@ -230,13 +231,25 @@ def format_dendrogram(d: Dendrogram) -> str:
     return _fold(d.root, lambda node: (node.point, d.labels[node.point]), merge)[1]
 
 
-def _parse_pool(level_pool: Sequence[RationalLike]) -> list[Fraction]:
-    pool = sorted({parse_rational(v) for v in level_pool})
+def _parse_pool(level_pool: Sequence[RationalLike]) -> tuple[Fraction, ...]:
+    """The pool's distinct levels, sorted.  The last 16 distinct pools are
+    kept, keyed by each value with its type, since 1, True, 1.0 and "1" parse
+    differently; a pool holding an unhashable value is parsed on each call."""
+    key = tuple((type(v), v) for v in level_pool)
+    try:
+        return _parse_pool_key(key)
+    except TypeError:  # an unhashable value, which parse_rational names
+        return _parse_pool_key.__wrapped__(key)
+
+
+@functools.lru_cache(maxsize=16)
+def _parse_pool_key(key: tuple[tuple[type, RationalLike], ...]) -> tuple[Fraction, ...]:
+    pool = sorted({parse_rational(v) for _, v in key})
     if not pool:
         raise BadParamsError("level pool must be nonempty")
     if pool[0] <= 0:
         raise BadParamsError("level pool values must be positive")
-    return pool
+    return tuple(pool)
 
 
 def _split(rng: random.Random, items: list[int]) -> list[list[int]]:

@@ -10,7 +10,9 @@ distances themselves, never their ranks.  The two split routes are the
 recursive tree builder and the accepting walk that one iterative split on
 the space replaced.  The rational parser reads every string through
 ``Fraction``'s own parser, as it did before digit-only text got a shortcut.
-The two generators build a merge tree and read the space off it, as they
+The H3 and H9 bodies that test containment on Python sets, the pairwise
+``ballean_space`` fill and the per-call level-pool parse are the routes
+that bitmasks, one ``map`` per row and a small cache replaced.  The two generators build a merge tree and read the space off it, as they
 did before they filled ranks while drawing.  The tree walks after them are
 the recursive ones, one interpreter frame per level, that one iterative fold
 replaced.  The tail walks at the very end are the ones repeated squaring
@@ -44,11 +46,13 @@ from ultraball.core import (
     UltrametricViolation,
     _as_index_tuple,
     _make_labels,
+    _over_levels_of,
     _TOO_LARGE,
     _fraction_text,
     _int_limit,
     _parse_space,
     _prints,
+    ball_labels,
     parse_rational,
     rational_str,
 )
@@ -58,7 +62,6 @@ from ultraball.dendrogram import (
     Leaf,
     Merge,
     Node,
-    _parse_pool,
     _split,
     dendrogram_to_space,
 )
@@ -436,6 +439,76 @@ def body_h11_reference(space: FiniteUltrametricSpace, rng=None) -> str | None:
     return None
 
 
+def body_h3_sets_reference(space: FiniteUltrametricSpace, rng=None) -> str | None:
+    """H3's body as it held each ball's member set as a Python set and
+    rebuilt the smallest ball's set for each pair: the scan that bitmasks
+    replaced."""
+    balls = enumerate_ballean(space)
+    ball_sets = [set(b.members) for b in balls]
+    # The balls containing each ball, by index: a ball contains b1 | b2 iff
+    # it contains both.
+    sup = {b.members: {i for i, t in enumerate(ball_sets) if s <= t} for b, s in zip(balls, ball_sets)}
+    for b1, b2 in combinations(balls, 2):
+        bstar, value = smallest_ball_distance(space, b1, b2)
+        if value != hausdorff_balls(space, b1, b2):
+            return f"smallest-ball diameter != Hausdorff distance for {b1.members}, {b2.members}"
+        star = set(bstar.members)
+        if not set(b1.members) | set(b2.members) <= star:
+            return f"smallest ball does not contain the union for {b1.members}, {b2.members}"
+        for i in sorted(sup[b1.members] & sup[b2.members]):
+            if not star <= ball_sets[i]:
+                return (
+                    f"ball {balls[i].members} contains the union of {b1.members} and "
+                    f"{b2.members} but not their smallest ball"
+                )
+    return None
+
+
+def body_h9_reference(space: FiniteUltrametricSpace, rng=None) -> str | None:
+    """H9's body as it tested containment with Python sets."""
+    balls = enumerate_ballean(space)
+    for y in balls:
+        y_set = set(y.members)
+        position = {orig: i for i, orig in enumerate(y.members)}
+        expected = {
+            tuple(sorted(position[m] for m in b.members))
+            for b in balls
+            if set(b.members) <= y_set
+        }
+        actual = {b.members for b in enumerate_ballean(space.restrict(y.members))}
+        if expected != actual:
+            return f"subballs of {y.members} do not match the ballean of the restriction"
+    return None
+
+
+def ballean_space_pairwise_reference(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
+    """``ballean_space`` as it filled the matrix pair by pair, each cell and
+    its mirror from one Python ``max``."""
+    balls = enumerate_ballean(space)
+    labels = ball_labels(space.labels, [b.members for b in balls])
+    m = len(balls)
+    # _hausdorff_rank of each pair, reading each ball's rank and first point once.
+    rank, ranks = space.ball_table.rank, space.ranks
+    tops, firsts = [rank[b.members] for b in balls], [b.members[0] for b in balls]
+    rows = [[space.zero] * m for _ in range(m)]
+    for i in range(m):
+        top, at = tops[i], ranks[firsts[i]]
+        for j in range(i + 1, m):
+            rows[i][j] = rows[j][i] = max(top, tops[j], at[firsts[j]])
+    return _over_levels_of(space, labels, tuple(map(tuple, rows)))
+
+
+def parse_pool_reference(level_pool: Sequence[RationalLike]) -> list[Fraction]:
+    """A level pool parsed afresh on every call, as the generators did before
+    they kept the last few pools."""
+    pool = sorted({parse_rational(v) for v in level_pool})
+    if not pool:
+        raise BadParamsError("level pool must be nonempty")
+    if pool[0] <= 0:
+        raise BadParamsError("level pool values must be positive")
+    return pool
+
+
 def _grow_reference(rng: random.Random, points: list[int], pool: list[Fraction]) -> Node:
     # The pool is sorted and distinct, so the levels below pool[i] are pool[:i].
     i = rng.randrange(len(pool))
@@ -464,7 +537,7 @@ def random_space_reference(
     """
     if n < 1:
         raise BadParamsError("n must be at least 1")
-    pool = _parse_pool(level_pool)
+    pool = parse_pool_reference(level_pool)
     labels = tuple(f"p{i}" for i in range(n))
     root = _grow_reference(random.Random(seed), list(range(n)), pool) if n > 1 else Leaf(0)
     return dendrogram_to_space(Dendrogram(root, labels))

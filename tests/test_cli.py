@@ -172,6 +172,19 @@ def test_ballean_iterate_cap(space_file):
     assert cli_main(["ballean", space_file, "--iterate", "9"]) == 1
 
 
+def test_running_out_of_memory_is_a_structured_error(space_file, monkeypatch, capsys):
+    # `ballean --iterate 3` on caterpillar(300) writes labels that grow with
+    # each level, past a 1.5 GB address space; the writer raises instead.
+    def exhausted(payload, out):
+        raise MemoryError
+
+    monkeypatch.setattr("ultraball.cli._emit", exhausted)
+    assert cli_main(["ballean", space_file, "--iterate", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "MemoryError", "message": ""}
+
+
 def test_hausdorff_example(space_file, capsys):
     assert cli_main(["hausdorff", space_file, "--ball", "a,b", "--ball", "c"]) == 0
     assert capsys.readouterr().out.strip() == "2"

@@ -29,6 +29,8 @@ from oracles import (
     enumerate_ballean_reference,
     family_diameters_reference,
     body_h3_reference,
+    body_h3_sets_reference,
+    body_h9_reference,
     body_h11_reference,
     ballean_walk_reference,
     canonical_code_reference,
@@ -43,12 +45,15 @@ from oracles import (
     require_canonical_reference,
     smallest_ball_reference,
 )
+from ultraball import ballean as ballean_module
 from ultraball.ballean import (
     ballean_space,
     enumerate_ballean,
     family_diameters,
     hausdorff_balls,
+    hausdorff_by_cases,
     iterate_ballean,
+    singleton_embedding,
 )
 from ultraball.core import (
     Ball,
@@ -60,16 +65,18 @@ from ultraball.core import (
     diam,
     equidistant_space,
     find_violation,
+    parse_rational,
     require_canonical,
     smallest_ball,
 )
-from ultraball import harness
-from ultraball.harness import _H11_MAX_BALLS, _body_h3, _body_h11
+from ultraball import dendrogram, harness
+from ultraball.harness import _H11_MAX_BALLS, _body_h3, _body_h9, _body_h11
 from ultraball.dendrogram import (
     Dendrogram,
     Leaf,
     Merge,
     _ballean_walk,
+    _parse_pool,
     ballean_ranks,
     ballean_tree,
     build_dendrogram,
@@ -623,3 +630,191 @@ def test_tree_walks_match_the_recursive_walks_on_malformed_trees():
         labels = tuple(rng.choice("abcd") for _ in range(rng.randint(0, 6)))
         _assert_walks_match(Dendrogram(root, labels))
 
+
+
+def _bodies_agree(body, reference, spaces):
+    """Run a body and its reference on each space; the outcomes, value or
+    error, must match.  Returns the reference's outcomes."""
+    outcomes = []
+    for space in spaces:
+        expected = _outcome(reference, space, random.Random(0))
+        assert _outcome(body, space, random.Random(0)) == expected, space
+        outcomes.append(expected)
+    return outcomes
+
+
+def _generated_and_replayed():
+    """Generated spaces of up to 20 points, and binary replays, parsed
+    without validation, of up to 64."""
+    spaces = [random_space(seed, 1 + seed % 20, POOL) for seed in range(100)]
+    spaces += [random_binary_space(seed, 1 + seed % 20) for seed in range(40)]
+    spaces += [_replayed(random_binary_space(seed, n)) for seed, n in enumerate((7, 23, 40, 64))]
+    return spaces
+
+
+@pytest.mark.parametrize("body, reference", [(_body_h3, body_h3_sets_reference), (_body_h9, body_h9_reference)])
+def test_h3_and_h9_bitmasks_match_the_set_bodies(body, reference):
+    valid = _generated_and_replayed()
+    assert _bodies_agree(body, reference, valid) == [("ok", None)] * len(valid)
+    _bodies_agree(body, reference, _h3_corpus())  # one pair moved to another level
+
+
+def _foreign(rng, space, ball):
+    """A ball the table may not hold: a random sorted subset of points."""
+    members = tuple(sorted(rng.sample(range(space.n), rng.randint(1, space.n))))
+    return Ball(members, ball.diameter)
+
+
+def test_h3_bitmasks_match_the_set_body_on_crafted_smallest_balls(monkeypatch):
+    # smallest_ball_distance answers with the true ball, another table ball,
+    # a subset of points outside the table, or a wrong diameter; both bodies
+    # see the same answers in the same order.
+    real = harness.smallest_ball_distance
+    texts = (
+        "smallest-ball diameter != Hausdorff distance",
+        "smallest ball does not contain the union",
+        "contains the union of",
+    )
+    seen = set()
+    for seed in range(300):
+        space = random_space(seed, 2 + seed % 7, POOL) if seed % 3 else random_binary_space(seed, 2 + seed % 9)
+        balls = enumerate_ballean(space)
+        outcomes = []
+        for body in (_body_h3, body_h3_sets_reference):
+            rng = random.Random(seed)
+
+            def crafted(space, b1, b2):
+                bstar, value = real(space, b1, b2)
+                roll = rng.random()
+                if roll < 0.9:
+                    return bstar, value
+                if roll < 0.94:
+                    return rng.choice(balls), value
+                if roll < 0.98:
+                    return _foreign(rng, space, bstar), value
+                return bstar, value + 1
+
+            for module in (harness, oracles):
+                monkeypatch.setattr(module, "smallest_ball_distance", crafted)
+            outcomes.append(_outcome(body, space, random.Random(0)))
+        assert outcomes[0] == outcomes[1], seed
+        assert outcomes[0][0] == "ok", outcomes[0]
+        detail = outcomes[0][1]
+        seen.add(next((t for t in texts if detail and t in detail), detail))
+    assert seen == {None, *texts}
+
+
+def test_h9_bitmasks_match_the_set_body_on_crafted_balleans(monkeypatch):
+    # enumerate_ballean drops a ball, adds a subset of points, or answers
+    # truly; both bodies see the same answers in the same order.
+    real = harness.enumerate_ballean
+    seen = set()
+    for seed in range(200):
+        space = random_space(seed, 2 + seed % 7, POOL) if seed % 3 else random_binary_space(seed, 2 + seed % 9)
+        outcomes = []
+        for body in (_body_h9, body_h9_reference):
+            rng = random.Random(seed)
+
+            def crafted(space):
+                balls, roll = list(real(space)), rng.random()
+                if roll < 0.1 and len(balls) > 1:
+                    del balls[rng.randrange(len(balls))]
+                elif roll < 0.2:
+                    balls.append(_foreign(rng, space, balls[0]))
+                return tuple(balls)
+
+            for module in (harness, oracles):
+                monkeypatch.setattr(module, "enumerate_ballean", crafted)
+            outcomes.append(_outcome(body, space, random.Random(0)))
+        assert outcomes[0] == outcomes[1], seed
+        assert outcomes[0][0] == "ok", outcomes[0]
+        detail = outcomes[0][1]
+        seen.add(detail and detail.endswith("do not match the ballean of the restriction"))
+    assert seen == {None, True}
+
+
+def test_ballean_space_rows_match_the_pairwise_fill():
+    spaces = [random_space(seed, 1 + seed % 20, POOL) for seed in range(60)]
+    spaces += [random_binary_space(seed, n) for seed in range(3) for n in (1, 2, 5, 17, 40)]
+    spaces += [iterate_ballean(random_space(seed, 1 + seed % 6, POOL), 2) for seed in range(12)]
+    spaces += [caterpillar(30), equidistant_space(7, 2)]
+    for space in spaces:
+        assert ballean_space(space) == oracles.ballean_space_pairwise_reference(space)
+        twice = ballean_space(ballean_space(space))
+        assert twice == oracles.ballean_space_pairwise_reference(oracles.ballean_space_pairwise_reference(space))
+
+
+# Tuples and lists, unsorted with duplicates, one string read as its
+# characters, the same values as ints, Fractions and strings, and pools that
+# are empty, hold zero, a negative, a float, a bool, an unparsable string or
+# an unhashable value, or are no sequence at all.
+PARSE_POOLS = [
+    POOL, list(POOL), ("2", "1", "2/1"), ["7/3", "0.5", "1/4", "9", "1/4"], "312", "3.2",
+    (1, 2), (Fraction(1), Fraction(2)), ("1", "2"), (1, True), (True,), (1.0,), (1,),
+    (), [], ("0",), ("1", "-2"), ("1", "x"), ("1", [2]), [[1]], ("1", 1.5), 7,
+]
+
+
+def test_random_space_matches_the_per_call_pool_parse():
+    for _ in range(2):  # the second pass reads every pool from the cache
+        for pool in PARSE_POOLS:
+            got = _outcome(lambda: tuple(_parse_pool(pool)))
+            assert got == _outcome(lambda: tuple(oracles.parse_pool_reference(pool))), pool
+            for seed in range(6):
+                n = 1 + seed * 3
+                expected = _outcome(random_space_reference, seed, n, pool)
+                assert _outcome(random_space, seed, n, pool) == expected, (pool, seed)
+
+
+def test_a_suite_run_parses_the_default_pool_at_most_once(monkeypatch):
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return parse_rational(value)
+
+    monkeypatch.setattr(dendrogram, "parse_rational", counting)
+    dendrogram._parse_pool_key.cache_clear()
+    report = harness.run_suite(harness.TrialConfig(trials=20))
+    assert report.passed
+    assert calls == list(harness.DEFAULT_LEVEL_POOL)  # one parse of each level
+
+
+def test_level_comparisons_test_identity_then_value(monkeypatch):
+    """Equal levels that are distinct objects still pass; unequal ones fail
+    with the message a value comparison gives."""
+    space = random_binary_space(3, 6)
+    balls = enumerate_ballean(space)
+    copy = lambda x: Fraction(x.numerator, x.denominator)
+    for shift, fails in ((copy, False), (lambda x: x + 1, True)):
+        with monkeypatch.context() as patch:
+            patch.setattr(ballean_module, "diam", lambda s, subset: shift(diam(s, subset)))
+            got = _outcome(family_diameters, space, balls[:3])
+        hd, ud, sd = family_diameters(space, balls[:3])
+        if fails:
+            assert got == ("AssertionError", f"family diameters disagree: hausdorff={hd}, union={ud + 1}, smallest-ball={sd}")
+        else:
+            assert got == ("ok", (hd, ud, sd)) and got[1][1] is not ud
+        with monkeypatch.context() as patch:
+            patch.setattr(ballean_module, "hausdorff_balls", lambda s, a, b: shift(hausdorff_balls(s, a, b)))
+            got = _outcome(singleton_embedding, space)
+        labels = space.labels
+        assert got[0] == ("AssertionError" if fails else "ok")
+        if fails:
+            assert got[1] == f"singleton embedding failed to preserve d({labels[0]},{labels[1]})"
+        # H1 compares three routes, H3 two; each sees one route shifted.
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "hausdorff_by_cases", lambda s, a, b: shift(hausdorff_by_cases(s, a, b)))
+            got = harness._body_h1(space, random.Random(0))
+        b1, b2 = balls[0], balls[1]
+        value = hausdorff_balls(space, b1, b2)
+        assert got == (
+            f"Hausdorff routes disagree on {b1.members} vs {b2.members}: "
+            f"union-diam={value}, cases={value + 1}, sup-inf={value}" if fails else None
+        )
+        with monkeypatch.context() as patch:
+            for module in (harness, oracles):
+                patch.setattr(module, "hausdorff_balls", lambda s, a, b: shift(hausdorff_balls(s, a, b)))
+            got = _body_h3(space, random.Random(0))
+            assert got == body_h3_sets_reference(space)
+        assert got == (f"smallest-ball diameter != Hausdorff distance for {b1.members}, {b2.members}" if fails else None)
