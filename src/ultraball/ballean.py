@@ -20,7 +20,6 @@ from .core import (
     FamilyTooSmallError,
     FiniteUltrametricSpace,
     _as_index_tuple,
-    _over_levels_of,
     ball_labels,
     closed_ball,
     diam,
@@ -102,10 +101,12 @@ def ballean_space(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
     """The ballean as a space of its own: points are balls, distances are
     Hausdorff distances.
 
-    Every Hausdorff distance between balls is a distance of the space, so
-    the result ranks into the space's own levels.  It is built directly from
-    the ball list and not revalidated here, so checking it against the
-    ultrametric axioms stays a meaningful test rather than a tautology.
+    Every Hausdorff distance between balls is a distance of the space, and
+    each positive distance is one: the diameter of the smallest ball holding
+    its two points, which is that far from a maximal proper sub-ball.  So the
+    result keeps the space's levels.  It is built directly from the ball list
+    and not revalidated here, so checking it against the ultrametric axioms
+    stays a meaningful test rather than a tautology.
     """
     balls = enumerate_ballean(space)
     labels = ball_labels(space.labels, [b.members for b in balls])
@@ -124,7 +125,7 @@ def ballean_space(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
             if k < top:
                 k = top
             row[j] = rows[j][i] = k
-    return _over_levels_of(space, labels, tuple(map(tuple, rows)))
+    return FiniteUltrametricSpace(labels, space.levels, tuple(map(tuple, rows)))
 
 
 _MAX_DEPTH = 3
@@ -172,7 +173,7 @@ def family_diameters(
         max(ranks[x][y] for x, y in combinations(firsts, 2)),
     )
     hd = space.levels[top]
-    union = sorted(set().union(*distinct))
+    union = set().union(*distinct)  # diam and smallest_ball each sort it
     ud = diam(space, union)
     sd = smallest_ball(space, union).diameter
     # Levels of one space: equal ones are mostly one object, and `is` spares

@@ -13,7 +13,7 @@ import sys
 from json.encoder import encode_basestring_ascii as encode
 from operator import itemgetter
 
-from .ballean import hausdorff_balls
+from .ballean import _MAX_DEPTH, hausdorff_balls
 from .core import (
     BadParamsError,
     Ball,
@@ -26,7 +26,6 @@ from .core import (
     require_canonical,
     smallest_ball,
     space_from_json_dict,
-    space_to_json_dict,
 )
 from .dendrogram import are_isometric, ballean_ranks, ballean_tree, build_dendrogram, format_dendrogram
 from .dlps import (
@@ -59,18 +58,16 @@ def _load_space(path: str) -> FiniteUltrametricSpace:
 
 
 def _emit(payload: dict[str, object], out: str | None) -> None:
-    """Write ``json.dumps(payload, indent=2)`` and a newline, where a space
-    stands for its matrix of exact strings, and a pair ``(strings, rows)``
-    for the lists of ``strings`` that the index rows ``rows`` pick.
+    """Write ``json.dumps(payload, indent=2)`` and a newline, where a pair
+    ``(strings, rows)`` stands for the lists of ``strings`` that the index
+    rows ``rows`` pick.
 
-    Both are written from their indices, each string encoded once and each
+    A pair is written from its indices, each string encoded once and each
     row one getter and one ``str.join``: given an indent, ``json.dumps`` runs
     its pure-Python encoder, which costs more per cell.
     """
     items = []
     for key, value in payload.items():
-        if isinstance(value, FiniteUltrametricSpace):
-            value = list(map(rational_str, value.levels)), value.ranks
         if type(value) is tuple:
             strings = list(map(encode, value[0]))
             # The repeated index makes a 1-element row's getter return a tuple.
@@ -107,8 +104,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_ballean(args: argparse.Namespace) -> int:
     space = _load_space(args.space)
-    if not 1 <= args.iterate <= 3:
-        raise BadParamsError(f"--iterate must be between 1 and 3, got {args.iterate}")
+    if not 1 <= args.iterate <= _MAX_DEPTH:
+        raise BadParamsError(f"--iterate must be between 1 and {_MAX_DEPTH}, got {args.iterate}")
     base = build_dendrogram(space)
     for _ in range(args.iterate - 1):
         base = ballean_tree(base)
@@ -173,7 +170,8 @@ def _cmd_dlps_analyze(args: argparse.Namespace) -> int:
 def _cmd_dlps_sample(args: argparse.Namespace) -> int:
     space = dlps_from_json_dict(_load_json(args.dlps))
     sample = dlps_sample(space, args.n, args.cut)
-    _emit(space_to_json_dict(sample, matrix=sample), args.out)
+    levels = list(map(rational_str, sample.levels))
+    _emit({"labels": list(sample.labels), "matrix": (levels, sample.ranks)}, args.out)
     return 0
 
 

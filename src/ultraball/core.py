@@ -204,7 +204,7 @@ class FiniteUltrametricSpace:
         """Subspace on the given points, reindexed densely, labels kept."""
         idx = tuple(indices)
         rows = tuple(tuple(self.ranks[p][q] for q in idx) for p in idx)
-        return _over_levels_of(self, tuple(self.labels[p] for p in idx), rows)
+        return _over_levels_of(self.levels, tuple(self.labels[p] for p in idx), rows)
 
     @cached_property
     def ball_table(self) -> "BallTable":
@@ -379,16 +379,16 @@ def _parse_space(
 
 
 def _over_levels_of(
-    base: FiniteUltrametricSpace, labels: tuple[str, ...], ranks: tuple[tuple[int, ...], ...]
+    levels: tuple[Fraction, ...], labels: tuple[str, ...], ranks: Sequence[Sequence[int]]
 ) -> FiniteUltrametricSpace:
-    """The space with these ranks into ``base.levels``, less the levels the
-    ranks leave unused (0 stays), so that the triple stays canonical."""
-    kept = sorted(set().union(*ranks, (base.zero,)))
-    if len(kept) == len(base.levels):
-        return FiniteUltrametricSpace(labels, base.levels, ranks)
+    """The space with these ranks into ``levels``, less the levels the ranks
+    leave unused (0 stays), so that the triple stays canonical."""
+    kept = sorted(set().union(*ranks, (levels.index(ZERO),)))
+    if len(kept) == len(levels):
+        return FiniteUltrametricSpace(labels, levels, tuple(map(tuple, ranks)))
     new = {k: i for i, k in enumerate(kept)}
     rows = tuple(tuple(map(new.__getitem__, row)) for row in ranks)
-    return FiniteUltrametricSpace(labels, tuple(base.levels[k] for k in kept), rows)
+    return FiniteUltrametricSpace(labels, tuple(levels[k] for k in kept), rows)
 
 
 def space_violation(space: FiniteUltrametricSpace) -> UltrametricViolation | None:
@@ -592,12 +592,10 @@ def ball_labels(labels: Sequence[str], balls: Iterable[tuple[int, ...]]) -> tupl
     return tuple(out)
 
 
-def space_to_json_dict(space: FiniteUltrametricSpace, matrix: object = None) -> dict:
-    """JSON form: {"labels": [...], "matrix": [[exact strings]]}.  A writer
-    that writes the matrix from ranks passes the space as ``matrix``."""
-    if matrix is None:
-        text = [rational_str(v) for v in space.levels]
-        matrix = [list(map(text.__getitem__, row)) for row in space.ranks]
+def space_to_json_dict(space: FiniteUltrametricSpace) -> dict:
+    """JSON form: {"labels": [...], "matrix": [[exact strings]]}."""
+    text = [rational_str(v) for v in space.levels]
+    matrix = [list(map(text.__getitem__, row)) for row in space.ranks]
     return {"labels": list(space.labels), "matrix": matrix}
 
 

@@ -27,6 +27,7 @@ from .core import (
     Merge,
     Node,
     RationalLike,
+    _over_levels_of,
     ball_labels,
     parse_rational,
     rational_str,
@@ -35,7 +36,6 @@ from .core import (
 CanonicalCode = str
 Members = tuple[int, ...]
 T = TypeVar("T")
-Checked = tuple[list[int], str | None, str | None]  # leaves, own fault, first fault below
 
 
 def _fold(root: Node, leaf: Callable[[Leaf], T], merge: Callable[[Merge, list[T]], T]) -> T:
@@ -86,26 +86,22 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
     Raises MalformedTreeError on unary internal nodes, non-decreasing
     levels, leaf indices that are not exactly 0..n-1, or repeated labels.
     """
-    found = {ZERO}
-
-    def check(node: Merge, parts: list[Checked]) -> Checked:
-        """The subtree's leaves, left to right, the node's own fault, and the
-        first fault below it in pre-order: a child's level is checked against
-        this node's after the child's own checks and before its subtree."""
+    found, leaves, todo = {ZERO}, [], [(d.root, None)]
+    while todo:  # pre-order on a stack: each node is checked before its subtree
+        node, above = todo.pop()
+        if isinstance(node, Leaf):
+            leaves.append(node.point)
+            continue
+        if len(node.children) < 2:
+            raise MalformedTreeError("internal nodes need at least two children")
+        if node.level <= 0:
+            raise MalformedTreeError(f"levels must be positive, got {node.level}")
+        if above is not None and node.level >= above:
+            raise MalformedTreeError(
+                f"levels must strictly decrease from the root: {node.level} under {above}"
+            )
         found.add(node.level)
-        below = None
-        for child, (_, fault, sub) in zip(node.children, parts):
-            if fault is None and not isinstance(child, Leaf) and child.level >= node.level:
-                fault = f"levels must strictly decrease from the root: {child.level} under {node.level}"
-            if below := fault or sub:
-                break
-        own = ("internal nodes need at least two children" if len(parts) < 2
-               else f"levels must be positive, got {node.level}" if node.level <= 0 else None)
-        return [x for leaves, _, _ in parts for x in leaves], own, below
-
-    leaves, own, below = _fold(d.root, lambda node: ([node.point], None, None), check)
-    if own or below:
-        raise MalformedTreeError(own or below)
+        todo.extend((child, node.level) for child in reversed(node.children))
     n = len(leaves)
     if sorted(leaves) != list(range(n)):
         raise MalformedTreeError(f"leaf indices must be exactly 0..{n - 1}, got {sorted(leaves)}")
@@ -300,11 +296,7 @@ def random_space(
         _grow(random.Random(seed), list(range(n)), len(pool), rows)
         for p in range(n):
             rows[p][p] = 0
-    # Rank k stands for levels[k]; keep 0 and the levels some node drew.
-    levels, used = (ZERO, *pool), sorted(set().union(*rows))
-    renumber = {k: i for i, k in enumerate(used)}
-    ranks = tuple(tuple(map(renumber.__getitem__, row)) for row in rows)
-    return FiniteUltrametricSpace(labels, tuple(map(levels.__getitem__, used)), ranks)
+    return _over_levels_of((ZERO, *pool), labels, rows)  # rank k stands for (0, *pool)[k]
 
 
 def random_binary_space(seed: int, n: int) -> FiniteUltrametricSpace:

@@ -200,7 +200,7 @@ def _mask(members: tuple[int, ...]) -> int:
 def _body_h3(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
     balls = enumerate_ballean(space)
     masks = [_mask(b.members) for b in balls]
-    mask_of = dict(zip((b.members for b in balls), masks))
+    index = {b.members: i for i, b in enumerate(balls)}
     # The balls containing each ball, as a bitmask of indices: a ball
     # contains b1 | b2 iff it contains both.
     sup = [sum(1 << i for i, t in enumerate(masks) if s & t == s) for s in masks]
@@ -209,18 +209,20 @@ def _body_h3(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
         h = hausdorff_balls(space, b1, b2)
         if value is not h and value != h:
             return f"smallest-ball diameter != Hausdorff distance for {b1.members}, {b2.members}"
-        star = mask_of.get(bstar.members) or _mask(bstar.members)
+        s = index.get(bstar.members)
+        if s is None:  # not a table ball: its mask and the balls above it, built here
+            star = _mask(bstar.members)
+            above = sum(1 << i for i, t in enumerate(masks) if star & t == star)
+        else:
+            star, above = masks[s], sup[s]
         if (masks[i1] | masks[i2]) & ~star:
             return f"smallest ball does not contain the union for {b1.members}, {b2.members}"
-        common = sup[i1] & sup[i2]
-        while common:  # in ascending index order
-            i = (common & -common).bit_length() - 1
-            if star & ~masks[i]:
-                return (
-                    f"ball {balls[i].members} contains the union of {b1.members} and "
-                    f"{b2.members} but not their smallest ball"
-                )
-            common &= common - 1
+        if missed := sup[i1] & sup[i2] & ~above:  # its lowest bit is the first such ball
+            i = (missed & -missed).bit_length() - 1
+            return (
+                f"ball {balls[i].members} contains the union of {b1.members} and "
+                f"{b2.members} but not their smallest ball"
+            )
     return None
 
 

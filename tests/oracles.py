@@ -14,7 +14,7 @@ The H3 and H9 bodies that test containment on Python sets, the pairwise
 ``ballean_space`` fill and the per-call level-pool parse are the routes
 that bitmasks, one ``map`` per row and a small cache replaced.  The two generators build a merge tree and read the space off it, as they
 did before they filled ranks while drawing.  The tree walks after them are
-the recursive ones, one interpreter frame per level, that one iterative fold
+the recursive ones, one interpreter frame per level, that iterative walks
 replaced.  The tail walks at the very end are the ones repeated squaring
 replaced: they visit every term in turn.
 """
@@ -495,7 +495,7 @@ def ballean_space_pairwise_reference(space: FiniteUltrametricSpace) -> FiniteUlt
         top, at = tops[i], ranks[firsts[i]]
         for j in range(i + 1, m):
             rows[i][j] = rows[j][i] = max(top, tops[j], at[firsts[j]])
-    return _over_levels_of(space, labels, tuple(map(tuple, rows)))
+    return _over_levels_of(space.levels, labels, tuple(map(tuple, rows)))
 
 
 def parse_pool_reference(level_pool: Sequence[RationalLike]) -> list[Fraction]:

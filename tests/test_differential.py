@@ -603,6 +603,9 @@ def _malformed_trees():
         (Merge(f(1), (Leaf(0), Leaf(1))), ("a", "a", "a")),
         (Merge(f(1), (Merge(f(1), (leaf, Leaf(1))), leaf)), ("a", "b")),
         (Merge(f(1), (Merge(f(1), ()), Leaf(0))), ("a",)),
+        # The first fault in pre-order comes before a subtree whose level
+        # cannot be compared at all.
+        (Merge(1, (Merge(1, (Leaf(0), Leaf(1))), Merge(None, (Leaf(2), Leaf(3))))), tuple("abcd")),
     ]
     # 900 deep: a level too high at point 5 and a zero level at point 700,
     # which comes first in pre-order; a one-child merge at point 3.
