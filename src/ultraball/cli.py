@@ -95,9 +95,9 @@ def _resolve_ball(space: FiniteUltrametricSpace, members: str) -> Ball:
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
         space = _load_space(args.space)
-    except UltrametricViolation as violation:
+    except UltrametricViolation as violation:  # its witness on stdout, and the error on stderr
         print(json.dumps(violation.to_json_dict(), indent=2))
-        return 1
+        raise
     print(json.dumps({"ok": True, "points": space.n, "labels": list(space.labels)}, indent=2))
     return 0
 
@@ -194,7 +194,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         replay = [e.get("space", e) if isinstance(e, dict) else e for e in entries]
     report = run_suite(_config_from_args(args), replay_spaces=replay)
     _emit(report.to_json_dict(), args.out)
-    return 0 if report.passed else 1
+    if report.passed:
+        return 0
+    failing = ", ".join(c.check_id for c in report.checks if c.failures)
+    return _fail({"error": "ChecksFailed", "message": f"failing checks: {failing}"})
 
 
 def _cmd_probe_q63(args: argparse.Namespace) -> int:
@@ -296,6 +299,11 @@ def cli_main(argv: list[str] | None = None) -> int:
         payload = {"error": name, "message": str(exc)}
     except MemoryError as exc:  # e.g. ballean --iterate 3, whose labels grow with each level
         payload = {"error": "MemoryError", "message": str(exc)}
+    return _fail(payload)
+
+
+def _fail(payload: dict) -> int:
+    """Write an exit-1 error, ``{"error": ..., "message": ...}``, to stderr."""
     print(json.dumps(payload, indent=2), file=sys.stderr)
     return 1
 

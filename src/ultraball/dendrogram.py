@@ -10,7 +10,6 @@ fill the rank matrix as they go, so they build no tree objects.
 
 from __future__ import annotations
 
-import functools
 import random
 from fractions import Fraction
 from itertools import chain, combinations
@@ -228,19 +227,8 @@ def format_dendrogram(d: Dendrogram) -> str:
 
 
 def _parse_pool(level_pool: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-    """The pool's distinct levels, sorted.  The last 16 distinct pools are
-    kept, keyed by each value with its type, since 1, True, 1.0 and "1" parse
-    differently; a pool holding an unhashable value is parsed on each call."""
-    key = tuple((type(v), v) for v in level_pool)
-    try:
-        return _parse_pool_key(key)
-    except TypeError:  # an unhashable value, which parse_rational names
-        return _parse_pool_key.__wrapped__(key)
-
-
-@functools.lru_cache(maxsize=16)
-def _parse_pool_key(key: tuple[tuple[type, RationalLike], ...]) -> tuple[Fraction, ...]:
-    pool = sorted({parse_rational(v) for _, v in key})
+    """The pool's distinct levels, sorted."""
+    pool = sorted({parse_rational(v) for v in level_pool})
     if not pool:
         raise BadParamsError("level pool must be nonempty")
     if pool[0] <= 0:
@@ -289,7 +277,11 @@ def random_space(
     """
     if n < 1:
         raise BadParamsError("n must be at least 1")
-    pool = _parse_pool(level_pool)
+    return _random_space(seed, n, _parse_pool(level_pool))
+
+
+def _random_space(seed: int, n: int, pool: tuple[Fraction, ...]) -> FiniteUltrametricSpace:
+    """:func:`random_space` on a pool as :func:`_parse_pool` returns it, and n >= 1."""
     labels = tuple(f"p{i}" for i in range(n))
     rows = [[0] * n for _ in range(n)]
     if n > 1:

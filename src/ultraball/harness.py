@@ -42,7 +42,7 @@ from .core import (
     space_violation,
     validate_ultrametric,
 )
-from .dendrogram import are_isometric, build_dendrogram, is_binary, node_leaf_sets, random_space
+from .dendrogram import _parse_pool, _random_space, are_isometric, build_dendrogram, is_binary, node_leaf_sets
 from .dlps import (
     DlpsSpace,
     Singleton,
@@ -59,9 +59,7 @@ from .dlps import (
     dlps_space,
 )
 
-DEFAULT_LEVEL_POOL: tuple[Fraction, ...] = tuple(
-    parse_rational(v) for v in ("1", "3/2", "2", "3", "7/2", "4")
-)
+DEFAULT_LEVEL_POOL: tuple[Fraction, ...] = _parse_pool(("1", "3/2", "2", "3", "7/2", "4"))
 
 
 @dataclass(frozen=True)
@@ -146,11 +144,11 @@ def _trial_rng(cfg: TrialConfig, check_id: str, trial: int) -> random.Random:
 
 
 def _trial_space(
-    cfg: TrialConfig, check_id: str, trial: int, max_points: int | None = None
+    cfg: TrialConfig, check_id: str, trial: int
 ) -> tuple[FiniteUltrametricSpace, random.Random]:
     rng = _trial_rng(cfg, check_id, trial)
-    n = rng.randint(1, max_points if max_points is not None else cfg.max_points)
-    return random_space(rng.getrandbits(63), n, DEFAULT_LEVEL_POOL), rng
+    n = rng.randint(1, cfg.max_points)
+    return _random_space(rng.getrandbits(63), n, DEFAULT_LEVEL_POOL), rng
 
 
 def _failure(trial: int, detail: str, space: FiniteUltrametricSpace | None = None, **extra) -> dict:
@@ -281,46 +279,17 @@ def _body_h9(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
     return None
 
 
-# H11 scans all 2^m subsets of an m-ball ballean, so its cost doubles per
-# ball (about 2 ms at 11 balls and 45 ms at 15 on a 2-vCPU machine).
-# _SMALL_SPACE_CHECKS keeps generated spaces under the limit; this guard
-# covers replayed ones.
-_H11_MAX_BALLS = 11
-
-
 def _body_h11(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
+    # With every two balls at a positive distance, each subset is its own
+    # isolated set and has no accumulation points, so the two partition it
+    # and only the whole ballean is dense and discrete.  A pair at a rank
+    # that is zero, or not above it, breaks that for the subset it forms.
     bspace = ballean_space(space)
-    m = bspace.n
-    if m > _H11_MAX_BALLS:
-        return f"ballean has {m} balls, over the H11 subset-scan limit of {_H11_MAX_BALLS}"
-    zero, full = bspace.zero, (1 << m) - 1
-    # Subsets are bitmasks.  Per ball: its bit; itself with the balls above
-    # rank zero from it, which holds every subset it is isolated in; and the
-    # other balls at rank zero, the least a Hausdorff distance takes, which
-    # every subset it accumulates at meets.
-    masks = [
-        (1 << s, sum(1 << t for t, k in enumerate(row) if t == s or k > zero),
-         sum(1 << t for t, k in enumerate(row) if t != s and k == zero))
-        for s, row in enumerate(bspace.ranks)
-    ]
-    dense_discrete = 0
-    for bits in range(1, full + 1):
-        iso = acc = 0
-        for bit, inside, meets in masks:
-            if bits & bit and bits & inside == bits:
-                iso |= bit
-            if bits & meets:
-                acc |= bit
-        dense = bits == full  # in a finite space only the whole set is dense
-        if iso & acc or ((iso | acc) == full) != dense:
-            subset = [s for s in range(m) if bits >> s & 1]
-            if iso & acc:
-                return f"iso and acc intersect for subset {subset}"
-            return f"iso+acc covers the space but subset {subset} is not dense"
-        if dense and iso == bits:
-            dense_discrete += 1
-    if dense_discrete != 1:
-        return f"dense discrete subsets are not unique: {dense_discrete} found"
+    zero = bspace.zero
+    for s, row in enumerate(bspace.ranks):
+        for t, k in enumerate(row):
+            if t != s and (k == zero or not k > zero):
+                return f"balls {s} and {t} of the ballean are not at a positive distance"
     # The unique dense discrete subset is the positive-radius ball family:
     # b0_set raises unless that family is the whole ballean.
     b0_set(space)
@@ -350,9 +319,6 @@ _PER_SPACE_BODIES = {
     "H12": _body_h12,
 }
 
-# Checks whose instances are small by design (exhaustive subset scans).
-_SMALL_SPACE_CHECKS = {"H11": 4}
-
 
 def _run_per_space_check(
     check_id: str,
@@ -361,17 +327,15 @@ def _run_per_space_check(
     replay: list[tuple[FiniteUltrametricSpace, UltrametricViolation | None]] | None,
 ) -> None:
     body = _PER_SPACE_BODIES[check_id]
-    cap = _SMALL_SPACE_CHECKS.get(check_id)
     sizes: list[int] = []
     # Generators, so a generated space and its caches go once its trial ends.
     if replay is not None:
         instances = ((t, s, v, _trial_rng(cfg, check_id, t)) for t, (s, v) in enumerate(replay))
     else:
-        max_points = min(cfg.max_points, cap) if cap else None
         instances = (
             (trial, space, None, rng)
             for trial in range(cfg.trials)
-            for space, rng in [_trial_space(cfg, check_id, trial, max_points)]
+            for space, rng in [_trial_space(cfg, check_id, trial)]
         )
     for trial, space, violation, rng in instances:
         outcome.trials += 1

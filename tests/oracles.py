@@ -10,10 +10,12 @@ distances themselves, never their ranks.  The two split routes are the
 recursive tree builder and the accepting walk that one iterative split on
 the space replaced.  The rational parser reads every string through
 ``Fraction``'s own parser, as it did before digit-only text got a shortcut.
-The H3 and H9 bodies that test containment on Python sets, the pairwise
-``ballean_space`` fill and the per-call level-pool parse are the routes
-that bitmasks, one ``map`` per row and a small cache replaced.  The two generators build a merge tree and read the space off it, as they
-did before they filled ranks while drawing.  The tree walks after them are
+The H3 and H9 bodies that test containment on Python sets and the pairwise
+``ballean_space`` fill are the routes that bitmasks and one ``map`` per row
+replaced.  The H11 body scans every subset of the ballean, where the library
+reads a closed form off the pairs of balls.  The level-pool parse feeds the
+two generators after it, which build a merge tree and read the space off it,
+as the library did before it filled ranks while drawing.  The tree walks after them are
 the recursive ones, one interpreter frame per level, that iterative walks
 replaced.  The tail walks at the very end are the ones repeated squaring
 replaced: they visit every term in turn.
@@ -56,7 +58,6 @@ from ultraball.core import (
     parse_rational,
     rational_str,
 )
-from ultraball.harness import _H11_MAX_BALLS
 from ultraball.dendrogram import (
     Dendrogram,
     Leaf,
@@ -403,13 +404,18 @@ def body_h3_reference(space: FiniteUltrametricSpace, rng=None) -> str | None:
     return None
 
 
+# The subset scan below doubles its work with each ball.
+H11_SCAN_MAX_BALLS = 11
+
+
 def body_h11_reference(space: FiniteUltrametricSpace, rng=None) -> str | None:
-    """H11's body as it built every subset as a frozenset and its isolated
-    and accumulation points as sets: the scan that bitmasks replaced."""
+    """H11 from its definitions: every subset as a frozenset, and its
+    isolated and accumulation points as sets.  The library decides it by a
+    closed form over pairs of balls."""
     bspace = ballean_space(space)
     m = bspace.n
-    if m > _H11_MAX_BALLS:
-        return f"ballean has {m} balls, over the H11 subset-scan limit of {_H11_MAX_BALLS}"
+    if m > H11_SCAN_MAX_BALLS:
+        return f"ballean has {m} balls, over the H11 subset-scan limit of {H11_SCAN_MAX_BALLS}"
     universe = set(range(m))
     ranks, zero = bspace.ranks, bspace.zero
 
@@ -499,8 +505,7 @@ def ballean_space_pairwise_reference(space: FiniteUltrametricSpace) -> FiniteUlt
 
 
 def parse_pool_reference(level_pool: Sequence[RationalLike]) -> list[Fraction]:
-    """A level pool parsed afresh on every call, as the generators did before
-    they kept the last few pools."""
+    """A level pool's distinct values, sorted, parsed afresh on every call."""
     pool = sorted({parse_rational(v) for v in level_pool})
     if not pool:
         raise BadParamsError("level pool must be nonempty")

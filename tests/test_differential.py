@@ -10,6 +10,7 @@ on generated spaces.
 """
 
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import combinations, product
@@ -70,7 +71,7 @@ from ultraball.core import (
     smallest_ball,
 )
 from ultraball import dendrogram, harness
-from ultraball.harness import _H11_MAX_BALLS, _body_h3, _body_h9, _body_h11
+from ultraball.harness import _body_h3, _body_h9, _body_h11
 from ultraball.dendrogram import (
     Dendrogram,
     Leaf,
@@ -472,10 +473,13 @@ def test_random_binary_space_fills_the_ranks_of_the_tree_route():
 
 
 def _h11_outcomes(spaces):
+    """The reference's outcomes, asserting that the library passes exactly
+    where the reference does and that each library failure names a pair."""
     outcomes = []
     for space in spaces:
-        expected = body_h11_reference(space)
-        assert _body_h11(space, random.Random(0)) == expected
+        expected, got = body_h11_reference(space), _body_h11(space, random.Random(0))
+        assert (got is None) == (expected is None), (got, expected)
+        assert got is None or re.fullmatch(r"balls \d+ and \d+ of the ballean are not at a positive distance", got)
         outcomes.append(expected)
     return outcomes
 
@@ -484,18 +488,16 @@ def _replayed(space):
     return _space([[str(v) for v in row] for row in space.dist])
 
 
-def test_h11_bitmasks_match_the_subset_scan():
+def test_h11_closed_form_matches_the_subset_scan():
     generated = [random_space(seed, 1 + seed % 4, POOL) for seed in range(120)]
     generated += [random_binary_space(seed, n) for seed in range(5) for n in (1, 2, 3, 4)]
     assert _h11_outcomes(generated) == [None] * len(generated)
     candidates = [random_space(seed, n, POOL) for seed in range(12) for n in range(5, 11)]
-    replays = [_replayed(s) for s in candidates if len(enumerate_ballean(s)) <= _H11_MAX_BALLS]
+    replays = [_replayed(s) for s in candidates if len(enumerate_ballean(s)) <= oracles.H11_SCAN_MAX_BALLS]
     assert {len(enumerate_ballean(s)) for s in replays} >= {9, 10, 11}
     assert _h11_outcomes(replays) == [None] * len(replays)
-    over = _replayed(random_binary_space(0, 7))  # 13 balls
-    assert _h11_outcomes([over]) == [
-        f"ballean has 13 balls, over the H11 subset-scan limit of {_H11_MAX_BALLS}"
-    ]
+    # Past the reference's scan limit the closed form still decides.
+    assert _body_h11(_replayed(random_binary_space(0, 7)), random.Random(0)) is None  # 13 balls
 
 
 class _ZeroAndAbove(int):
@@ -511,7 +513,7 @@ class _ZeroAndAbove(int):
     __hash__ = int.__hash__
 
 
-def test_h11_bitmasks_match_the_subset_scan_on_crafted_balleans(monkeypatch):
+def test_h11_closed_form_matches_the_subset_scan_on_crafted_balleans(monkeypatch):
     # Every 2- and 3-ball matrix over ranks below, at and above zero (rank 1
     # of the levels -1, 0, 1), plus one rank that is both, as the ballean of
     # a one-point space.
@@ -759,14 +761,13 @@ PARSE_POOLS = [
 
 
 def test_random_space_matches_the_per_call_pool_parse():
-    for _ in range(2):  # the second pass reads every pool from the cache
-        for pool in PARSE_POOLS:
-            got = _outcome(lambda: tuple(_parse_pool(pool)))
-            assert got == _outcome(lambda: tuple(oracles.parse_pool_reference(pool))), pool
-            for seed in range(6):
-                n = 1 + seed * 3
-                expected = _outcome(random_space_reference, seed, n, pool)
-                assert _outcome(random_space, seed, n, pool) == expected, (pool, seed)
+    for pool in PARSE_POOLS:
+        got = _outcome(lambda: tuple(_parse_pool(pool)))
+        assert got == _outcome(lambda: tuple(oracles.parse_pool_reference(pool))), pool
+        for seed in range(6):
+            n = 1 + seed * 3
+            expected = _outcome(random_space_reference, seed, n, pool)
+            assert _outcome(random_space, seed, n, pool) == expected, (pool, seed)
 
 
 def test_a_suite_run_parses_the_default_pool_at_most_once(monkeypatch):
@@ -777,10 +778,9 @@ def test_a_suite_run_parses_the_default_pool_at_most_once(monkeypatch):
         return parse_rational(value)
 
     monkeypatch.setattr(dendrogram, "parse_rational", counting)
-    dendrogram._parse_pool_key.cache_clear()
     report = harness.run_suite(harness.TrialConfig(trials=20))
     assert report.passed
-    assert calls == list(harness.DEFAULT_LEVEL_POOL)  # one parse of each level
+    assert calls == []  # the harness parsed it once, on import
 
 
 def test_level_comparisons_test_identity_then_value(monkeypatch):
