@@ -190,8 +190,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     replay = None
     if args.replay:
         loaded = _load_json(args.replay)
-        entries = loaded if isinstance(loaded, list) else [loaded]
-        replay = [e.get("space", e) if isinstance(e, dict) else e for e in entries]
+        replay = loaded if isinstance(loaded, list) else [loaded]
     report = run_suite(_config_from_args(args), replay_spaces=replay)
     _emit(report.to_json_dict(), args.out)
     if report.passed:
@@ -270,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_suite_flags(p)
     p.add_argument("--checks", default=None, metavar="H1,H2,...")
     p.add_argument("--replay", default=None, metavar="FILE",
-                   help="run the checks on serialized spaces instead of generated ones")
+                   help="run the checks on failure records or spaces instead of generated ones")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("probe-q63", help="finite search for a space isometric to its ballean")

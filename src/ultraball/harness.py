@@ -2,9 +2,11 @@
 
 Each check verifies one exact structural property of balleans on randomly
 generated spaces (plus fixed symbolic instances).  Everything is driven by
-a master seed through per-check substreams, so identical configurations
-yield identical reports, and every failure record carries a serialized
-instance that reproduces the failure on its own.
+a master seed through substreams: each trial draws one space, which every
+per-space check reads, and each check body draws from its own (check,
+trial) stream.  So identical configurations yield identical reports, and
+every failure record carries its trial and a serialized instance that
+reproduce the failure on its own.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 from .ballean import (
     b0_set,
@@ -30,6 +32,7 @@ from .ballean import (
 )
 from .core import (
     ZERO,
+    BadParamsError,
     ConfigError,
     FiniteUltrametricSpace,
     UltraballError,
@@ -79,7 +82,8 @@ class TrialConfig:
             raise ConfigError(f"unknown checks: {unknown}; known: {sorted(CHECKS)}")
 
     def selected_checks(self) -> tuple[str, ...]:
-        return self.checks or tuple(CHECKS)
+        """The checks to run, each once, in first-seen order."""
+        return tuple(dict.fromkeys(self.checks)) or tuple(CHECKS)
 
     def to_json_dict(self) -> dict:
         return {
@@ -139,19 +143,17 @@ def _substream(seed: int, *parts: object) -> int:
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
 
 
-def _trial_rng(cfg: TrialConfig, check_id: str, trial: int) -> random.Random:
-    return random.Random(_substream(cfg.seed, check_id, trial))
+def _trial_rng(cfg: TrialConfig, stream: str, trial: int) -> random.Random:
+    return random.Random(_substream(cfg.seed, stream, trial))
 
 
-def _trial_space(
-    cfg: TrialConfig, check_id: str, trial: int
-) -> tuple[FiniteUltrametricSpace, random.Random]:
-    rng = _trial_rng(cfg, check_id, trial)
+def _trial_space(cfg: TrialConfig, stream: str, trial: int) -> FiniteUltrametricSpace:
+    rng = _trial_rng(cfg, stream, trial)
     n = rng.randint(1, cfg.max_points)
-    return _random_space(rng.getrandbits(63), n, DEFAULT_LEVEL_POOL), rng
+    return _random_space(rng.getrandbits(63), n, DEFAULT_LEVEL_POOL)
 
 
-def _failure(trial: int, detail: str, space: FiniteUltrametricSpace | None = None, **extra) -> dict:
+def _failure(trial: int | str, detail: str, space: FiniteUltrametricSpace | None = None, **extra) -> dict:
     record: dict = {"trial": trial, "detail": detail}
     if space is not None:
         record["space"] = space_to_json_dict(space)
@@ -320,41 +322,6 @@ _PER_SPACE_BODIES = {
 }
 
 
-def _run_per_space_check(
-    check_id: str,
-    cfg: TrialConfig,
-    outcome: CheckOutcome,
-    replay: list[tuple[FiniteUltrametricSpace, UltrametricViolation | None]] | None,
-) -> None:
-    body = _PER_SPACE_BODIES[check_id]
-    sizes: list[int] = []
-    # Generators, so a generated space and its caches go once its trial ends.
-    if replay is not None:
-        instances = ((t, s, v, _trial_rng(cfg, check_id, t)) for t, (s, v) in enumerate(replay))
-    else:
-        instances = (
-            (trial, space, None, rng)
-            for trial in range(cfg.trials)
-            for space, rng in [_trial_space(cfg, check_id, trial)]
-        )
-    for trial, space, violation, rng in instances:
-        outcome.trials += 1
-        sizes.append(space.n)
-        if violation is not None:  # every check states a theorem about ultrametric spaces
-            detail = f"input space invalid: {violation.to_json_dict()}"
-        else:
-            try:
-                detail = body(space, rng)
-            except (UltraballError, AssertionError) as exc:
-                detail = f"{type(exc).__name__}: {exc}"
-        if detail is not None:
-            outcome.failures.append(_failure(trial, detail, space))
-    if sizes:
-        outcome.stats["max_space_size"] = max(sizes)
-    if check_id == "H12" and replay is None and not outcome.failures:
-        outcome.stats.update(iterated_sizes_recorded=True, largest_base_size=max(sizes))
-
-
 def _run_h8(cfg: TrialConfig, outcome: CheckOutcome) -> None:
     top = max(2, min(10, cfg.max_points)) if cfg.max_points >= 2 else 1
     for n, t in product(range(1, top + 1), (Fraction(1), Fraction(3, 2))):
@@ -405,7 +372,7 @@ def _run_h10(cfg: TrialConfig, outcome: CheckOutcome) -> None:
         try:
             report = dlps_ballean_analysis(space)
         except AssertionError as exc:
-            outcome.failures.append({"trial": name, "detail": str(exc), "dlps": space.to_json_dict()})
+            outcome.failures.append(_failure(name, str(exc), dlps=space.to_json_dict()))
             continue
         expected = _DLPS_EXPECTED[name]
         got = (
@@ -452,9 +419,7 @@ def _run_h10(cfg: TrialConfig, outcome: CheckOutcome) -> None:
                 if sampled_min != dlps_min_positive_distance(space):
                     problems.append("sampled min positive distance != symbolic second-smallest")
         if problems:
-            outcome.failures.append(
-                {"trial": name, "detail": "; ".join(problems), "dlps": space.to_json_dict()}
-            )
+            outcome.failures.append(_failure(name, "; ".join(problems), dlps=space.to_json_dict()))
 
 
 CHECKS: dict[str, str] = {
@@ -481,37 +446,72 @@ CHECKS: dict[str, str] = {
 }
 
 
-def run_suite(
-    config: TrialConfig, replay_spaces: list[dict] | None = None
-) -> CheckReport:
+# Checks that build their own instances and read no trial space.
+_RUNNERS = {"H8": _run_h8, "H10": _run_h10}
+
+
+def _replay_instance(
+    position: int, entry: dict
+) -> tuple[int, FiniteUltrametricSpace, UltrametricViolation | None]:
+    """A failure record, at its trial, or a bare space, at its position."""
+    trial = position
+    if isinstance(entry, dict) and "space" in entry:
+        trial, entry = entry.get("trial", position), entry["space"]
+        if type(trial) is not int:
+            raise BadParamsError(f"replay entry {position}: trial must be an integer")
+    space = _parse_space_json(entry)
+    return trial, space, space_violation(space)
+
+
+def run_suite(config: TrialConfig, replay_spaces: list[dict] | None = None) -> CheckReport:
     """Run the selected checks and collect a deterministic report.
 
-    ``replay_spaces`` bypasses generation: each listed space is parsed and
-    validated once, then fed to every selected per-space check.  A space
-    that is not ultrametric fails each of them with its first violation,
+    Each trial draws one space from the shared "verify" stream, and every
+    selected per-space check runs on it; a check's ``elapsed_s`` is the time
+    spent in its bodies.  ``replay_spaces`` (failure records or bare spaces)
+    replaces the drawn spaces, each parsed and validated once.  A space that
+    is not ultrametric fails every per-space check with its first violation,
     and no check body runs on it; when no per-space check is selected, its
     violation is raised.
     """
-    replay = None
+    outcomes = {c: CheckOutcome(c, CHECKS[c]) for c in config.selected_checks()}
+    bodies = [(c, _PER_SPACE_BODIES[c], o) for c, o in outcomes.items() if c in _PER_SPACE_BODIES]
+    # Generators, so one space and its caches are alive at a time.
     if replay_spaces is not None:
-        replay = [(s, space_violation(s)) for s in map(_parse_space_json, replay_spaces)]
-        first = next((v for _, v in replay if v is not None), None)
-        if first is not None and _PER_SPACE_BODIES.keys().isdisjoint(config.selected_checks()):
-            raise first  # no selected check reads the replay to report it
+        instances = map(_replay_instance, count(), replay_spaces)
+    else:
+        trials = range(config.trials if bodies else 0)
+        instances = ((t, _trial_space(config, "verify", t), None) for t in trials)
+    largest = 0
+    for trial, space, violation in instances:
+        if violation is not None and not bodies:
+            raise violation  # no selected check reads the replay to report it
+        largest = max(largest, space.n)
+        for check_id, body, outcome in bodies:
+            outcome.trials += 1
+            if violation is not None:  # every check states a theorem about ultrametric spaces
+                detail = f"input space invalid: {violation.to_json_dict()}"
+            else:
+                start = time.perf_counter()
+                try:
+                    detail = body(space, _trial_rng(config, check_id, trial))
+                except (UltraballError, AssertionError) as exc:
+                    detail = f"{type(exc).__name__}: {exc}"
+                outcome.elapsed_s += time.perf_counter() - start
+            if detail is not None:
+                outcome.failures.append(_failure(trial, detail, space))
+    for check_id, _, outcome in bodies:
+        if largest:
+            outcome.stats["max_space_size"] = largest
+        if check_id == "H12" and replay_spaces is None and not outcome.failures:
+            outcome.stats.update(iterated_sizes_recorded=True, largest_base_size=largest)
 
-    outcomes = []
-    for check_id in config.selected_checks():
-        outcome = CheckOutcome(check_id, CHECKS[check_id])
-        start = time.perf_counter()
-        if check_id in _PER_SPACE_BODIES:
-            _run_per_space_check(check_id, config, outcome, replay)
-        elif check_id == "H8":
-            _run_h8(config, outcome)
-        elif check_id == "H10":
-            _run_h10(config, outcome)
-        outcome.elapsed_s = time.perf_counter() - start
-        outcomes.append(outcome)
-    return CheckReport(config, outcomes)
+    for check_id, run in _RUNNERS.items():
+        if check_id in outcomes:
+            start = time.perf_counter()
+            run(config, outcomes[check_id])
+            outcomes[check_id].elapsed_s = time.perf_counter() - start
+    return CheckReport(config, list(outcomes.values()))
 
 
 def _enumerate_small_spaces() -> list[FiniteUltrametricSpace]:
@@ -546,9 +546,7 @@ def probe_q63(config: TrialConfig) -> dict:
     one_point_isometric = None
 
     exhaustive = _enumerate_small_spaces()
-    randoms = [
-        _trial_space(config, "q63", trial)[0] for trial in range(config.trials)
-    ]
+    randoms = [_trial_space(config, "q63", trial) for trial in range(config.trials)]
     for space in exhaustive + randoms:
         bl = enumerate_ballean(space)
         bspace = ballean_space(space)

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from oracles import brute_isometric
+from ultraball import harness
 from ultraball.ballean import (
     ballean_space,
     enumerate_ballean,
@@ -21,8 +22,9 @@ from ultraball.ballean import (
     min_positive_distance,
 )
 from ultraball.cli import cli_main
-from ultraball.core import equidistant_space, find_violation, validate_ultrametric
+from ultraball.core import equidistant_space, find_violation, space_to_json_dict, validate_ultrametric
 from ultraball.dendrogram import (
+    _random_space,
     are_isometric,
     build_dendrogram,
     dendrogram_to_space,
@@ -254,8 +256,9 @@ def test_criterion_10_determinism(tmp_path, capsys):
     _verdict(10, "seeded verify runs are identical", problems)
 
 
-# The seed-42 report without its timings, as sha256 of its sorted JSON: any
-# drift in a generator's or a check's random stream changes it.
+# The seed-42 report without its timings, as sha256 of its sorted JSON.  A
+# passing report holds no spaces, so it pins the checks' verdicts and stats,
+# not their random streams: the trial spaces are pinned below.
 ACCEPTANCE_REPORT_SHA256 = "11c6c90b9b7d206dc823fc21127f21eb80b4bc2e17481895fd09df0e2e36a03a"
 
 
@@ -265,3 +268,26 @@ def test_criterion_11_acceptance_report_is_pinned(default_report):
         del entry["elapsed_s"]
     digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
     _verdict(11, "the acceptance report is unchanged", [] if digest == ACCEPTANCE_REPORT_SHA256 else [digest])
+
+
+# The 200 seed-42 trial spaces, each drawn once and read by every per-space
+# check, as sha256 of their JSON forms in trial order: any drift in the
+# generator or in the trial stream changes it.
+TRIAL_SPACES_SHA256 = "03c5c6ebfdab8a541b9e74c5b2109af94a6a9fbaf63c69585e4ac1a9d67902a1"
+
+
+def test_criterion_11_trial_spaces_are_pinned(monkeypatch):
+    drawn = []
+
+    def recording(*args):
+        space = _random_space(*args)
+        drawn.append(space_to_json_dict(space))
+        return space
+
+    monkeypatch.setattr(harness, "_random_space", recording)
+    report = harness.run_suite(harness.TrialConfig())
+    digest = hashlib.sha256(json.dumps(drawn, sort_keys=True).encode()).hexdigest()
+    problems = [] if report.passed and len(drawn) == 200 else [f"{len(drawn)} spaces drawn"]
+    if digest != TRIAL_SPACES_SHA256:
+        problems.append(digest)
+    _verdict(11, "the acceptance trial spaces are unchanged", problems)

@@ -18,7 +18,8 @@ from ultraball.core import (
     space_to_json_dict,
     validate_ultrametric,
 )
-from ultraball.dendrogram import random_binary_space, random_space
+from ultraball.ballean import family_diameters
+from ultraball.dendrogram import _random_space, random_binary_space, random_space
 from ultraball.harness import (
     _PER_SPACE_BODIES,
     CHECKS,
@@ -104,6 +105,67 @@ def test_failure_record_replays_in_isolation():
         TrialConfig(seed=99, trials=1, checks=("H2",)), replay_spaces=[record["space"]]
     )
     assert second.outcome("H2").failures[0]["detail"] == record["detail"]
+
+
+def test_a_replayed_record_keeps_its_trial():
+    corrupted = {"labels": ["a", "b", "c"], "matrix": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]}
+    report = run_suite(
+        TrialConfig(seed=1, trials=1, checks=("H2",)),
+        replay_spaces=[{"trial": 7, "space": corrupted}, {"space": corrupted}, corrupted],
+    )
+    # A record without a trial, like a bare space, takes its position.
+    assert [r["trial"] for r in report.outcome("H2").failures] == [7, 1, 2]
+    for trial in ("7", 7.0, True, None):
+        with pytest.raises(BadParamsError):
+            run_suite(TrialConfig(checks=("H2",)), replay_spaces=[{"trial": trial, "space": corrupted}])
+
+
+def test_a_replayed_h4_record_draws_the_families_of_its_generated_trial(monkeypatch):
+    calls = []
+
+    def recording(space, family):
+        calls.append((space_to_json_dict(space), [b.members for b in family]))
+        return family_diameters(space, family)
+
+    monkeypatch.setattr(harness, "family_diameters", recording)
+    run_suite(TrialConfig(seed=42, trials=5, checks=("H4",)))
+    before = len(calls)
+    run_suite(TrialConfig(seed=42, trials=6, checks=("H4",)))
+    generated = calls[2 * before:]  # trial 5: the first five trials repeat the first run
+    assert len(generated) == 50
+    calls.clear()
+    record = {"trial": 5, "space": generated[0][0]}
+    assert run_suite(TrialConfig(seed=42, checks=("H4",)), replay_spaces=[record]).passed
+    assert calls == generated
+
+
+def test_each_check_alone_matches_the_full_suite(monkeypatch):
+    # The checks share each trial's space and its caches; none may change
+    # what another sees.
+    drawn = []
+
+    def counting(*args):
+        drawn.append(args)
+        return _random_space(*args)
+
+    monkeypatch.setattr(harness, "_random_space", counting)
+    config = TrialConfig(seed=3, trials=8, max_points=9)
+    full = _timeless(run_suite(config))
+    assert len(drawn) == config.trials  # one space per trial, for every check
+    for entry in full["checks"]:
+        alone = _timeless(run_suite(TrialConfig(seed=3, trials=8, max_points=9, checks=(entry["id"],))))
+        assert alone["checks"] == [entry]
+
+
+def test_repeated_checks_run_once(capsys):
+    config = TrialConfig(seed=1, trials=2, max_points=4, checks=("H2", "H1", "H2", "H8", "H1"))
+    assert config.selected_checks() == ("H2", "H1", "H8")
+    report = run_suite(config)
+    assert [c.check_id for c in report.checks] == ["H2", "H1", "H8"]
+    assert [c.trials for c in report.checks] == [2, 2, 8]
+    assert cli_main(["verify", "--trials", "2", "--checks", "H1,H1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["config"]["checks"] == ["H1"] and [c["id"] for c in out["checks"]] == ["H1"]
 
 
 def _corrupted_corpus(count=60, seed=7):
