@@ -16,11 +16,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from operator import eq, itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 ZERO = Fraction(0)
 
 RationalLike = Fraction | int | str
+K = TypeVar("K")
 
 
 class UltraballError(Exception):
@@ -333,6 +334,19 @@ def _make_labels(n: int, labels: Sequence[str] | None) -> tuple[str, ...]:
     return out
 
 
+def _rank_levels(values: dict[K, Fraction]) -> tuple[tuple[Fraction, ...], dict[K, int]]:
+    """The distinct values and 0, sorted, and the rank of each key's value.
+    A level is known by its ``as_integer_ratio()`` pair, which hashes in C (a
+    Fraction hashes in Python), and sorted by (integer part, value), so two
+    Fractions are compared only when their integer parts tie."""
+    pair = {key: v.as_integer_ratio() for key, v in values.items()}
+    level = dict(zip(pair.values(), values.values()))
+    level[0, 1] = ZERO
+    order = sorted(level, key=lambda p: (p[0] // p[1], level[p]))
+    rank = {p: k for k, p in enumerate(order)}
+    return tuple(map(level.__getitem__, order)), {key: rank[p] for key, p in pair.items()}
+
+
 def _parse_space(
     matrix: Sequence[Sequence[RationalLike]], labels: Sequence[str] | None
 ) -> FiniteUltrametricSpace:
@@ -371,11 +385,9 @@ def _parse_space(
                 values[len(values)] = parse_rational(v)  # refuses every unhashable type
                 out.append(slot_of.setdefault((type(v), v), len(values) - 1))
             slots.append(out)
-    levels = sorted(set(values.values()) | {ZERO})
-    rank_of = {v: k for k, v in enumerate(levels)}
-    rank = {key: rank_of[v] for key, v in values.items()}
-    ranks = tuple(tuple(map(rank.__getitem__, row)) for row in slots)
-    return FiniteUltrametricSpace(_make_labels(n, labels), tuple(levels), ranks)
+    levels, rank = _rank_levels(values)
+    ranks = tuple(itemgetter(*row, row[0])(rank)[:-1] for row in slots)  # the repeated index keeps n == 1 a tuple
+    return FiniteUltrametricSpace(_make_labels(n, labels), levels, ranks)
 
 
 def _over_levels_of(
@@ -401,13 +413,16 @@ def space_violation(space: FiniteUltrametricSpace) -> UltrametricViolation | Non
     deterministic.  All but the last scan are O(n^2), and the last accepts in
     O(n^2) by the flag of :attr:`FiniteUltrametricSpace.split`, which caches
     the merge tree; its cubic scan runs only to name a witness.
+    "Nothing below 0" is read off the canonical triple (every level but 0 is
+    an entry; pinned by ``test_every_constructor_yields_the_canonical_triple``
+    in ``tests/test_core.py``): no entry is negative iff 0 has rank 0.
     """
     n, labs, rows, zero = space.n, space.labels, space.ranks, space.zero
     # Whole-matrix tests first: symmetric, nothing below 0, and exactly the n
     # diagonal entries at 0.  Only a failure scans cells to name the witness.
     if not (
         all(map(eq, rows, zip(*rows)))
-        and min(map(min, rows)) == zero
+        and zero == 0
         and all(row[i] == zero for i, row in enumerate(rows))
         and sum(row.count(zero) for row in rows) == n
     ):

@@ -27,6 +27,7 @@ from .core import (
     Node,
     RationalLike,
     _over_levels_of,
+    _rank_levels,
     ball_labels,
     parse_rational,
     rational_str,
@@ -85,7 +86,7 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
     Raises MalformedTreeError on unary internal nodes, non-decreasing
     levels, leaf indices that are not exactly 0..n-1, or repeated labels.
     """
-    found, leaves, todo = {ZERO}, [], [(d.root, None)]
+    found, leaves, todo = {}, [], [(d.root, None)]  # found: node identity -> level
     while todo:  # pre-order on a stack: each node is checked before its subtree
         node, above = todo.pop()
         if isinstance(node, Leaf):
@@ -99,7 +100,7 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
             raise MalformedTreeError(
                 f"levels must strictly decrease from the root: {node.level} under {above}"
             )
-        found.add(node.level)
+        found[id(node)] = node.level
         todo.extend((child, node.level) for child in reversed(node.children))
     n = len(leaves)
     if sorted(leaves) != list(range(n)):
@@ -109,12 +110,11 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
     if len(set(d.labels)) != n:
         raise MalformedTreeError("labels must be unique within a space")
 
-    levels = sorted(found)
-    rank_of = {v: k for k, v in enumerate(levels)}
+    levels, rank = _rank_levels(found)
     rows = [[0] * n for _ in range(n)]
 
     def fill(node: Merge, parts: list[list[int]]) -> list[int]:
-        k = rank_of[node.level]
+        k = rank[id(node)]
         for xs, ys in combinations(parts, 2):
             for x in xs:
                 for y in ys:
@@ -122,7 +122,7 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
         return [x for part in parts for x in part]
 
     _fold(d.root, lambda node: [node.point], fill)
-    return FiniteUltrametricSpace(tuple(d.labels), tuple(levels), tuple(map(tuple, rows)))
+    return FiniteUltrametricSpace(tuple(d.labels), levels, tuple(map(tuple, rows)))
 
 
 def _ballean_walk(d: Dendrogram) -> tuple[list[tuple[Members, Fraction, list[Members]]], list[Members]]:
@@ -177,11 +177,10 @@ def ballean_ranks(d: Dendrogram) -> tuple[list[Members], tuple[Fraction, ...], l
     One getter then puts the rows' columns in output order.
     """
     merges, balls = _ballean_walk(d)
-    levels = tuple(sorted({ZERO}.union(level for _, level, _ in merges)))
-    rank_of = {v: k for k, v in enumerate(levels)}
+    levels, rank = _rank_levels({i: level for i, (_, level, _) in enumerate(merges)})
     span = dict.fromkeys(balls[: d.n], (1, 0))  # ball -> (balls inside it, its rank)
-    for members, level, parts in merges:
-        span[members] = (1 + sum(span[p][0] for p in parts), rank_of[level])
+    for i, (members, _, parts) in enumerate(merges):
+        span[members] = (1 + sum(span[p][0] for p in parts), rank[i])
     m, root = len(balls), balls[-1]
     at, rows = {root: 0}, {root: [span[root][1]] * m}
     for members, _, parts in reversed(merges):  # each node after its parent

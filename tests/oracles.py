@@ -351,7 +351,9 @@ def parse_space_reference(
 ) -> FiniteUltrametricSpace:
     """``_parse_space`` as one loop over every entry, each distinct one
     parsed when first seen by :func:`parse_rational_reference`: the route
-    that parsing a string matrix by its set of distinct entries replaced."""
+    that parsing a string matrix by its set of distinct entries replaced.
+    It ranks levels through a hashed ``set`` and ``dict`` of the Fractions
+    themselves on purpose, independent of ``core._rank_levels``."""
     if not isinstance(matrix, (list, tuple)):
         raise BadParamsError(f"distance matrix must be a list of rows, got {type(matrix).__name__}")
     n = len(matrix)

@@ -31,6 +31,7 @@ from ultraball.core import (
     validate_ultrametric,
 )
 from ultraball.dendrogram import (
+    ballean_ranks,
     build_dendrogram,
     dendrogram_to_space,
     random_binary_space,
@@ -385,6 +386,32 @@ def test_every_constructor_yields_the_canonical_triple(name):
     assert core._parse_space(space.dist, space.labels) == space
     assert all(type(v) is Fraction for row in space.dist for v in row)
     assert space_violation(space) is None
+
+
+def test_an_unused_negative_level_keeps_its_verdict():
+    # No constructor builds this triple: 0 is not the lowest level although
+    # no entry is negative.  The whole-matrix test sends it to the witness
+    # scans, which find nothing, and the split accepts it.
+    levels = (Fraction(-1), Fraction(0), Fraction(1))
+    space = core.FiniteUltrametricSpace(("a", "b"), levels, ((1, 2), (2, 1)))
+    assert space_violation(space) is None
+
+
+def test_loading_and_ranking_a_ballean_hash_no_fraction(monkeypatch):
+    data = space_to_json_dict(random_binary_space(7, 48))
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    space = space_from_json_dict(data)
+    assert len(calls) == 0
+    balls, levels, rows = ballean_ranks(build_dendrogram(space))
+    assert len(calls) == 0
+    assert len(balls) == len(rows) == 95 and levels == space.levels
 
 
 @pytest.mark.parametrize("odd", [True, 1.0, False, 0.0])

@@ -388,13 +388,35 @@ def test_ballean_tree_tower_matches_iterated_ballean(seed, n, k, kind):
     assert canonical_code(tree) == canonical_code(build_dendrogram(expected))
 
 
+def test_ballean_ranks_of_a_hand_built_tree_with_distinct_equal_levels():
+    # Equal levels are distinct Fraction objects here, which no generated
+    # tree has, and the levels below the root share their integer part, 1.
+    f = Fraction
+    tree = Dendrogram(
+        Merge(f(2), (
+            Merge(f(3, 2), (Merge(f(5, 4), (Leaf(0), Leaf(1))), Leaf(2))),
+            Merge(f(4, 3), (Leaf(3), Merge(f(5, 4), (Leaf(4), Leaf(5), Leaf(6))))),
+            Merge(f(10, 8), (Leaf(7), Leaf(8))),
+        )),
+        tuple("abcdefghi"),
+    )
+    balls, levels, rows = ballean_ranks(tree)
+    expected = dendrogram_to_space(ballean_tree(tree))
+    assert levels == (0, f(5, 4), f(4, 3), f(3, 2), 2)
+    assert (levels, tuple(rows)) == (expected.levels, expected.ranks)
+    assert balls == [b.members for b in enumerate_ballean(dendrogram_to_space(tree))]
+    assert dendrogram_to_space(tree) == dendrogram_to_space_reference(tree)
+
+
 # Strings as JSON carries them, padded, decimal, unparsable or too long, and
 # text near the digit-only shortcut: leading zeros, unreduced, underscores,
 # a sign, non-ASCII digits, a stray slash, and integers of exactly the digit
-# limit and one digit more.
+# limit and one digit more; then distinct values that share an integer part,
+# equal ones written two ways, and negatives, which the ranking orders.
 STRINGS = st.sampled_from(
     ["0", "1", "2", "3/2", "1.5", "1.50", " 1", "2 ", "\t3/2", "0.0", "-1", "1/0", "x", "", "1e-60000",
      "007", "0/5", "14/2", "1_0", "+5", "\u0663", "\u00b2", "1/", "/2", "3//2",
+     "5/3", "7/4", "1/3", "2/6", "-1/2", "-3/2",
      "9" * sys.get_int_max_str_digits(), "9" * (sys.get_int_max_str_digits() + 1)]
 )
 ODD = st.sampled_from([0, 1, 2, True, False, Fraction(3, 2), Fraction(1), 1.5, None, [1], "1"])
