@@ -58,49 +58,35 @@ def _fold(root: Node, leaf: Callable[[Leaf], T], merge: Callable[[Merge, list[T]
     return values[0]
 
 
-def node_leaf_sets(d: Dendrogram) -> set[tuple[int, ...]]:
-    """Leaf sets of all nodes; these coincide with the ball member sets."""
-    out: set[tuple[int, ...]] = set()
-
-    def add(leaves: list[int]) -> list[int]:
-        out.add(tuple(leaves))
-        return leaves
-
-    _fold(d.root, lambda node: add([node.point]), lambda _, parts: add(sorted(chain(*parts))))
-    return out
-
-
-def is_binary(d: Dendrogram) -> bool:
-    return _fold(d.root, lambda _: True, lambda _, parts: len(parts) == 2 and all(parts))
-
-
 def build_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
     """Merge tree of a valid space: the tree that :attr:`FiniteUltrametricSpace.split`
     caches.  Raises AssertionError on a point outside its own class."""
     return space.split[0]
 
 
-def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
-    """Distance matrix realized by the tree: d(x, y) = LCA level.
-
-    Raises MalformedTreeError on unary internal nodes, non-decreasing
-    levels, leaf indices that are not exactly 0..n-1, or repeated labels.
-    """
-    found, leaves, todo = {}, [], [(d.root, None)]  # found: node identity -> level
-    while todo:  # pre-order on a stack: each node is checked before its subtree
+def _check_tree(d: Dendrogram) -> None:
+    """Check a hand-built tree in one pre-order walk on a stack, each node
+    before its subtree.  Raises MalformedTreeError on an internal node with
+    fewer than two children, a level that is not a Fraction or an int (a bool
+    is neither), a level that is not positive or not strictly below its
+    parent's, leaf indices that are not exactly 0..n-1, or labels that are
+    not n distinct ones."""
+    leaves, todo = [], [(d.root, None)]
+    while todo:
         node, above = todo.pop()
         if isinstance(node, Leaf):
             leaves.append(node.point)
             continue
         if len(node.children) < 2:
             raise MalformedTreeError("internal nodes need at least two children")
+        if isinstance(node.level, bool) or not isinstance(node.level, (Fraction, int)):
+            raise MalformedTreeError(f"levels must be Fractions or ints, got {node.level!r}")
         if node.level <= 0:
             raise MalformedTreeError(f"levels must be positive, got {node.level}")
         if above is not None and node.level >= above:
             raise MalformedTreeError(
                 f"levels must strictly decrease from the root: {node.level} under {above}"
             )
-        found[id(node)] = node.level
         todo.extend((child, node.level) for child in reversed(node.children))
     n = len(leaves)
     if sorted(leaves) != list(range(n)):
@@ -110,38 +96,39 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
     if len(set(d.labels)) != n:
         raise MalformedTreeError("labels must be unique within a space")
 
-    levels, rank = _rank_levels(found)
-    rows = [[0] * n for _ in range(n)]
 
-    def fill(node: Merge, parts: list[list[int]]) -> list[int]:
-        k = rank[id(node)]
+def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
+    """Distance matrix realized by a hand-built tree: d(x, y) = LCA level,
+    an int level read as a Fraction.  Raises MalformedTreeError as
+    :func:`_check_tree` does."""
+    _check_tree(d)
+    merges, _ = _ballean_walk(d)
+    levels, rank = _rank_levels({i: level for i, (_, level, _) in enumerate(merges)})
+    rows = [[0] * d.n for _ in range(d.n)]
+    for i, (_, _, parts) in enumerate(merges):
+        k = rank[i]
         for xs, ys in combinations(parts, 2):
             for x in xs:
                 for y in ys:
                     rows[x][y] = rows[y][x] = k
-        return [x for part in parts for x in part]
-
-    _fold(d.root, lambda node: [node.point], fill)
     return FiniteUltrametricSpace(tuple(d.labels), levels, tuple(map(tuple, rows)))
 
 
 def _ballean_walk(d: Dendrogram) -> tuple[list[tuple[Members, Fraction, list[Members]]], list[Members]]:
-    """The internal nodes of ``d`` in post-order, each as (members, level,
-    child member tuples), and the member tuples of all nodes, which are the
-    balls, by (size, members): the singletons first, in point order."""
-    n = d.n
+    """The internal nodes of ``d`` in post-order, each as (members, level as
+    a Fraction, child member tuples), and the member tuples of all nodes,
+    which are the balls, by (size, members): the singletons first, in point
+    order.  No check is made: ``d`` comes from :func:`_check_tree`, from
+    :attr:`FiniteUltrametricSpace.split` or from :func:`ballean_tree`."""
     merges: list[tuple[Members, Fraction, list[Members]]] = []
 
     def merge(node: Merge, parts: list[Members]) -> Members:
-        if len(parts) < 2:
-            raise MalformedTreeError("internal nodes need at least two children")
-        members = tuple(sorted(chain(*parts)))
-        merges.append((members, node.level, parts))
+        members, level = tuple(sorted(chain(*parts))), node.level
+        merges.append((members, level if type(level) is Fraction else Fraction(level), parts))
         return members
 
-    if _fold(d.root, lambda node: (node.point,), merge) != tuple(range(n)):
-        raise MalformedTreeError(f"leaf indices must be exactly 0..{n - 1}")
-    return merges, [(p,) for p in range(n)] + sorted((m for m, _, _ in merges), key=lambda m: (len(m), m))
+    _fold(d.root, lambda node: (node.point,), merge)
+    return merges, [(p,) for p in range(d.n)] + sorted((m for m, _, _ in merges), key=lambda m: (len(m), m))
 
 
 def ballean_tree(d: Dendrogram) -> Dendrogram:
@@ -153,8 +140,10 @@ def ballean_tree(d: Dendrogram) -> Dendrogram:
     at the node's level.  Points are numbered in ``ball_table`` order, by
     (size, members), so the singletons keep their indices, and are labelled
     as :func:`ballean.ballean_space` labels them.  Applying this k times
-    gives the k-th ballean with no matrix and no depth cap.
+    gives the k-th ballean with no matrix and no depth cap.  Raises
+    MalformedTreeError as :func:`_check_tree` does.
     """
+    _check_tree(d)
     merges, balls = _ballean_walk(d)
     index = {m: i for i, m in enumerate(balls)}
     built: dict[Members, Node] = {(p,): Leaf(p) for p in range(d.n)}
@@ -168,7 +157,7 @@ def ballean_ranks(d: Dendrogram) -> tuple[list[Members], tuple[Fraction, ...], l
     the levels and rank rows of the ballean's Hausdorff matrix: what
     ``dendrogram_to_space(ballean_tree(d))`` holds, less its labels.  ``d``
     must be a merge tree as :func:`build_dendrogram` or :func:`ballean_tree`
-    returns it; only the shape checks of :func:`ballean_tree` are made.
+    returns it; it is not checked.
 
     In pre-order, the balls inside a node are one run of positions.  A ball
     is at its own level from every ball inside it, and as far from any other

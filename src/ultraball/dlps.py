@@ -19,7 +19,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -32,6 +31,7 @@ from .core import (
     NegativeRadiusError,
     RationalLike,
     UltraballError,
+    _int_limit,
     _prints,
     parse_rational,
     rational_str,
@@ -107,7 +107,7 @@ class GeometricTail:
         """Largest term <= r, or None when r <= 0; BadParamsError if it cannot print."""
         if r <= 0:
             return None
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or math.inf
+        limit = _int_limit() or math.inf
         # The term's denominator is at least q**k / first.numerator; 4 > log2(10).
         term = self._first_at_most(r, 4 * limit + self.first.numerator.bit_length())
         if term is None or not _prints(term):
@@ -180,12 +180,9 @@ def _tails_intersect(t1: GeometricTail, t2: GeometricTail) -> bool:
     w = _exponent_vector(s, basis)
     c = [x - y for x, y in zip(_exponent_vector(b, basis), _exponent_vector(a, basis))]
 
-    def verify(k: int, l: int) -> bool:
-        # Over a coprime basis, a * r**k == b * s**l iff the exponent vectors
-        # agree, so no power is built (k can be the square of the input size).
-        return k >= 0 and l >= 0 and all(k * x - l * y == z for x, y, z in zip(u, w, c))
-
-    # Independent exponent directions: a 2x2 subsystem pins (k, l).
+    # Independent exponent directions: a 2x2 subsystem pins (k, l).  Over a
+    # coprime basis, a * r**k == b * s**l iff the exponent vectors agree, so
+    # no power is built (k can be the square of the input size).
     dim = len(basis)
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -196,38 +193,19 @@ def _tails_intersect(t1: GeometricTail, t2: GeometricTail) -> bool:
             l_num = u[i] * c[j] - c[i] * u[j]
             if k_num % det or l_num % det:
                 return False
-            return verify(k_num // det, l_num // det)
+            k, l = k_num // det, l_num // det
+            return k >= 0 and l >= 0 and all(k * x - l * y == z for x, y, z in zip(u, w, c))
 
-    # Parallel case: u = (p/q) * w with q > 0, so the system collapses to
-    # one Diophantine equation k*p*f - l*q*f = e*q where c = (e/f) * w.
+    # Parallel case: u = (p/q) * w, and c must be (e/f) * w, both in lowest
+    # terms with q, f > 0.  Then the system is k*p/q - l == e/f, that is
+    # k*p*f - l*q*f == e*q, which has integer solutions iff gcd(p*f, q*f) = f
+    # divides e*q, iff f | q (gcd(e, f) = 1).  They lie on a line
+    # (k, l) + t*(q, p), and r, s < 1 force p > 0 (r**q == s**p), so l grows
+    # with k: a solution with k, l >= 0 exists iff any integer one does.
     pivot = next(i for i in range(dim) if w[i] != 0)
-    p, q = u[pivot], w[pivot]
-    if q < 0:
-        p, q = -p, -q
-    g = math.gcd(p, q)
-    p, q = p // g, q // g
-    for i in range(dim):
-        if (w[i] == 0) != (c[i] == 0) or c[i] * w[pivot] != c[pivot] * w[i]:
-            return False
-    e, f = c[pivot], w[pivot]
-    if f < 0:
-        e, f = -e, -f
-    g = math.gcd(e, f)
-    e, f = e // g, f // g
-
-    big_p, big_q, big_r = p * f, q * f, e * q
-    g = math.gcd(big_p, big_q)
-    if big_r % g:
+    if any((x == 0) != (z == 0) or z * w[pivot] != c[pivot] * x for x, z in zip(w, c)):
         return False
-    mod = big_q // g
-    if mod == 1:
-        k0 = 0
-    else:
-        k0 = (big_r // g) % mod * pow(big_p // g % mod, -1, mod) % mod
-    # r**q == s**p with r, s < 1 forces p > 0, so big_p > 0 and l grows with
-    # k: push k up, in steps of mod, to the least k with l nonnegative.
-    k = k0 + mod * max(0, -((k0 * big_p - big_r) // (mod * big_p)))
-    return verify(k, (k * big_p - big_r) // big_q)
+    return Fraction(u[pivot], w[pivot]).denominator % Fraction(c[pivot], w[pivot]).denominator == 0
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from .core import (
     space_violation,
     validate_ultrametric,
 )
-from .dendrogram import _parse_pool, _random_space, are_isometric, build_dendrogram, is_binary, node_leaf_sets
+from .dendrogram import _ballean_walk, _parse_pool, _random_space, are_isometric, build_dendrogram
 from .dlps import (
     DlpsSpace,
     Singleton,
@@ -241,12 +241,15 @@ def _body_h4(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
 
 
 def _body_h5(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
-    balls = enumerate_ballean(space)  # raises past the 2n-1 bound
-    dend = build_dendrogram(space)
-    if node_leaf_sets(dend) != {b.members for b in balls}:
-        return "merge-tree node leaf sets differ from ball member sets"
-    if is_binary(dend) and len(balls) != 2 * space.n - 1:
-        return f"binary merge tree but only {len(balls)} balls (expected {2 * space.n - 1})"
+    balls, bound = enumerate_ballean(space), 2 * space.n - 1
+    if len(balls) > bound:
+        return f"{len(balls)} balls, over the 2n-1 bound of {bound}"
+    # The walk that `ultraball ballean` writes: its ball list, in order.
+    merges, tree_balls = _ballean_walk(build_dendrogram(space))
+    if tree_balls != [b.members for b in balls]:
+        return "merge-tree node leaf sets differ from the ball table, in order"
+    if all(len(parts) == 2 for _, _, parts in merges) and len(balls) != bound:
+        return f"binary merge tree but only {len(balls)} balls (expected {bound})"
     return None
 
 

@@ -650,22 +650,18 @@ def ballean_walk_reference(d: Dendrogram) -> tuple[list[tuple[tuple[int, ...], F
     """The internal nodes of ``d`` in post-order, each as (members, level,
     child member tuples), and the member tuples of all nodes, which are the
     balls, by (size, members): the singletons first, in point order."""
-    n = d.n
     merges: list[tuple[tuple[int, ...], Fraction, list]] = []
 
     def walk(node: Node) -> tuple[int, ...]:
         if isinstance(node, Leaf):
             return (node.point,)
-        if len(node.children) < 2:
-            raise MalformedTreeError("internal nodes need at least two children")
         parts = list(map(walk, node.children))
         members = tuple(sorted(chain(*parts)))
         merges.append((members, node.level, parts))
         return members
 
-    if walk(d.root) != tuple(range(n)):
-        raise MalformedTreeError(f"leaf indices must be exactly 0..{n - 1}")
-    return merges, [(p,) for p in range(n)] + sorted((m for m, _, _ in merges), key=lambda m: (len(m), m))
+    walk(d.root)
+    return merges, [(p,) for p in range(d.n)] + sorted((m for m, _, _ in merges), key=lambda m: (len(m), m))
 
 
 def canonical_code_reference(d: Dendrogram) -> str:

@@ -1,4 +1,5 @@
 import ast
+import re
 import time
 from fractions import Fraction
 from operator import eq
@@ -31,6 +32,7 @@ from ultraball.dendrogram import (
     Dendrogram,
     Leaf,
     Merge,
+    _ballean_walk,
     are_isometric,
     ballean_ranks,
     ballean_tree,
@@ -38,8 +40,6 @@ from ultraball.dendrogram import (
     canonical_code,
     dendrogram_to_space,
     format_dendrogram,
-    is_binary,
-    node_leaf_sets,
     random_binary_space,
     random_space,
 )
@@ -107,9 +107,30 @@ def test_malformed_trees_rejected():
         (unary, ("a", "b")),
         (Merge(Fraction(1), (Leaf(0), Leaf(2))), ("a", "b")),
         (Merge(Fraction(1), (Leaf(0), Leaf(1))), ("a", "b", "c")),
+        (nested, ("a", "b", "c")),
+        (Merge(Fraction(-1), (Leaf(0), Leaf(1))), ("a", "b")),
+        (Merge(Fraction(1), (Leaf(0), Leaf(1))), ("a", "a")),
     ]:
         with pytest.raises(MalformedTreeError):
             ballean_tree(Dendrogram(tree, labels))
+
+
+@pytest.mark.parametrize("level", [1.5, float("inf"), float("nan"), True, "2", None])
+def test_levels_that_are_not_rationals_are_rejected(level):
+    for entry in (dendrogram_to_space, ballean_tree):
+        with pytest.raises(MalformedTreeError, match="levels must be Fractions or ints"):
+            entry(Dendrogram(Merge(level, (Leaf(0), Leaf(1))), ("a", "b")))
+        nested = Merge(Fraction(3), (Merge(level, (Leaf(0), Leaf(1))), Leaf(2)))
+        with pytest.raises(MalformedTreeError, match=re.escape(f"got {level!r}")):
+            entry(Dendrogram(nested, ("a", "b", "c")))
+
+
+def test_int_levels_become_fractions():
+    space = dendrogram_to_space(Dendrogram(Merge(2, (Merge(1, (Leaf(0), Leaf(1))), Leaf(2))), ("a", "b", "c")))
+    assert all(type(v) is Fraction for row in space.dist for v in row)
+    assert space.levels == (0, 1, 2) and all(type(v) is Fraction for v in space.levels)
+    tower = ballean_tree(Dendrogram(Merge(2, (Leaf(0), Leaf(1))), ("a", "b")))
+    assert type(tower.root.level) is Fraction
 
 
 def test_repeated_labels_rejected():
@@ -161,7 +182,7 @@ def test_codes_agree_with_brute_force_search(s1, s2, n):
 def test_node_leaf_sets_equal_ball_member_sets():
     for seed in range(8):
         s = random_space(seed, 8, POOL)
-        assert node_leaf_sets(build_dendrogram(s)) == {b.members for b in enumerate_ballean(s)}
+        assert _ballean_walk(build_dendrogram(s))[1] == [b.members for b in enumerate_ballean(s)]
 
 
 def test_random_space_deterministic():
@@ -198,7 +219,7 @@ def test_random_binary_space_maximal_ballean():
     for seed in range(6):
         for n in (2, 5, 9):
             s = random_binary_space(seed, n)
-            assert is_binary(build_dendrogram(s))
+            assert all(len(parts) == 2 for _, _, parts in _ballean_walk(build_dendrogram(s))[0])
             assert len(enumerate_ballean(s)) == 2 * n - 1
 
 
@@ -242,8 +263,8 @@ def test_walks_handle_a_3000_deep_tree():
     space = dendrogram_to_space(d)
     assert space.levels == tuple(map(Fraction, range(n)))
     assert all(row == (i,) * i + (0,) + tuple(range(i + 1, n)) for i, row in enumerate(space.ranks))
-    assert is_binary(d)
-    assert len(node_leaf_sets(d)) == 2 * n - 1
+    merges, balls = _ballean_walk(d)
+    assert all(len(parts) == 2 for _, _, parts in merges) and len(balls) == 2 * n - 1
     assert canonical_code(d).count("*") == n
     assert format_dendrogram(d).startswith("(3000 (2999 (2998 ")
     # One ballean: a tower's labels grow with the cube of the depth.

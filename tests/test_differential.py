@@ -84,8 +84,6 @@ from ultraball.dendrogram import (
     canonical_code,
     dendrogram_to_space,
     format_dendrogram,
-    is_binary,
-    node_leaf_sets,
     random_binary_space,
     random_space,
 )
@@ -560,11 +558,9 @@ def test_h11_closed_form_matches_the_subset_scan_on_crafted_balleans(monkeypatch
     assert {next((d for d in details if o and o.startswith(d)), o) for o in outcomes} == {None, *details}
 
 
+# Walks that take any tree, malformed ones included.
 TREE_WALKS = [
-    (node_leaf_sets, node_leaf_sets_reference),
-    (is_binary, is_binary_reference),
     (dendrogram_to_space, dendrogram_to_space_reference),
-    (_ballean_walk, ballean_walk_reference),
     (canonical_code, canonical_code_reference),
     (format_dendrogram, format_dendrogram_reference),
 ]
@@ -573,6 +569,15 @@ TREE_WALKS = [
 def _assert_walks_match(tree):
     for walk, reference in TREE_WALKS:
         assert _outcome(walk, tree) == _outcome(reference, tree), walk.__name__
+
+
+def _assert_ballean_walk_matches(tree):
+    """The unchecked walk, on a well-formed tree, against the recursive walk,
+    the node leaf sets and the two-part test."""
+    merges, balls = _ballean_walk(tree)
+    assert (merges, balls) == ballean_walk_reference(tree)
+    assert set(balls) == node_leaf_sets_reference(tree)
+    assert all(len(parts) == 2 for _, _, parts in merges) == is_binary_reference(tree)
 
 
 def test_tree_walks_match_the_recursive_walks_on_generated_trees():
@@ -589,6 +594,7 @@ def test_tree_walks_match_the_recursive_walks_on_generated_trees():
     trees.append(build_dendrogram(caterpillar(900)))
     for tree in trees:
         _assert_walks_match(tree)
+        _assert_ballean_walk_matches(tree)
 
 
 def _malformed_trees():
@@ -647,15 +653,38 @@ def _random_hand_built(rng, leaves, level, depth):
     return Merge(level, tuple(_random_hand_built(rng, leaves, below, depth - 1) for _ in range(width)))
 
 
-def test_tree_walks_match_the_recursive_walks_on_malformed_trees():
-    for root, labels in _malformed_trees():
-        _assert_walks_match(Dendrogram(root, labels))
+def _hand_built_trees():
+    """The malformed trees, then 3,000 random hand-built ones."""
+    trees = [Dendrogram(root, labels) for root, labels in _malformed_trees()]
     rng = random.Random(0)
     for _ in range(3000):
         leaves = [Leaf(i) for i in range(rng.randint(1, 5))]
         root = _random_hand_built(rng, leaves, Fraction(rng.randint(-1, 5)), 4)
         labels = tuple(rng.choice("abcd") for _ in range(rng.randint(0, 6)))
-        _assert_walks_match(Dendrogram(root, labels))
+        trees.append(Dendrogram(root, labels))
+    return trees
+
+
+def test_tree_walks_match_the_recursive_walks_on_malformed_trees():
+    for tree in _hand_built_trees():
+        _assert_walks_match(tree)
+
+
+def test_ballean_tree_refuses_what_the_reference_refuses():
+    # ballean_tree checks a hand-built tree as dendrogram_to_space does, so
+    # only well-formed trees reach the unchecked walk.
+    refused = 0
+    for tree in _hand_built_trees():
+        expected = _outcome(dendrogram_to_space_reference, tree)
+        got = _outcome(ballean_tree, tree)
+        if expected[0] == "MalformedTreeError":
+            assert got == expected, tree
+            refused += 1
+        elif expected[0] == "ok":
+            assert got[0] == "ok", (tree, got)
+            assert dendrogram_to_space(got[1]) == ballean_space(expected[1])
+            _assert_ballean_walk_matches(tree)
+    assert refused > len(_malformed_trees())
 
 
 

@@ -145,6 +145,27 @@ def test_tail_solver_agrees_with_term_scan():
             assert _tails_intersect(a, b) == scanned
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    base=st.builds(F, st.integers(1, 7), st.integers(2, 9)).filter(lambda g: g < 1),
+    i=st.integers(1, 6),
+    j=st.integers(1, 6),
+    first=st.builds(F, st.integers(1, 12), st.integers(1, 12)),
+    up=st.integers(0, 8),
+    down=st.integers(0, 8),
+    factor=st.sampled_from((F(1), F(1), F(2), F(3, 2), F(5))),
+)
+def test_parallel_tail_ratios_agree_with_term_scan(base, i, j, first, up, down, factor):
+    # Ratios base**i and base**j, first terms apart by base**up / base**down
+    # (and a factor that may leave the exponent line): the parallel case.
+    # A common term, if any, has exponents below 120 on both tails.
+    a = GeometricTail(first, base**i)
+    b = GeometricTail(first * factor * base**up / base**down, base**j)
+    scanned = bool({a.first * a.ratio**k for k in range(120)} & {b.first * b.ratio**k for k in range(120)})
+    assert _tails_intersect(a, b) == scanned
+    assert _tails_intersect(b, a) == scanned
+
+
 # --- tail questions by repeated squaring, against the term walks -------------
 
 small_tails = st.builds(

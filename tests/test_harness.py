@@ -61,6 +61,40 @@ def test_reports_are_deterministic():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_h5_compares_the_walk_with_the_ball_table_in_order(monkeypatch):
+    # The first two balls, both singletons, swapped: the same set of balls in
+    # another order than the one `ultraball ballean` writes.
+    real = harness._ballean_walk
+
+    def swapped(tree):
+        merges, balls = real(tree)
+        balls[:2] = balls[1::-1]
+        return merges, balls
+
+    monkeypatch.setattr(harness, "_ballean_walk", swapped)
+    config = TrialConfig(seed=1, trials=12, max_points=8)
+    report = run_suite(config)
+    failures = report.outcome("H5").failures
+    # Every trial space of two or more points fails; a one-point space has one ball.
+    assert [f["trial"] for f in failures] == [t for t in range(12) if harness._trial_space(config, "verify", t).n > 1]
+    assert {f["detail"] for f in failures} == {"merge-tree node leaf sets differ from the ball table, in order"}
+    assert all(outcome.failures == [] for outcome in report.checks if outcome.check_id != "H5")
+
+
+def test_h5_names_the_2n_minus_1_bound(monkeypatch):
+    # One ball too many: the whole space again.
+    real = harness.enumerate_ballean
+    monkeypatch.setattr(harness, "enumerate_ballean", lambda space: real(space) + real(space)[-1:])
+    for seed in range(4):
+        for n in (1, 2, 5, 9):
+            detail = harness._body_h5(random_binary_space(seed, n), random.Random(0))
+            assert detail == f"{2 * n} balls, over the 2n-1 bound of {2 * n - 1}"
+            under = random_space(seed, n, DEFAULT_LEVEL_POOL)
+            if len(real(under)) < 2 * n - 1:  # one more is within the bound: the ordered compare fails
+                detail = harness._body_h5(under, random.Random(0))
+                assert detail == "merge-tree node leaf sets differ from the ball table, in order"
+
+
 def test_check_subset_selection():
     report = run_suite(TrialConfig(seed=3, trials=3, max_points=5, checks=("H2", "H5")))
     assert [c.check_id for c in report.checks] == ["H2", "H5"]
