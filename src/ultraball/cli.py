@@ -21,7 +21,6 @@ from .core import (
     UltraballError,
     UltrametricViolation,
     diam,
-    member_labels,
     rational_str,
     require_canonical,
     smallest_ball,
@@ -130,7 +129,7 @@ def _cmd_smallest_ball(args: argparse.Namespace) -> int:
     ball = smallest_ball(space, indices)
     _emit(
         {
-            "members": list(member_labels(space, ball.members)),
+            "members": [space.labels[m] for m in ball.members],
             "diameter": rational_str(ball.diameter),
         },
         args.out,

@@ -590,10 +590,6 @@ def equidistant_space(
     return FiniteUltrametricSpace(_make_labels(n, labels), levels, ranks)
 
 
-def member_labels(space: FiniteUltrametricSpace, members: Iterable[int]) -> tuple[str, ...]:
-    return tuple(space.labels[m] for m in members)
-
-
 def ball_labels(labels: Sequence[str], balls: Iterable[tuple[int, ...]]) -> tuple[str, ...]:
     """Point labels for balls given by member tuples: the "+"-joined sorted
     member labels.  These are unique unless the input labels themselves

@@ -66,18 +66,23 @@ def build_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
 
 def _check_tree(d: Dendrogram) -> None:
     """Check a hand-built tree in one pre-order walk on a stack, each node
-    before its subtree.  Raises MalformedTreeError on an internal node with
-    fewer than two children, a level that is not a Fraction or an int (a bool
-    is neither), a level that is not positive or not strictly below its
-    parent's, leaf indices that are not exactly 0..n-1, or labels that are
-    not n distinct ones."""
+    before its subtree.  Raises MalformedTreeError on a node that is neither
+    a Leaf nor a Merge, a leaf point whose type is not exactly int (a bool's
+    is bool), children that are not a tuple or list of at least two, a level
+    that is not a Fraction or an int, a level that is not positive or not
+    strictly below its parent's, leaf points that are not exactly 0..n-1, or
+    labels that are not a tuple or list of n distinct strs."""
     leaves, todo = [], [(d.root, None)]
     while todo:
         node, above = todo.pop()
         if isinstance(node, Leaf):
+            if type(node.point) is not int:
+                raise MalformedTreeError(f"leaf points must be ints, got {node.point!r}")
             leaves.append(node.point)
             continue
-        if len(node.children) < 2:
+        if not isinstance(node, Merge):
+            raise MalformedTreeError(f"tree nodes must be Leafs or Merges, got {node!r}")
+        if not isinstance(node.children, (tuple, list)) or len(node.children) < 2:
             raise MalformedTreeError("internal nodes need at least two children")
         if isinstance(node.level, bool) or not isinstance(node.level, (Fraction, int)):
             raise MalformedTreeError(f"levels must be Fractions or ints, got {node.level!r}")
@@ -91,6 +96,8 @@ def _check_tree(d: Dendrogram) -> None:
     n = len(leaves)
     if sorted(leaves) != list(range(n)):
         raise MalformedTreeError(f"leaf indices must be exactly 0..{n - 1}, got {sorted(leaves)}")
+    if not isinstance(d.labels, (tuple, list)) or not all(isinstance(label, str) for label in d.labels):
+        raise MalformedTreeError("labels must be a tuple or list of strs")
     if len(d.labels) != n:
         raise MalformedTreeError(f"{len(d.labels)} labels for {n} leaves")
     if len(set(d.labels)) != n:

@@ -38,20 +38,8 @@ from .core import (
 )
 
 
-class NegativeInputError(UltraballError):
-    pass
-
-
 class CenterNotInSpaceError(UltraballError):
     pass
-
-
-def dlps_distance(x: RationalLike, y: RationalLike) -> Fraction:
-    """max(x, y) for distinct nonnegative arguments, 0 for equal ones."""
-    xf, yf = parse_rational(x), parse_rational(y)
-    if xf < 0 or yf < 0:
-        raise NegativeInputError(f"arguments must be nonnegative, got {xf}, {yf}")
-    return ZERO if xf == yf else max(xf, yf)
 
 
 @dataclass(frozen=True)
@@ -364,10 +352,6 @@ def ball_max(ball: SymbolicBall) -> Fraction:
     return ball.value if isinstance(ball, Singleton) else ball.cutoff
 
 
-def balls_equal_as_sets(space: DlpsSpace, b1: SymbolicBall, b2: SymbolicBall) -> bool:
-    return dlps_hausdorff(space, b1, b2) == 0
-
-
 def dlps_ball(space: DlpsSpace, c: RationalLike, r: RationalLike) -> SymbolicBall:
     """Closed ball around c: a bare singleton below the center's own value,
     the whole initial segment [0, r] of the space from the center on up."""
@@ -387,27 +371,6 @@ def dlps_acc(space: DlpsSpace) -> frozenset[Fraction]:
     if space.has_zero and space.tails:
         return frozenset({ZERO})
     return frozenset()
-
-
-@dataclass(frozen=True)
-class DlpsIsolatedSet:
-    """The isolated points, described as the space minus its accumulation set."""
-
-    space: DlpsSpace
-    excludes_zero: bool
-
-    def __contains__(self, x: object) -> bool:
-        xf = parse_rational(x)  # type: ignore[arg-type]
-        if self.excludes_zero and xf == 0:
-            return False
-        return self.space.contains(xf)
-
-    def describe(self) -> str:
-        return "X \\ {0}" if self.excludes_zero else "X"
-
-
-def dlps_iso(space: DlpsSpace) -> DlpsIsolatedSet:
-    return DlpsIsolatedSet(space, excludes_zero=bool(dlps_acc(space)))
 
 
 def dlps_is_discrete(space: DlpsSpace) -> bool:

@@ -326,8 +326,7 @@ _PER_SPACE_BODIES = {
 
 
 def _run_h8(cfg: TrialConfig, outcome: CheckOutcome) -> None:
-    top = max(2, min(10, cfg.max_points)) if cfg.max_points >= 2 else 1
-    for n, t in product(range(1, top + 1), (Fraction(1), Fraction(3, 2))):
+    for n, t in product(range(1, min(10, cfg.max_points) + 1), (Fraction(1), Fraction(3, 2))):
         outcome.trials += 1
         space = equidistant_space(n, t)
         bl = enumerate_ballean(space)

@@ -12,7 +12,7 @@ from oracles import caterpillar
 from ultraball.ballean import ballean_space, enumerate_ballean, iterate_ballean
 from ultraball.cli import _emit, build_parser, cli_main
 from ultraball import dendrogram
-from ultraball.core import equidistant_space, member_labels, space_from_json_dict, space_to_json_dict
+from ultraball.core import equidistant_space, space_from_json_dict, space_to_json_dict
 from ultraball.dendrogram import random_binary_space, random_space
 from ultraball.dlps import dlps_from_json_dict, dlps_sample
 from ultraball.harness import CHECKS
@@ -124,7 +124,7 @@ BALLEAN_INPUTS = [
 def test_ballean_from_the_tree_writes_the_matrix_route_text(data, k, tmp_path, capsys):
     base = iterate_ballean(space_from_json_dict(data), k - 1)
     payload = {
-        "balls": [list(member_labels(base, b.members)) for b in enumerate_ballean(base)],
+        "balls": [[base.labels[m] for m in b.members] for b in enumerate_ballean(base)],
         "hausdorff": space_to_json_dict(ballean_space(base))["matrix"],
     }
     expected = json.dumps(payload, indent=2) + "\n"

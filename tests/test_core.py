@@ -1,12 +1,15 @@
+import re
 import sys
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ultraball
 import ultraball.core as core
 from oracles import caterpillar, diam_pairwise
 from ultraball.ballean import ballean_space, iterate_ballean
@@ -446,3 +449,18 @@ def test_each_validated_space_is_parsed_once(monkeypatch):
     report = run_suite(TrialConfig(checks=("H2", "H12")), replay_spaces=[data])
     assert report.passed
     assert len(calls) == 1  # loading the replay
+
+
+def test_every_exported_name_has_a_library_caller_or_a_readme_line():
+    # A public name earns its place by a use elsewhere in the package or a
+    # documented purpose; a name with neither restates something else.
+    package = Path(ultraball.__file__).parent
+    readme = (package.parents[1] / "README.md").read_text(encoding="utf-8")
+    unused = []
+    for name in ultraball.__all__:
+        home = getattr(ultraball, name).__module__.rpartition(".")[2]
+        others = [p for p in package.glob("*.py") if p.stem not in (home, "__init__")]
+        used = re.compile(rf"\b{name}\b")
+        if not used.search(readme) and not any(used.search(p.read_text(encoding="utf-8")) for p in others):
+            unused.append(name)
+    assert unused == []

@@ -125,6 +125,36 @@ def test_levels_that_are_not_rationals_are_rejected(level):
             entry(Dendrogram(nested, ("a", "b", "c")))
 
 
+@pytest.mark.parametrize(
+    "root, labels",
+    [
+        (Merge(Fraction(1), (Leaf(0), Leaf(1.0))), ("a", "b")),
+        (Merge(Fraction(1), (Leaf(0), Leaf("1"))), ("a", "b")),
+        (Merge(Fraction(1), (Leaf(0), Leaf(True))), ("a", "b")),
+        (Leaf(False), ("a",)),
+        (None, ("a",)),
+        (Merge(Fraction(1), (Leaf(0), None)), ("a", "b")),
+        (Merge(Fraction(1), None), ("a",)),
+        (Merge(Fraction(1), (Leaf(0), Leaf(1))), None),
+        (Merge(Fraction(1), (Leaf(0), Leaf(1))), (1, 2)),
+        (Merge(Fraction(1), (Leaf(0), Leaf(1))), "ab"),
+    ],
+)
+def test_malformed_nodes_points_and_labels_rejected(root, labels):
+    for entry in (dendrogram_to_space, ballean_tree):
+        with pytest.raises(MalformedTreeError):
+            entry(Dendrogram(root, labels))
+
+
+def test_a_bad_point_is_reported_in_pre_order():
+    high = Merge(Fraction(2), (Leaf(1), Leaf(2)))
+    for entry in (dendrogram_to_space, ballean_tree):
+        with pytest.raises(MalformedTreeError, match="leaf points must be ints, got 0.0"):
+            entry(Dendrogram(Merge(Fraction(1), (Leaf(0.0), high)), ("a", "b", "c")))
+        with pytest.raises(MalformedTreeError, match="strictly decrease"):
+            entry(Dendrogram(Merge(Fraction(1), (high, Leaf(0.0))), ("a", "b", "c")))
+
+
 def test_int_levels_become_fractions():
     space = dendrogram_to_space(Dendrogram(Merge(2, (Merge(1, (Leaf(0), Leaf(1))), Leaf(2))), ("a", "b", "c")))
     assert all(type(v) is Fraction for row in space.dist for v in row)

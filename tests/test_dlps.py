@@ -1,3 +1,4 @@
+import random
 import sys
 import time
 from fractions import Fraction
@@ -13,23 +14,19 @@ from ultraball.dlps import (
     CenterNotInSpaceError,
     DlpsSpace,
     GeometricTail,
-    NegativeInputError,
     Singleton,
     Truncation,
     _tails_intersect,
-    balls_equal_as_sets,
     dlps_acc,
     dlps_ball,
     dlps_ball_count_at_most,
     dlps_ballean_analysis,
-    dlps_distance,
     dlps_from_json_dict,
     dlps_hausdorff,
     dlps_is_boundedly_compact,
     dlps_is_discrete,
     dlps_is_locally_finite,
     dlps_is_metrically_discrete,
-    dlps_iso,
     dlps_min_positive_distance,
     dlps_sample,
     dlps_space,
@@ -53,20 +50,6 @@ def bare_tail():
 
 def mixed():
     return dlps_space(points=(1, 2), has_zero=True, tails=[("1/3", "1/2")])
-
-
-# --- distance ----------------------------------------------------------------
-
-
-def test_distance_examples():
-    assert dlps_distance(2, 3) == 3
-    assert dlps_distance(5, 5) == 0
-    assert dlps_distance(0, "1/2") == F(1, 2)
-
-
-def test_distance_rejects_negative():
-    with pytest.raises(NegativeInputError):
-        dlps_distance(-1, 2)
 
 
 # --- construction ------------------------------------------------------------
@@ -346,32 +329,13 @@ def test_ball_errors():
         dlps_ball(space, 1, -1)
 
 
-def test_ball_set_equality_across_kinds():
-    space = dlps_space(points=(2, 3))
-    # nothing lies below 2, so the truncation at 2 is the bare singleton
-    assert balls_equal_as_sets(space, Singleton(F(2)), Truncation(F(2)))
-    assert not balls_equal_as_sets(finite_012(), Singleton(F(2)), Truncation(F(2)))
-
-
-# --- iso / acc ---------------------------------------------------------------
+# --- acc ---------------------------------------------------------------------
 
 
 def test_acc_examples():
     assert dlps_acc(zero_tail()) == frozenset({F(0)})
     assert dlps_acc(finite_012()) == frozenset()
     assert dlps_acc(bare_tail()) == frozenset()
-
-
-def test_iso_examples():
-    iso = dlps_iso(finite_012())
-    assert all(x in iso for x in (0, 1, 2))
-    iso = dlps_iso(zero_tail())
-    assert 0 not in iso
-    assert F(1, 4) in iso
-    assert iso.describe() == "X \\ {0}"
-    iso = dlps_iso(bare_tail())
-    assert F(1, 8) in iso
-    assert 0 not in iso  # 0 is not even a member
 
 
 # --- predicate table ---------------------------------------------------------
@@ -411,6 +375,23 @@ def test_ball_count_at_most():
     assert dlps_ball_count_at_most(space, 1) == 3  # {0}, {1}, {0,1}
     assert dlps_ball_count_at_most(space, "1/2") == 1
     assert dlps_ball_count_at_most(zero_tail(), "1/2") is None
+
+
+def test_ball_count_at_most_counts_the_balls_of_the_whole_sample():
+    # A tail-free space is its own sample; count its balls at or below t.
+    rng = random.Random(0)
+    for has_zero in (False, True):
+        for _ in range(40):
+            points = {F(rng.randint(1, 40), rng.randint(1, 6)) for _ in range(rng.randint(not has_zero, 6))}
+            space = dlps_space(points, has_zero)
+            sample = dlps_sample(space, len(points) + has_zero, 1)
+            values = [F(label) for label in sample.labels]
+            balls = enumerate_ballean(sample)
+            ordered = sorted(points | {F(0)})
+            between = [(a + b) / 2 for a, b in zip(ordered, ordered[1:])]
+            for t in [F(-1), F(0), *ordered, *between, ordered[-1] + 1]:
+                expected = sum(all(values[m] <= t for m in b.members) for b in balls)
+                assert dlps_ball_count_at_most(space, t) == expected, (space, t)
 
 
 # --- ballean analysis --------------------------------------------------------
@@ -457,7 +438,9 @@ def test_hausdorff_examples():
 
 def test_hausdorff_equal_sets_across_kinds_is_zero():
     space = dlps_space(points=(2, 3))
+    # nothing lies below 2, so the truncation at 2 is the bare singleton
     assert dlps_hausdorff(space, Singleton(F(2)), Truncation(F(2))) == 0
+    assert dlps_hausdorff(finite_012(), Singleton(F(2)), Truncation(F(2))) != 0
 
 
 # --- sampling ----------------------------------------------------------------
