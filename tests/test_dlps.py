@@ -443,6 +443,23 @@ def test_hausdorff_equal_sets_across_kinds_is_zero():
     assert dlps_hausdorff(finite_012(), Singleton(F(2)), Truncation(F(2))) != 0
 
 
+def test_ball_set_equality_across_kinds():
+    # Two symbolic balls hold the same points exactly when their Hausdorff
+    # distance is 0, whichever kind each one is written as.
+    for space in (dlps_space(points=(2, 3)), finite_012()):
+        values = [F(lab) for lab in dlps_sample(space, 3, 1).labels]
+        balls = [Singleton(v) for v in values] + [Truncation(v) for v in values]
+
+        def points(ball):
+            if isinstance(ball, Singleton):
+                return {ball.value}
+            return {v for v in values if v <= ball.cutoff}
+
+        for b1 in balls:
+            for b2 in balls:
+                assert (dlps_hausdorff(space, b1, b2) == 0) == (points(b1) == points(b2))
+
+
 # --- sampling ----------------------------------------------------------------
 
 
