@@ -16,11 +16,14 @@ from .core import (
     ZERO,
     BadParamsError,
     Ball,
+    BallRelation,
     EqualBallsError,
     FamilyTooSmallError,
     FiniteUltrametricSpace,
     _as_index_tuple,
+    _ball,
     ball_labels,
+    ball_relation,
     closed_ball,
     diam,
     isolated_points,
@@ -49,35 +52,25 @@ def hausdorff_oracle(
 
 
 def hausdorff_by_cases(space: FiniteUltrametricSpace, b1: Ball, b2: Ball) -> Fraction:
-    """Hausdorff distance via the case split: the gap between disjoint balls,
-    the larger diameter for intersecting ones, zero for equal ones."""
-    require_canonical(space, b1)
-    require_canonical(space, b2)
-    if b1.members == b2.members:
+    """Hausdorff distance via :func:`ball_relation`'s case split: zero for equal
+    balls, the larger diameter for nested ones, the gap between disjoint ones."""
+    relation = ball_relation(space, b1, b2)
+    if relation is BallRelation.EQUAL:
         return ZERO
-    s1, s2 = set(b1.members), set(b2.members)
-    if s1 & s2:
+    if relation is not BallRelation.DISJOINT:
         return max(b1.diameter, b2.diameter)
     dist = space.dist
     return min(dist[x][y] for x in b1.members for y in b2.members)
 
 
-def _hausdorff_rank(space: FiniteUltrametricSpace, b1: Ball, b2: Ball) -> int:
-    """The rank of the Hausdorff distance between two canonical balls of the
-    space; callers check each ball once, or take it from the ball table."""
-    if b1.members == b2.members:
-        return space.zero
-    # In an ultrametric space diam(A | B) = max(diam A, diam B, d(a, b))
-    # for any a in A and b in B.
-    rank = space.ball_table.rank
-    return max(rank[b1.members], rank[b2.members], space.ranks[b1.members[0]][b2.members[0]])
-
-
 def hausdorff_balls(space: FiniteUltrametricSpace, b1: Ball, b2: Ball) -> Fraction:
     """Hausdorff distance between two balls: the diameter of their union."""
-    require_canonical(space, b1)
-    require_canonical(space, b2)
-    return space.levels[_hausdorff_rank(space, b1, b2)]
+    k1, k2 = require_canonical(space, b1), require_canonical(space, b2)
+    if b1.members == b2.members:
+        return space.levels[space.zero]
+    # In an ultrametric space diam(A | B) = max(diam A, diam B, d(a, b))
+    # for any a in A and b in B.
+    return space.levels[max(k1, k2, space.ranks[b1.members[0]][b2.members[0]])]
 
 
 def smallest_ball_distance(
@@ -87,11 +80,11 @@ def smallest_ball_distance(
 
     The diameter equals the Hausdorff distance between the balls.
     """
-    require_canonical(space, b1)
-    require_canonical(space, b2)
+    k1, k2 = require_canonical(space, b1), require_canonical(space, b2)
     if b1.members == b2.members:
         raise EqualBallsError("the two balls must be distinct")
-    bstar = smallest_ball(space, b1.members + b2.members)
+    # Every point of b1 is a center of the ball of radius diam(b1 | b2).
+    bstar = _ball(space, b1.members[0], max(k1, k2, space.ranks[b1.members[0]][b2.members[0]]))
     return bstar, bstar.diameter
 
 
@@ -109,19 +102,18 @@ def ballean_space(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
     balls = enumerate_ballean(space)
     labels = ball_labels(space.labels, [b.members for b in balls])
     m = len(balls)
-    # _hausdorff_rank of each pair, reading each ball's rank and first point
-    # once; two comparisons pick the largest of the three for less than max().
+    # hausdorff_balls's rank of each pair, reading each ball's rank and first point
+    # once.  Balls come by (size, members): for i < j ball i lies in ball j or
+    # misses it, so top_i <= max(top_j, d(f_i, f_j)) and one comparison does.
     rank, ranks = space.ball_table.rank, space.ranks
     tops, firsts = [rank[b.members] for b in balls], [b.members[0] for b in balls]
     rows = [[space.zero] * m for _ in range(m)]
     for i in range(m):
-        top, at, row = tops[i], ranks[firsts[i]], rows[i]
+        at, row = ranks[firsts[i]], rows[i]
         for j in range(i + 1, m):
             k, t = at[firsts[j]], tops[j]
             if k < t:
                 k = t
-            if k < top:
-                k = top
             row[j] = rows[j][i] = k
     return FiniteUltrametricSpace(labels, space.levels, tuple(map(tuple, rows)))
 
@@ -161,16 +153,10 @@ def family_diameters(
             "need at least two distinct balls; for a lone ball the three "
             "diameters agree only when the ball is a singleton"
         )
-    for members in distinct:
-        require_canonical(space, by_members[members])
-    # The max over pairs of _hausdorff_rank, reading each ball's rank once.
-    rank, ranks = space.ball_table.rank, space.ranks
-    firsts = [members[0] for members in distinct]
-    top = max(
-        max(map(rank.__getitem__, distinct)),
-        max(ranks[x][y] for x, y in combinations(firsts, 2)),
-    )
-    hd = space.levels[top]
+    tops = [require_canonical(space, by_members[members]) for members in distinct]
+    # The max over pairs of hausdorff_balls's rank, reading each ball's rank once.
+    ranks, firsts = space.ranks, [members[0] for members in distinct]
+    hd = space.levels[max(max(tops), max(ranks[x][y] for x, y in combinations(firsts, 2)))]
     union = set().union(*distinct)  # diam and smallest_ball each sort it
     ud = diam(space, union)
     sd = smallest_ball(space, union).diameter

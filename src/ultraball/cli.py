@@ -26,7 +26,7 @@ from .core import (
     smallest_ball,
     space_from_json_dict,
 )
-from .dendrogram import are_isometric, ballean_ranks, ballean_tree, build_dendrogram, format_dendrogram
+from .dendrogram import _ballean_tree, are_isometric, ballean_ranks, build_dendrogram, format_dendrogram
 from .dlps import (
     dlps_acc,
     dlps_ballean_analysis,
@@ -106,8 +106,8 @@ def _cmd_ballean(args: argparse.Namespace) -> int:
     if not 1 <= args.iterate <= _MAX_DEPTH:
         raise BadParamsError(f"--iterate must be between 1 and {_MAX_DEPTH}, got {args.iterate}")
     base = build_dendrogram(space)
-    for _ in range(args.iterate - 1):
-        base = ballean_tree(base)
+    for _ in range(args.iterate - 1):  # merge trees by construction: no tree check
+        base = _ballean_tree(base)
     balls, levels, rows = ballean_ranks(base)
     _emit({"balls": (base.labels, balls), "hausdorff": (list(map(rational_str, levels)), rows)}, args.out)
     return 0

@@ -493,9 +493,7 @@ def closed_ball(space: FiniteUltrametricSpace, center: int, radius: RationalLike
         raise NegativeRadiusError(f"radius must be nonnegative, got {r}")
     if not 0 <= center < space.n:
         raise BadParamsError(f"center {center} out of range")
-    cut = bisect_right(space.levels, r) - 1  # the largest rank at most r
-    members = tuple(compress(range(space.n), map(cut.__ge__, space.ranks[center])))
-    return Ball(members, diam(space, members))
+    return _ball(space, center, bisect_right(space.levels, r) - 1)  # the largest rank at most r
 
 
 def smallest_ball(space: FiniteUltrametricSpace, subset: Iterable[int]) -> Ball:
@@ -506,17 +504,24 @@ def smallest_ball(space: FiniteUltrametricSpace, subset: Iterable[int]) -> Ball:
     every ball that does.
     """
     idx = _as_index_tuple(space, subset)
-    row = space.ranks[idx[0]]
-    top = max(map(row.__getitem__, idx))
+    top = max(map(space.ranks[idx[0]].__getitem__, idx))
     if top < space.zero:
         raise NegativeRadiusError(f"radius must be nonnegative, got {space.levels[top]}")
-    # closed_ball(idx[0], diam(idx)): every point within rank top of idx[0].
-    members = tuple(compress(range(space.n), map(top.__ge__, row)))
+    return _ball(space, idx[0], top)
+
+
+def _ball(space: FiniteUltrametricSpace, c: int, k: int) -> Ball:
+    """The points within rank k of point c and the level of their diameter, read off
+    the first member's row.  Empty only where d(c, c) > k, off an ultrametric matrix."""
+    members = tuple(compress(range(space.n), map(k.__ge__, space.ranks[c])))
+    if not members:
+        raise EmptySubsetError("subset must be nonempty")
     return Ball(members, space.levels[max(map(space.ranks[members[0]].__getitem__, members))])
 
 
-def require_canonical(space: FiniteUltrametricSpace, ball: Ball) -> None:
-    """Raise ForeignBallError unless ball is a canonical ball of the space."""
+def require_canonical(space: FiniteUltrametricSpace, ball: Ball) -> int:
+    """The rank of the ball's diameter; raises ForeignBallError unless ball
+    is a canonical ball of the space."""
     # A hand-built ball's float or bool diameter can equal its level, and list
     # members are unhashable; the miss path rejects all three.
     if isinstance(ball.members, tuple):
@@ -525,7 +530,7 @@ def require_canonical(space: FiniteUltrametricSpace, ball: Ball) -> None:
             d is space.levels[k]
             or (isinstance(d, (Fraction, int)) and not isinstance(d, bool) and d == space.levels[k])
         ):
-            return
+            return k
     if not ball.members:
         raise ForeignBallError("a ball must have at least one member")
     members = _as_index_tuple(space, ball.members)

@@ -126,7 +126,7 @@ def _ballean_walk(d: Dendrogram) -> tuple[list[tuple[Members, Fraction, list[Mem
     a Fraction, child member tuples), and the member tuples of all nodes,
     which are the balls, by (size, members): the singletons first, in point
     order.  No check is made: ``d`` comes from :func:`_check_tree`, from
-    :attr:`FiniteUltrametricSpace.split` or from :func:`ballean_tree`."""
+    :attr:`FiniteUltrametricSpace.split` or from :func:`_ballean_tree`."""
     merges: list[tuple[Members, Fraction, list[Members]]] = []
 
     def merge(node: Merge, parts: list[Members]) -> Members:
@@ -151,6 +151,11 @@ def ballean_tree(d: Dendrogram) -> Dendrogram:
     MalformedTreeError as :func:`_check_tree` does.
     """
     _check_tree(d)
+    return _ballean_tree(d)
+
+
+def _ballean_tree(d: Dendrogram) -> Dendrogram:
+    """:func:`ballean_tree` of a merge tree, from ``split`` or from this function."""
     merges, balls = _ballean_walk(d)
     index = {m: i for i, m in enumerate(balls)}
     built: dict[Members, Node] = {(p,): Leaf(p) for p in range(d.n)}

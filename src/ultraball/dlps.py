@@ -300,9 +300,10 @@ def dlps_space(
 
 
 def dlps_from_json_dict(data: dict) -> DlpsSpace:
-    """Load {"points": [...], "zero": bool, "tails": [{"first", "ratio"}, ...]}."""
+    """Load {"points": [...], "zero": bool, "tails": [{"first", "ratio"}, ...]}, no other keys."""
     if not isinstance(data, dict):
         raise BadParamsError(f"symbolic-space JSON must be an object, got {type(data).__name__}")
+    unknown = [key for key in data if key not in ("points", "zero", "tails")]
     points = data.get("points", [])
     zero = data.get("zero", False)
     tails = data.get("tails", [])
@@ -312,6 +313,9 @@ def dlps_from_json_dict(data: dict) -> DlpsSpace:
         raise BadParamsError(f"'zero' must be true or false, got {zero!r}")
     if not isinstance(tails, list) or not all(isinstance(t, dict) for t in tails):
         raise BadParamsError("'tails' must be a list of {\"first\", \"ratio\"} objects")
+    unknown += [key for t in tails for key in t if key not in ("first", "ratio")]
+    if unknown:
+        raise BadParamsError(f"unknown keys in symbolic-space JSON: {unknown}")
     try:
         pairs = [(t["first"], t["ratio"]) for t in tails]
     except KeyError as exc:

@@ -495,7 +495,7 @@ def ballean_space_pairwise_reference(space: FiniteUltrametricSpace) -> FiniteUlt
     balls = enumerate_ballean(space)
     labels = ball_labels(space.labels, [b.members for b in balls])
     m = len(balls)
-    # _hausdorff_rank of each pair, reading each ball's rank and first point once.
+    # hausdorff_balls's rank of each pair, with all three terms: the reference keeps top_i.
     rank, ranks = space.ball_table.rank, space.ranks
     tops, firsts = [rank[b.members] for b in balls], [b.members[0] for b in balls]
     rows = [[space.zero] * m for _ in range(m)]

@@ -170,7 +170,7 @@ def test_each_ball_is_checked_once_not_once_per_pair(monkeypatch):
 
     def counting(space, ball):
         checked.append(ball.members)
-        require_canonical(space, ball)
+        return require_canonical(space, ball)
 
     monkeypatch.setattr("ultraball.ballean.require_canonical", counting)
     s = random_binary_space(0, 10)

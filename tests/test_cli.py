@@ -12,7 +12,15 @@ from oracles import caterpillar
 from ultraball.ballean import ballean_space, enumerate_ballean, iterate_ballean
 from ultraball.cli import _emit, build_parser, cli_main
 from ultraball import dendrogram
-from ultraball.core import equidistant_space, space_from_json_dict, space_to_json_dict
+from ultraball.core import (
+    Dendrogram,
+    Leaf,
+    MalformedTreeError,
+    Merge,
+    equidistant_space,
+    space_from_json_dict,
+    space_to_json_dict,
+)
 from ultraball.dendrogram import random_binary_space, random_space
 from ultraball.dlps import dlps_from_json_dict, dlps_sample
 from ultraball.harness import CHECKS
@@ -250,6 +258,23 @@ def test_tree_commands_split_each_input_once(space_file, tmp_path, split_calls, 
     capsys.readouterr()
 
 
+def test_ballean_towers_check_no_tree_they_build(tmp_path, monkeypatch, capsys):
+    # The trees of `ballean --iterate` are merge trees by construction; a
+    # hand-built tree passed to ballean_tree is still checked, and refused.
+    checked = []
+    check = dendrogram._check_tree
+    monkeypatch.setattr(dendrogram, "_check_tree", lambda d: checked.append(d) or check(d))
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space_to_json_dict(random_binary_space(7, 48))))
+    assert cli_main(["ballean", str(path), "--iterate", "3"]) == 0
+    assert checked == []
+    capsys.readouterr()
+    unary = Merge(2, (Merge(1, (Leaf(0), Leaf(1))),))
+    with pytest.raises(MalformedTreeError, match="at least two children"):
+        dendrogram.ballean_tree(Dendrogram(unary, ("a", "b")))
+    assert len(checked) == 1
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -374,6 +399,8 @@ def test_dlps_sample(dlps_file, tmp_path, capsys):
         {"points": "12"},  # a string is not a list of points
         {"points": [1], "zero": "no"},  # a string is not a boolean
         {"tails": [["1", "1/2"]]},  # a tail must be an object
+        {"points": ["1"], "zero": True, "tail": [{"first": "1/2", "ratio": "1/2"}]},  # misspelt "tails"
+        {"tails": [{"first": "1/2", "ratio": "1/2", "last": "1/8"}]},  # a tail key of no meaning
     ],
 )
 def test_dlps_malformed_json_is_bad_params(command, doc, tmp_path, capsys):
