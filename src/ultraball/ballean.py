@@ -26,7 +26,6 @@ from .core import (
     ball_relation,
     closed_ball,
     diam,
-    isolated_points,
     require_canonical,
     smallest_ball,
 )
@@ -167,23 +166,6 @@ def family_diameters(
             f"family diameters disagree: hausdorff={hd}, union={ud}, smallest-ball={sd}"
         )
     return hd, ud, sd
-
-
-def b0_set(space: FiniteUltrametricSpace) -> set[Ball]:
-    """Balls admitting a positive-radius presentation.
-
-    Computed set-theoretically as the balls of positive diameter together
-    with the singletons at isolated points.  For a finite space every point
-    is isolated, so this is the whole ballean (which is also the set of
-    isolated points of the ballean), and that is asserted.
-    """
-    balls = enumerate_ballean(space)
-    iso = isolated_points(space)
-    result = {b for b in balls if space.ball_table.rank[b.members] > space.zero}
-    result.update(closed_ball(space, x, ZERO) for x in iso)
-    if result != set(balls):
-        raise AssertionError("finite-scale positive-radius balls must exhaust the ballean")
-    return result
 
 
 def singleton_embedding(space: FiniteUltrametricSpace) -> dict[int, Ball]:

@@ -326,7 +326,10 @@ def _make_labels(n: int, labels: Sequence[str] | None) -> tuple[str, ...]:
         return tuple(f"p{i}" for i in range(n))
     if not isinstance(labels, (list, tuple)):
         raise BadParamsError(f"labels must be a list, got {type(labels).__name__}")
-    out = tuple(str(s) for s in labels)
+    for label in labels:
+        if not isinstance(label, str):
+            raise BadParamsError(f"labels must be strings, got {label!r}")
+    out = tuple(labels)
     if len(out) != n:
         raise BadParamsError(f"{len(out)} labels for a {n}x{n} matrix")
     if len(set(out)) != n:
@@ -565,18 +568,6 @@ def ball_relation(space: FiniteUltrametricSpace, b1: Ball, b2: Ball) -> BallRela
     if not s1 & s2:
         return BallRelation.DISJOINT
     raise AssertionError(f"partial overlap between balls {b1} and {b2}: the space is not ultrametric")
-
-
-def isolated_points(space: FiniteUltrametricSpace) -> tuple[int, ...]:
-    """Points with a punctured neighborhood empty of the space.
-
-    In a finite metric space every point qualifies, but the membership is
-    still computed from the matrix rather than assumed.
-    """
-    zero = space.zero
-    return tuple(
-        x for x, row in enumerate(space.ranks) if all(k > zero for y, k in enumerate(row) if y != x)
-    )
 
 
 def equidistant_space(

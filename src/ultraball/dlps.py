@@ -444,20 +444,12 @@ def dlps_ballean_analysis(space: DlpsSpace) -> DlpsBalleanReport:
 
     The ball space is discrete iff 0 is not an accumulation point of the
     space; its accumulation balls are exactly the singletons at accumulation
-    points; it is metrically discrete iff the space is.  When 0 belongs to
-    the space, discreteness and metrical discreteness of the ball space are
-    required to agree; the equivalence is only reported, not enforced, when
-    0 is absent.
+    points; it is metrically discrete iff the space is.
     """
     acc = dlps_acc(space)
     ballean_discrete = ZERO not in acc
     ballean_acc = frozenset(Singleton(x) for x in acc)
     ballean_metrically_discrete = dlps_is_metrically_discrete(space)
-
-    if space.has_zero and ballean_metrically_discrete != ballean_discrete:
-        raise AssertionError(
-            "with 0 present, ball-space discreteness and metrical discreteness must coincide"
-        )
     return DlpsBalleanReport(ballean_discrete, ballean_acc, ballean_metrically_discrete)
 
 

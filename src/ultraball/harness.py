@@ -19,7 +19,6 @@ from fractions import Fraction
 from itertools import combinations, count, product
 
 from .ballean import (
-    b0_set,
     ballean_space,
     enumerate_ballean,
     family_diameters,
@@ -45,7 +44,9 @@ from .core import (
     space_violation,
     validate_ultrametric,
 )
-from .dendrogram import _ballean_walk, _parse_pool, _random_space, are_isometric, build_dendrogram
+from .dendrogram import (
+    _ballean_walk, _parse_pool, _random_space, are_isometric, ballean_ranks, build_dendrogram,
+)
 from .dlps import (
     DlpsSpace,
     Singleton,
@@ -189,6 +190,10 @@ def _body_h2(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
     violation = space_violation(bspace)
     if violation is not None:
         return f"ballean space failed validation: {violation.to_json_dict()}"
+    # The tree route, which `ultraball ballean` writes.
+    _, levels, rows = ballean_ranks(build_dendrogram(space))
+    if levels != bspace.levels or tuple(rows) != bspace.ranks:
+        return "ballean matrix differs from the merge-tree route"
     return None
 
 
@@ -295,9 +300,6 @@ def _body_h11(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
         for t, k in enumerate(row):
             if t != s and (k == zero or not k > zero):
                 return f"balls {s} and {t} of the ballean are not at a positive distance"
-    # The unique dense discrete subset is the positive-radius ball family:
-    # b0_set raises unless that family is the whole ballean.
-    b0_set(space)
     return None
 
 
@@ -354,12 +356,14 @@ def _dlps_fixtures() -> list[tuple[str, DlpsSpace]]:
 
 
 # (discrete, metrically discrete, locally finite, boundedly compact,
-#  ballean discrete, ballean acc is {singleton 0})
+#  accumulation points; the ballean's discreteness, metrical discreteness
+#  and accumulation balls)
+_NONE, _ZERO_ACC, _ZERO_BALL = frozenset(), frozenset({ZERO}), frozenset({Singleton(ZERO)})
 _DLPS_EXPECTED = {
-    "finite {0,1,2}": (True, True, True, True, True, False),
-    "zero plus tail(1,1/2)": (False, False, False, False, False, True),
-    "tail(1,1/2) without zero": (True, False, False, False, True, False),
-    "{0,1} plus tail(1/3,1/2)": (False, False, False, False, False, True),
+    "finite {0,1,2}": (True, True, True, True, _NONE, True, True, _NONE),
+    "zero plus tail(1,1/2)": (False, False, False, False, _ZERO_ACC, False, False, _ZERO_BALL),
+    "tail(1,1/2) without zero": (True, False, False, False, _NONE, True, False, _NONE),
+    "{0,1} plus tail(1/3,1/2)": (False, False, False, False, _ZERO_ACC, False, False, _ZERO_BALL),
 }
 
 
@@ -367,36 +371,23 @@ def _run_h10(cfg: TrialConfig, outcome: CheckOutcome) -> None:
     for name, space in _dlps_fixtures():
         outcome.trials += 1
         problems: list[str] = []
-        discrete = dlps_is_discrete(space)
-        metrically = dlps_is_metrically_discrete(space)
         locally = dlps_is_locally_finite(space)
-        boundedly = dlps_is_boundedly_compact(space)
-        try:
-            report = dlps_ballean_analysis(space)
-        except AssertionError as exc:
-            outcome.failures.append(_failure(name, str(exc), dlps=space.to_json_dict()))
-            continue
+        report = dlps_ballean_analysis(space)
         expected = _DLPS_EXPECTED[name]
         got = (
-            discrete,
-            metrically,
+            dlps_is_discrete(space),
+            dlps_is_metrically_discrete(space),
             locally,
-            boundedly,
+            dlps_is_boundedly_compact(space),
+            dlps_acc(space),
             report.ballean_discrete,
-            report.ballean_acc == frozenset({Singleton(ZERO)}),
+            report.ballean_metrically_discrete,
+            report.ballean_acc,
         )
         if got != expected:
             problems.append(f"predicate table {got} != expected {expected}")
-        if report.ballean_acc != frozenset(Singleton(x) for x in dlps_acc(space)):
-            problems.append("ballean accumulation balls are not the singletons at acc points")
-        if report.ballean_discrete != discrete:
-            problems.append("discreteness does not transfer between space and ballean")
-        if report.ballean_metrically_discrete != metrically:
-            problems.append("metrical discreteness does not transfer")
         if (dlps_ball_count_at_most(space, space.max_element()) is not None) != locally:
             problems.append("bounded ball counts disagree with local finiteness")
-        if boundedly != (not space.tails) or boundedly != locally:
-            problems.append("bounded compactness criterion broke")
 
         sample = dlps_sample(space, 6, Fraction(1, 32))
         violation = space_violation(sample)

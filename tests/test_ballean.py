@@ -6,7 +6,6 @@ import pytest
 
 from oracles import balls_by_subset_scan, caterpillar
 from ultraball.ballean import (
-    b0_set,
     ballean_space,
     enumerate_ballean,
     family_diameters,
@@ -185,15 +184,6 @@ def test_each_ball_is_checked_once_not_once_per_pair(monkeypatch):
     # The first foreign ball in member order is the one reported.
     with pytest.raises(ForeignBallError, match=r"members=\(1,\)"):
         family_diameters(s, [Ball((2,), Fraction(9)), Ball((1,), Fraction(9))])
-
-
-def test_b0_set_is_whole_ballean():
-    for seed in range(5):
-        s = random_space(seed, 6, POOL)
-        bl = enumerate_ballean(s)
-        assert b0_set(s) == set(bl)
-    one = validate_ultrametric([[0]], ["x0"])
-    assert {b.members for b in b0_set(one)} == {(0,)}
 
 
 def test_singleton_embedding_examples():

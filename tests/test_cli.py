@@ -401,6 +401,9 @@ def test_dlps_sample(dlps_file, tmp_path, capsys):
         {"tails": [["1", "1/2"]]},  # a tail must be an object
         {"points": ["1"], "zero": True, "tail": [{"first": "1/2", "ratio": "1/2"}]},  # misspelt "tails"
         {"tails": [{"first": "1/2", "ratio": "1/2", "last": "1/8"}]},  # a tail key of no meaning
+        {"points": ["0"]},  # 0 is given as "zero", not as a point
+        {"tails": [{"first": "0", "ratio": "1/2"}]},  # a tail must start above 0
+        {"tails": [{"first": "1/2"}]},  # a tail without its ratio
     ],
 )
 def test_dlps_malformed_json_is_bad_params(command, doc, tmp_path, capsys):
@@ -509,6 +512,8 @@ def test_verify_h11_replays_large_balleans_quickly(tmp_path, capsys, n):
     [
         {"labels": ["a", "b"], "matrix": [[0, 1], [1]]},  # ragged matrix
         [[[0, 1], [1, 0]]],  # a bare matrix where a space object belongs
+        {"labels": [["a"], {"b": 1}], "matrix": [[0, 1], [1, 0]]},  # labels that are not strings
+        {"labels": ["a"], "matrix": [[0, 1], [1, 0]]},  # one label for two points
     ],
 )
 def test_verify_replay_malformed_space_is_bad_params(replay, tmp_path, capsys):

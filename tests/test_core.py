@@ -200,6 +200,8 @@ def test_non_square_rejected():
 def test_duplicate_labels_rejected():
     with pytest.raises(BadParamsError):
         validate_ultrametric([[0, 1], [1, 0]], ["a", "a"])
+    with pytest.raises(BadParamsError, match=r"labels must be strings, got \['a'\]"):
+        validate_ultrametric([[0, 1], [1, 0]], [["a"], {"b": 1}])
 
 
 # --- diam / closed_ball / smallest_ball --------------------------------------
@@ -236,6 +238,9 @@ def test_closed_ball_examples():
 def test_closed_ball_negative_radius():
     with pytest.raises(NegativeRadiusError):
         closed_ball(three_point_space(), 0, -1)
+    for center in (-1, 3):
+        with pytest.raises(BadParamsError, match=f"center {center} out of range"):
+            closed_ball(three_point_space(), center, 1)
 
 
 def test_smallest_ball_examples():
@@ -360,6 +365,11 @@ def test_equidistant_space_shape():
         assert find_violation(s.dist, s.labels) is None
     with pytest.raises(BadParamsError):
         equidistant_space(3, 1, labels=["a", "b", "a"])
+    with pytest.raises(BadParamsError, match="n must be at least 1"):
+        equidistant_space(0, 1)
+    for value in (0, -1):
+        with pytest.raises(BadParamsError, match="the common distance must be positive"):
+            equidistant_space(3, value)
 
 
 # --- the stored triple -------------------------------------------------------

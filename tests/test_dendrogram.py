@@ -243,6 +243,8 @@ def test_random_space_bad_params():
         random_space(1, 3, ())
     with pytest.raises(BadParamsError):
         random_space(1, 3, ("0",))
+    with pytest.raises(BadParamsError, match="n must be at least 1"):
+        random_binary_space(1, 0)
 
 
 def test_random_binary_space_maximal_ballean():

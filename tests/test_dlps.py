@@ -327,6 +327,12 @@ def test_ball_errors():
         dlps_ball(space, 5, 1)
     with pytest.raises(NegativeRadiusError):
         dlps_ball(space, 1, -1)
+    with pytest.raises(CenterNotInSpaceError):
+        dlps_ball(space, -1, 1)  # no negative value is a member
+    with pytest.raises(BadParamsError, match="singleton value 3 is not in the space"):
+        normalize_ball(space, Singleton(F(3)))
+    with pytest.raises(BadParamsError, match="no element of the space lies at or below 1/2"):
+        normalize_ball(dlps_space(points=(1, 2)), Truncation(F(1, 2)))
 
 
 # --- acc ---------------------------------------------------------------------
