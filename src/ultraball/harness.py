@@ -32,9 +32,9 @@ from .ballean import (
 from .core import (
     ZERO,
     BadParamsError,
+    Ball,
     ConfigError,
     FiniteUltrametricSpace,
-    UltraballError,
     UltrametricViolation,
     _parse_space_json,
     equidistant_space,
@@ -198,36 +198,26 @@ def _body_h2(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
 
 
 def _mask(members: tuple[int, ...]) -> int:
-    """A member set as a bitmask: bit p for point p."""
-    return sum(1 << p for p in set(members))
+    """A ball's member set as a bitmask: bit p for point p."""
+    return sum(1 << p for p in members)
 
 
 def _body_h3(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
     balls = enumerate_ballean(space)
     masks = [_mask(b.members) for b in balls]
-    index = {b.members: i for i, b in enumerate(balls)}
-    # The balls containing each ball, as a bitmask of indices: a ball
-    # contains b1 | b2 iff it contains both.
+    # The balls containing each ball, as a bitmask of indices.  Those holding two balls form
+    # a chain, and the table is sorted by size: the lowest shared bit is the smallest of them.
     sup = [sum(1 << i for i, t in enumerate(masks) if s & t == s) for s in masks]
     for (i1, b1), (i2, b2) in combinations(enumerate(balls), 2):
         bstar, value = smallest_ball_distance(space, b1, b2)
+        common = sup[i1] & sup[i2]
+        want = balls[(common & -common).bit_length() - 1]
+        if bstar != want:
+            got, expected = (f"{b.members} of diameter {b.diameter}" for b in (bstar, want))
+            return f"smallest ball for {b1.members}, {b2.members} is {got}, not {expected}"
         h = hausdorff_balls(space, b1, b2)
         if value is not h and value != h:
             return f"smallest-ball diameter != Hausdorff distance for {b1.members}, {b2.members}"
-        s = index.get(bstar.members)
-        if s is None:  # not a table ball: its mask and the balls above it, built here
-            star = _mask(bstar.members)
-            above = sum(1 << i for i, t in enumerate(masks) if star & t == star)
-        else:
-            star, above = masks[s], sup[s]
-        if (masks[i1] | masks[i2]) & ~star:
-            return f"smallest ball does not contain the union for {b1.members}, {b2.members}"
-        if missed := sup[i1] & sup[i2] & ~above:  # its lowest bit is the first such ball
-            i = (missed & -missed).bit_length() - 1
-            return (
-                f"ball {balls[i].members} contains the union of {b1.members} and "
-                f"{b2.members} but not their smallest ball"
-            )
     return None
 
 
@@ -264,8 +254,6 @@ def _body_h6(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
 
 
 def _body_h7(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
-    if space.n < 2:
-        return None
     base = min_positive_distance(space)
     lifted = min_positive_distance(ballean_space(space))
     if base != lifted:
@@ -277,14 +265,14 @@ def _body_h9(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
     balls = enumerate_ballean(space)
     masks = [_mask(b.members) for b in balls]
     for y, y_mask in zip(balls, masks):
+        # Restricting keeps point order and diameters: Y's renumbered subballs, in order.
         position = {orig: i for i, orig in enumerate(y.members)}
-        expected = {
-            tuple(sorted(position[m] for m in b.members))
+        expected = [
+            Ball(tuple(map(position.__getitem__, b.members)), b.diameter)
             for b, b_mask in zip(balls, masks)
             if b_mask & y_mask == b_mask
-        }
-        actual = {b.members for b in enumerate_ballean(space.restrict(y.members))}
-        if expected != actual:
+        ]
+        if expected != list(enumerate_ballean(space.restrict(y.members))):
             return f"subballs of {y.members} do not match the ballean of the restriction"
     return None
 
@@ -418,7 +406,8 @@ def _run_h10(cfg: TrialConfig, outcome: CheckOutcome) -> None:
 CHECKS: dict[str, str] = {
     "H1": "Hausdorff distance between distinct balls: sup-inf definition, "
     "disjoint/nested case split, and diameter of the union all agree exactly",
-    "H2": "the ballean under the Hausdorff distance is itself a valid ultrametric space",
+    "H2": "the ballean under the Hausdorff distance is a valid ultrametric space, and its "
+    "matrix equals the one built from the merge tree",
     "H3": "the Hausdorff distance between distinct balls equals the diameter of the "
     "smallest ball containing their union",
     "H4": "a family of two or more balls has the same diameter measured between balls, "
@@ -430,12 +419,11 @@ CHECKS: dict[str, str] = {
     "H8": "an equidistant space has an equidistant ballean with the same value and one "
     "extra point, and is isometric to it only in the one-point case",
     "H9": "the balls contained in a ball Y are exactly the ballean of Y as a subspace",
-    "H10": "symbolic max-metric spaces: discreteness, metrical discreteness, local "
-    "finiteness, bounded compactness and accumulation sets transfer between a space "
-    "and its ballean as the closed forms predict",
-    "H11": "isolated and accumulation points of subsets partition correctly, and the "
-    "ballean has exactly one dense discrete subset: itself",
-    "H12": "iterating the ballean construction twice still yields ultrametric spaces",
+    "H10": "symbolic max-metric spaces: the predicates and accumulation sets of the space "
+    "and its ballean match a pinned table, ball counts are finite iff locally finite, and a "
+    "finite sample and its ballean are ultrametric with the symbolic distances",
+    "H11": "every two distinct balls of the ballean are at a positive Hausdorff distance",
+    "H12": "the first and second iterated balleans are valid ultrametric spaces",
 }
 
 
@@ -448,11 +436,14 @@ def _replay_instance(
 ) -> tuple[int, FiniteUltrametricSpace, UltrametricViolation | None]:
     """A failure record, at its trial, or a bare space, at its position."""
     trial = position
-    if isinstance(entry, dict) and "space" in entry:
-        trial, entry = entry.get("trial", position), entry["space"]
-        if type(trial) is not int:
-            raise BadParamsError(f"replay entry {position}: trial must be an integer")
-    space = _parse_space_json(entry)
+    try:
+        if isinstance(entry, dict) and "space" in entry:
+            trial, entry = entry.get("trial", position), entry["space"]
+            if type(trial) is not int:
+                raise BadParamsError("trial must be an integer")
+        space = _parse_space_json(entry)
+    except BadParamsError as exc:
+        raise BadParamsError(f"replay entry {position}: {exc}") from None
     return trial, space, space_violation(space)
 
 
@@ -488,16 +479,14 @@ def run_suite(config: TrialConfig, replay_spaces: list[dict] | None = None) -> C
                 start = time.perf_counter()
                 try:
                     detail = body(space, _trial_rng(config, check_id, trial))
-                except (UltraballError, AssertionError) as exc:
+                except Exception as exc:  # a crashing check fails on this space
                     detail = f"{type(exc).__name__}: {exc}"
                 outcome.elapsed_s += time.perf_counter() - start
             if detail is not None:
                 outcome.failures.append(_failure(trial, detail, space))
-    for check_id, _, outcome in bodies:
-        if largest:
+    if largest:
+        for _, _, outcome in bodies:
             outcome.stats["max_space_size"] = largest
-        if check_id == "H12" and replay_spaces is None and not outcome.failures:
-            outcome.stats.update(iterated_sizes_recorded=True, largest_base_size=largest)
 
     for check_id, run in _RUNNERS.items():
         if check_id in outcomes:

@@ -443,31 +443,6 @@ def body_h11_reference(space: FiniteUltrametricSpace, rng=None) -> str | None:
     return None
 
 
-def body_h3_sets_reference(space: FiniteUltrametricSpace, rng=None) -> str | None:
-    """H3's body as it held each ball's member set as a Python set and
-    rebuilt the smallest ball's set for each pair: the scan that bitmasks
-    replaced."""
-    balls = enumerate_ballean(space)
-    ball_sets = [set(b.members) for b in balls]
-    # The balls containing each ball, by index: a ball contains b1 | b2 iff
-    # it contains both.
-    sup = {b.members: {i for i, t in enumerate(ball_sets) if s <= t} for b, s in zip(balls, ball_sets)}
-    for b1, b2 in combinations(balls, 2):
-        bstar, value = smallest_ball_distance(space, b1, b2)
-        if value != hausdorff_balls(space, b1, b2):
-            return f"smallest-ball diameter != Hausdorff distance for {b1.members}, {b2.members}"
-        star = set(bstar.members)
-        if not set(b1.members) | set(b2.members) <= star:
-            return f"smallest ball does not contain the union for {b1.members}, {b2.members}"
-        for i in sorted(sup[b1.members] & sup[b2.members]):
-            if not star <= ball_sets[i]:
-                return (
-                    f"ball {balls[i].members} contains the union of {b1.members} and "
-                    f"{b2.members} but not their smallest ball"
-                )
-    return None
-
-
 def body_h9_reference(space: FiniteUltrametricSpace, rng=None) -> str | None:
     """H9's body as it tested containment with Python sets."""
     balls = enumerate_ballean(space)

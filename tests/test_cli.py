@@ -514,6 +514,7 @@ def test_verify_h11_replays_large_balleans_quickly(tmp_path, capsys, n):
         [[[0, 1], [1, 0]]],  # a bare matrix where a space object belongs
         {"labels": [["a"], {"b": 1}], "matrix": [[0, 1], [1, 0]]},  # labels that are not strings
         {"labels": ["a"], "matrix": [[0, 1], [1, 0]]},  # one label for two points
+        [{"space": 5}],  # a failure record whose space is not a space object
     ],
 )
 def test_verify_replay_malformed_space_is_bad_params(replay, tmp_path, capsys):
@@ -522,6 +523,7 @@ def test_verify_replay_malformed_space_is_bad_params(replay, tmp_path, capsys):
     assert cli_main(["verify", "--trials", "1", "--checks", "H2", "--replay", str(path)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "BadParamsError"
+    assert err["message"].startswith("replay entry 0: ")
 
 
 def test_validate_string_labels_is_bad_params(tmp_path, capsys):

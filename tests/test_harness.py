@@ -320,6 +320,20 @@ def test_no_check_body_runs_on_an_invalid_replay(monkeypatch):
         assert details == [_invalid_detail(d) for d in spaces[:-1]] + ["AssertionError: body ran"]
 
 
+def test_a_crashing_check_fails_on_its_space_and_the_run_goes_on(monkeypatch):
+    # A KeyError, as a misordered ball walk once raised inside H2, fails that
+    # check on that space with a record to replay; the other checks still run.
+    def crashing(space, rng):
+        raise KeyError((8,))
+
+    monkeypatch.setitem(harness._PER_SPACE_BODIES, "H2", crashing)
+    report = run_suite(TrialConfig(seed=1, trials=3, max_points=5, checks=("H2", "H5")))
+    failures = report.outcome("H2").failures
+    assert [(f["trial"], f["detail"]) for f in failures] == [(t, "KeyError: (8,)") for t in range(3)]
+    assert all("space" in f for f in failures)
+    assert report.outcome("H5").failures == []
+
+
 def test_h11_scans_every_corpus_space():
     # A valid corpus space passes H11, and an invalid one fails with its violation.
     report = run_suite(TrialConfig(seed=1, trials=1, checks=("H11",)), replay_spaces=_corrupted_corpus())

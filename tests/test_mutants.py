@@ -2,23 +2,29 @@
 
 A check that no wrong program can fail proves nothing (DeMillo, Lipton and
 Sayward, "Hints on test data selection", 1978).  Each mutant is patched in
-the library module that defines it and in `ultraball.harness`, which
-imports it by name.
+the library module that defines it and in every module that imports it by
+name.  Every check id H1-H12 is in the failing set of some mutant.
 """
 
+from bisect import bisect_right
 from dataclasses import replace
 
 import pytest
 
-from ultraball import ballean, dlps, harness
-from ultraball.core import ZERO, FiniteUltrametricSpace
+from ultraball import ballean, core, dendrogram, dlps, harness
+from ultraball.ballean import ballean_space, hausdorff_by_cases, smallest_ball_distance
+from ultraball.core import ZERO, Ball, BallRelation, FiniteUltrametricSpace, _ball, ball_relation, parse_rational
+from ultraball.dendrogram import _ballean_walk
 from ultraball.dlps import Singleton, Truncation
-from ultraball.harness import TrialConfig, run_suite
+from ultraball.harness import CHECKS, TrialConfig, run_suite
 
 
-def _patch(monkeypatch, module, name, mutant):
-    for target in (module, harness):
-        monkeypatch.setattr(target, name, mutant)
+def _patch(monkeypatch, owner, name, mutant):
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, mutant)
+    for target in (core, ballean, dendrogram, dlps, harness):
+        if getattr(target, name, None) is real:
+            monkeypatch.setattr(target, name, mutant)
 
 
 def _failed(config):
@@ -44,15 +50,86 @@ def test_a_ballean_matrix_with_wrong_ranks_fails_h2(monkeypatch):
     assert _failed(TrialConfig(trials=60)) == {"H2"}
 
 
+def _pair_0_1_zeroed(b):
+    return _with_ranks(b, lambda s, t, k: b.zero if {s, t} == {0, 1} else k)
+
+
 def test_a_zeroed_ballean_pair_fails_h11_and_h2(monkeypatch):
     real = ballean.ballean_space
-
-    def zeroed(space):
-        b = real(space)
-        return _with_ranks(b, lambda s, t, k: b.zero if {s, t} == {0, 1} else k)
-
-    _patch(monkeypatch, ballean, "ballean_space", zeroed)
+    _patch(monkeypatch, ballean, "ballean_space", lambda space: _pair_0_1_zeroed(real(space)))
     assert {"H2", "H11"} <= _failed(TrialConfig(trials=20))
+
+
+def _union_for_smallest_ball(space, b1, b2):
+    # The union of two disjoint balls is mostly no ball; the value stays right,
+    # so only H3's comparison with the smallest table ball sees it.
+    bstar, value = smallest_ball_distance(space, b1, b2)
+    return Ball(tuple(sorted({*b1.members, *b2.members})), value), value
+
+
+def _smaller_diameter_when_nested(space, b1, b2):
+    if ball_relation(space, b1, b2) in (BallRelation.EQUAL, BallRelation.DISJOINT):
+        return hausdorff_by_cases(space, b1, b2)
+    return min(b1.diameter, b2.diameter)
+
+
+def _min_for_diam(space, subset):
+    idx = sorted(set(subset))
+    return space.levels[min(map(space.ranks[idx[0]].__getitem__, idx))]
+
+
+def _walk_by_reversed_members(d):
+    merges, balls = _ballean_walk(d)
+    return merges, balls[: d.n] + sorted(balls[d.n :], key=lambda m: (len(m), m[::-1]))
+
+
+def _one_rank_too_far(space, center, radius):
+    return _ball(space, center, bisect_right(space.levels, parse_rational(radius)))
+
+
+def _min_positive_skipping_row_0(space):
+    upper = [k for i, row in enumerate(space.ranks) if i for k in row[i + 1 :] if k > space.zero]
+    return space.levels[min(upper)] if upper else None
+
+
+_restrict = FiniteUltrametricSpace.restrict
+
+
+def _reversed_restrict(space, indices):
+    return _restrict(space, tuple(indices)[::-1])
+
+
+def _zeroed_above_12_points(space):
+    b = ballean_space(space)
+    return b if space.n <= 12 else _pair_0_1_zeroed(b)
+
+
+# name: (owner, attribute, mutant, the checks it fails at TrialConfig(trials=20)).
+# Each mutant calls the real functions, bound here at import.
+FINITE_MUTANTS = {
+    "union for the smallest ball": (ballean, "smallest_ball_distance", _union_for_smallest_ball, {"H3"}),
+    "nested balls at the smaller diameter": (ballean, "hausdorff_by_cases", _smaller_diameter_when_nested, {"H1"}),
+    "diameter as the least distance": (core, "diam", _min_for_diam, {"H4"}),
+    "walk by reversed members": (dendrogram, "_ballean_walk", _walk_by_reversed_members, {"H2", "H5"}),
+    # bisect_left instead is equivalent at radius 0, the one radius verify asks for.
+    "closed ball one rank too far": (core, "closed_ball", _one_rank_too_far, {"H6"}),
+    "least distance skipping row 0": (ballean, "min_positive_distance", _min_positive_skipping_row_0, {"H7", "H10"}),
+    "isometric always": (dendrogram, "are_isometric", lambda s1, s2: True, {"H8"}),
+    "restriction reversed": (FiniteUltrametricSpace, "restrict", _reversed_restrict, {"H9"}),
+    "ballean pair zeroed above 12 points": (ballean, "ballean_space", _zeroed_above_12_points, {"H12"}),
+}
+
+
+@pytest.mark.parametrize("mutant", list(FINITE_MUTANTS))
+def test_each_finite_mutant_fails_the_checks_named(mutant, monkeypatch):
+    owner, name, replacement, expected = FINITE_MUTANTS[mutant]
+    _patch(monkeypatch, owner, name, replacement)
+    assert _failed(TrialConfig(trials=20)) == expected
+
+
+def test_every_check_fails_on_some_mutant():
+    caught = {"H2", "H11", "H10"}.union(*(expected for *_, expected in FINITE_MUTANTS.values()))
+    assert caught == set(CHECKS)
 
 
 def _analysis(change):
