@@ -96,8 +96,16 @@ def ballean_space(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
     its two points, which is that far from a maximal proper sub-ball.  So the
     result keeps the space's levels.  It is built directly from the ball list
     and not revalidated here, so checking it against the ultrametric axioms
-    stays a meaningful test rather than a tautology.
+    stays a meaningful test rather than a tautology.  It is built once per
+    space and cached on it, as the ball table is.
     """
+    cache = space.__dict__
+    if "_ballean" not in cache:
+        cache["_ballean"] = _build_ballean(space)
+    return cache["_ballean"]
+
+
+def _build_ballean(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
     balls = enumerate_ballean(space)
     labels = ball_labels(space.labels, [b.members for b in balls])
     m = len(balls)

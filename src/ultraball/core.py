@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import re
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from operator import eq, itemgetter
+from operator import eq, index, itemgetter
 from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 ZERO = Fraction(0)
@@ -161,9 +161,11 @@ class FiniteUltrametricSpace:
     ``levels`` holds the distinct entries together with 0, sorted, and
     ``d(i, j) == levels[ranks[i][j]]``, so order questions compare ints.
     No level but 0 goes unused, so equal spaces have equal triples.
-    :attr:`dist` is the exact matrix, :attr:`ball_table` the closed balls and
-    :attr:`split` the merge tree, each built on first use (by validation, for
-    the tree); no cache can go stale because the dataclass is frozen.
+    :attr:`dist` is the exact matrix, :attr:`ball_table` the closed balls,
+    :attr:`split` the merge tree and ``_ball_memo`` the balls :func:`_ball`
+    has answered, each built on first use (by validation, for the tree), as
+    is the ballean that ``ballean_space`` keeps here; no cache can go stale
+    because the dataclass is frozen.
 
     Every space is ultrametric: :func:`validate_ultrametric` and
     :func:`space_from_json_dict` refuse a matrix that is not, and the other
@@ -206,6 +208,11 @@ class FiniteUltrametricSpace:
         idx = tuple(indices)
         rows = tuple(tuple(self.ranks[p][q] for q in idx) for p in idx)
         return _over_levels_of(self.levels, tuple(self.labels[p] for p in idx), rows)
+
+    @cached_property
+    def _ball_memo(self) -> dict[tuple[int, int], "Ball"]:
+        """:func:`_ball`'s answers by (center, rank), filled as asked."""
+        return {}
 
     @cached_property
     def ball_table(self) -> "BallTable":
@@ -313,12 +320,15 @@ class Dendrogram:
 
 
 def _as_index_tuple(space: FiniteUltrametricSpace, subset: Iterable[int]) -> tuple[int, ...]:
-    idx = sorted(set(subset))
-    if not idx:
-        raise EmptySubsetError("subset must be nonempty")
-    if idx[0] < 0 or idx[-1] >= space.n:
-        raise BadParamsError(f"point index out of range for a {space.n}-point space: {idx}")
-    return tuple(idx)
+    try:
+        idx = sorted(set(subset))
+        if not idx:
+            raise EmptySubsetError("subset must be nonempty")
+        if idx[0] < 0 or idx[-1] >= space.n:
+            raise BadParamsError(f"point index out of range for a {space.n}-point space: {idx}")
+        return tuple(map(index, idx))
+    except TypeError:  # unhashable, unordered or no integer, as 1.0, "1" or None
+        raise BadParamsError(f"point indices must be integers: {subset!r}") from None
 
 
 def _make_labels(n: int, labels: Sequence[str] | None) -> tuple[str, ...]:
@@ -494,9 +504,13 @@ def closed_ball(space: FiniteUltrametricSpace, center: int, radius: RationalLike
     r = parse_rational(radius)
     if r < 0:
         raise NegativeRadiusError(f"radius must be nonnegative, got {r}")
-    if not 0 <= center < space.n:
+    try:
+        c = index(center)
+    except TypeError:
+        raise BadParamsError(f"center must be a point index, got {center!r}") from None
+    if not 0 <= c < space.n:
         raise BadParamsError(f"center {center} out of range")
-    return _ball(space, center, bisect_right(space.levels, r) - 1)  # the largest rank at most r
+    return _ball(space, c, bisect_right(space.levels, r) - 1)  # the largest rank at most r
 
 
 def smallest_ball(space: FiniteUltrametricSpace, subset: Iterable[int]) -> Ball:
@@ -514,12 +528,25 @@ def smallest_ball(space: FiniteUltrametricSpace, subset: Iterable[int]) -> Ball:
 
 
 def _ball(space: FiniteUltrametricSpace, c: int, k: int) -> Ball:
+    """:func:`_scan_ball`'s answer, scanned once per space for each int c and k."""
+    memo = space._ball_memo
+    ball = memo.get((c, k))
+    if ball is None:
+        ball = memo[c, k] = _scan_ball(space, c, k)
+    return ball
+
+
+def _scan_ball(space: FiniteUltrametricSpace, c: int, k: int) -> Ball:
     """The points within rank k of point c and the level of their diameter, read off
-    the first member's row.  Empty only where d(c, c) > k, off an ultrametric matrix."""
+    the first member's row: the ball table's own equal ball if the table is built.
+    Empty only where d(c, c) > k, off an ultrametric matrix."""
     members = tuple(compress(range(space.n), map(k.__ge__, space.ranks[c])))
     if not members:
         raise EmptySubsetError("subset must be nonempty")
-    return Ball(members, space.levels[max(map(space.ranks[members[0]].__getitem__, members))])
+    ball = Ball(members, space.levels[max(map(space.ranks[members[0]].__getitem__, members))])
+    balls = space.__dict__["ball_table"].balls if "ball_table" in space.__dict__ else ()
+    i = bisect_left(balls, (len(members), members), key=lambda b: (len(b.members), b.members))
+    return balls[i] if i < len(balls) and balls[i] == ball else ball
 
 
 def require_canonical(space: FiniteUltrametricSpace, ball: Ball) -> int:

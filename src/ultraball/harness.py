@@ -4,9 +4,9 @@ Each check verifies one exact structural property of balleans on randomly
 generated spaces (plus fixed symbolic instances).  Everything is driven by
 a master seed through substreams: each trial draws one space, which every
 per-space check reads, and each check body draws from its own (check,
-trial) stream.  So identical configurations yield identical reports, and
-every failure record carries its trial and a serialized instance that
-reproduce the failure on its own.
+trial) stream, seeded only when the body asks for it.  So identical
+configurations yield identical reports, and every failure record carries
+its trial and a serialized instance that reproduce the failure on its own.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, count, product
+from typing import Callable
 
 from .ballean import (
     ballean_space,
@@ -164,13 +166,15 @@ def _failure(trial: int | str, detail: str, space: FiniteUltrametricSpace | None
 
 # --- per-space check bodies -------------------------------------------------
 # Each body returns a failure detail string, or None when the space passes.
+# ``stream()`` seeds and returns the body's own (check, trial) random stream.
+Stream = Callable[[], random.Random]
 
 
-def _body_h1(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
+def _body_h1(space: FiniteUltrametricSpace, stream: Stream) -> str | None:
     balls = enumerate_ballean(space)
     pairs = list(combinations(range(len(balls)), 2))
     if len(pairs) > 300:
-        pairs = rng.sample(pairs, 300)
+        pairs = stream().sample(pairs, 300)
     for i, j in pairs:
         b1, b2 = balls[i], balls[j]
         result = hausdorff_balls(space, b1, b2)
@@ -185,7 +189,7 @@ def _body_h1(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
     return None
 
 
-def _body_h2(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
+def _body_h2(space: FiniteUltrametricSpace, stream: Stream) -> str | None:
     bspace = ballean_space(space)
     violation = space_violation(bspace)
     if violation is not None:
@@ -202,7 +206,7 @@ def _mask(members: tuple[int, ...]) -> int:
     return sum(1 << p for p in members)
 
 
-def _body_h3(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
+def _body_h3(space: FiniteUltrametricSpace, stream: Stream) -> str | None:
     balls = enumerate_ballean(space)
     masks = [_mask(b.members) for b in balls]
     # The balls containing each ball, as a bitmask of indices.  Those holding two balls form
@@ -221,10 +225,11 @@ def _body_h3(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
     return None
 
 
-def _body_h4(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
+def _body_h4(space: FiniteUltrametricSpace, stream: Stream) -> str | None:
     balls = enumerate_ballean(space)
     if len(balls) < 2:
         return None
+    rng = stream()
     for _ in range(50):
         size = rng.randint(2, min(8, len(balls)))
         family = rng.sample(balls, size)
@@ -235,7 +240,7 @@ def _body_h4(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
     return None
 
 
-def _body_h5(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
+def _body_h5(space: FiniteUltrametricSpace, stream: Stream) -> str | None:
     balls, bound = enumerate_ballean(space), 2 * space.n - 1
     if len(balls) > bound:
         return f"{len(balls)} balls, over the 2n-1 bound of {bound}"
@@ -248,12 +253,12 @@ def _body_h5(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
     return None
 
 
-def _body_h6(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
+def _body_h6(space: FiniteUltrametricSpace, stream: Stream) -> str | None:
     singleton_embedding(space)  # raises AssertionError when not an isometry
     return None
 
 
-def _body_h7(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
+def _body_h7(space: FiniteUltrametricSpace, stream: Stream) -> str | None:
     base = min_positive_distance(space)
     lifted = min_positive_distance(ballean_space(space))
     if base != lifted:
@@ -261,7 +266,7 @@ def _body_h7(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
     return None
 
 
-def _body_h9(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
+def _body_h9(space: FiniteUltrametricSpace, stream: Stream) -> str | None:
     balls = enumerate_ballean(space)
     masks = [_mask(b.members) for b in balls]
     for y, y_mask in zip(balls, masks):
@@ -277,7 +282,7 @@ def _body_h9(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
     return None
 
 
-def _body_h11(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
+def _body_h11(space: FiniteUltrametricSpace, stream: Stream) -> str | None:
     # With every two balls at a positive distance, each subset is its own
     # isolated set and has no accumulation points, so the two partition it
     # and only the whole ballean is dense and discrete.  A pair at a rank
@@ -291,7 +296,7 @@ def _body_h11(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
     return None
 
 
-def _body_h12(space: FiniteUltrametricSpace, rng: random.Random) -> str | None:
+def _body_h12(space: FiniteUltrametricSpace, stream: Stream) -> str | None:
     first = ballean_space(space)
     second = ballean_space(first)
     for stage, candidate in (("first", first), ("second", second)):
@@ -478,7 +483,7 @@ def run_suite(config: TrialConfig, replay_spaces: list[dict] | None = None) -> C
             else:
                 start = time.perf_counter()
                 try:
-                    detail = body(space, _trial_rng(config, check_id, trial))
+                    detail = body(space, partial(_trial_rng, config, check_id, trial))
                 except Exception as exc:  # a crashing check fails on this space
                     detail = f"{type(exc).__name__}: {exc}"
                 outcome.elapsed_s += time.perf_counter() - start

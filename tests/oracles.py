@@ -145,6 +145,8 @@ def closed_ball_reference(space: FiniteUltrametricSpace, center: int, radius) ->
     r = parse_rational(radius)
     if r < 0:
         raise NegativeRadiusError(f"radius must be nonnegative, got {r}")
+    if not isinstance(center, int):  # bools are ints, and index rows as 0 and 1
+        raise BadParamsError(f"center must be a point index, got {center!r}")
     if not 0 <= center < space.n:
         raise BadParamsError(f"center {center} out of range")
     row = space.dist[center]

@@ -83,6 +83,9 @@ def test_hausdorff_oracle_examples():
     assert hausdorff_oracle(s, [0, 2], [1]) == 2
     with pytest.raises(EmptySubsetError):
         hausdorff_oracle(s, [], [0])
+    for subset in ([1.0], ["a"], [None]):
+        with pytest.raises(BadParamsError, match="point indices must be integers"):
+            hausdorff_oracle(s, [0], subset)
 
 
 def test_hausdorff_balls_examples():

@@ -233,6 +233,8 @@ def test_closed_ball_examples():
     assert closed_ball(s, 0, 1) == Ball((0, 1), Fraction(1))
     # the requested radius 3/2 is not kept; the diameter is
     assert closed_ball(s, 0, "3/2") == Ball((0, 1), Fraction(1))
+    assert closed_ball(s, True, 0) == Ball((1,), Fraction(0))  # a bool is an int
+    assert "ball_table" not in vars(s)  # a lone query scans one row
 
 
 def test_closed_ball_negative_radius():
@@ -241,6 +243,11 @@ def test_closed_ball_negative_radius():
     for center in (-1, 3):
         with pytest.raises(BadParamsError, match=f"center {center} out of range"):
             closed_ball(three_point_space(), center, 1)
+    s = three_point_space()
+    closed_ball(s, 1, 1)  # memoized as (1, rank 1), which 1.0 equals as a key
+    for center in (1.0, "1", None):
+        with pytest.raises(BadParamsError, match="center must be a point index"):
+            closed_ball(s, center, 1)
 
 
 def test_smallest_ball_examples():

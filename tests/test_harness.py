@@ -4,11 +4,13 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import ultraball
+from oracles import caterpillar
 from ultraball.cli import cli_main
 from ultraball import harness
 from ultraball.core import (
@@ -87,11 +89,11 @@ def test_h5_names_the_2n_minus_1_bound(monkeypatch):
     monkeypatch.setattr(harness, "enumerate_ballean", lambda space: real(space) + real(space)[-1:])
     for seed in range(4):
         for n in (1, 2, 5, 9):
-            detail = harness._body_h5(random_binary_space(seed, n), random.Random(0))
+            detail = harness._body_h5(random_binary_space(seed, n), lambda: random.Random(0))
             assert detail == f"{2 * n} balls, over the 2n-1 bound of {2 * n - 1}"
             under = random_space(seed, n, DEFAULT_LEVEL_POOL)
             if len(real(under)) < 2 * n - 1:  # one more is within the bound: the ordered compare fails
-                detail = harness._body_h5(under, random.Random(0))
+                detail = harness._body_h5(under, lambda: random.Random(0))
                 assert detail == "merge-tree node leaf sets differ from the ball table, in order"
 
 
@@ -189,6 +191,22 @@ def test_each_check_alone_matches_the_full_suite(monkeypatch):
     for entry in full["checks"]:
         alone = _timeless(run_suite(TrialConfig(seed=3, trials=8, max_points=9, checks=(entry["id"],))))
         assert alone["checks"] == [entry]
+
+
+def test_each_trial_space_builds_one_ballean(ballean_builds):
+    # H2, H7, H11 and H12 share the trial space's ballean; H12 adds the
+    # ballean's own.
+    config = TrialConfig(seed=3, trials=20, checks=("H2", "H7", "H11", "H12"))
+    assert run_suite(config).passed
+    assert len(ballean_builds) == 2 * config.trials
+    assert len({id(space) for space in ballean_builds}) == len(ballean_builds)
+
+
+def test_each_ball_is_scanned_once_per_space(ball_scans):
+    assert run_suite(TrialConfig(seed=3, trials=20)).passed
+    assert ball_scans
+    keys = [(id(space), c, k) for space, c, k in ball_scans]
+    assert len(set(keys)) == len(keys)
 
 
 def test_repeated_checks_run_once(capsys):
@@ -356,6 +374,32 @@ def test_h2_and_h12_replay_a_120_point_space_quickly():
     report = run_suite(TrialConfig(seed=1, trials=1, checks=("H2", "H12")), replay_spaces=[data])
     assert time.perf_counter() - start < 2
     assert report.passed
+
+
+def test_h3_replays_a_240_point_space_quickly():
+    # Each smallest ball is scanned once per (center, rank), not once per pair of balls.
+    data = space_to_json_dict(random_binary_space(0, 240))
+    start = time.perf_counter()
+    report = run_suite(TrialConfig(seed=1, trials=1, checks=("H3",)), replay_spaces=[data])
+    assert time.perf_counter() - start < 1
+    assert report.passed
+
+
+def test_h3_on_a_240_point_caterpillar_keeps_the_table_balls():
+    # d(i, j) = max(i, j): 479 balls, and about 29k distinct (center, rank)
+    # smallest-ball queries.  The memo holds the ball table's own balls, not
+    # copies of their members.
+    start = time.perf_counter()
+    assert harness._body_h3(caterpillar(240), lambda: random.Random(0)) is None
+    assert time.perf_counter() - start < 2.2
+    space = caterpillar(240)
+    tracemalloc.start()
+    try:
+        assert harness._body_h3(space, lambda: random.Random(0)) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_report_json_shape():
