@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import (
     ZERO,
@@ -22,13 +22,15 @@ from .core import (
     FiniteUltrametricSpace,
     _as_index_tuple,
     _ball,
+    _diam_rank,
+    _relation,
     ball_labels,
-    ball_relation,
     closed_ball,
-    diam,
     require_canonical,
-    smallest_ball,
 )
+
+Members = tuple[int, ...]  # a ball's sorted points, as the ball table keys them
+
 
 def enumerate_ballean(space: FiniteUltrametricSpace) -> tuple[Ball, ...]:
     """Every closed ball of the space, one entry per distinct member set,
@@ -42,34 +44,45 @@ def hausdorff_oracle(
 ) -> Fraction:
     """Hausdorff distance between two nonempty point sets, straight from the
     two-sided sup-inf definition.  Works on arbitrary subsets, not only balls."""
-    a_idx = _as_index_tuple(space, a)
-    b_idx = _as_index_tuple(space, b)
-    dist = space.dist
-    forward = max(min(dist[x][y] for y in b_idx) for x in a_idx)
-    backward = max(min(dist[x][y] for x in a_idx) for y in b_idx)
-    return max(forward, backward)
+    return space.levels[_oracle_rank(space, _as_index_tuple(space, a), _as_index_tuple(space, b))]
+
+
+def _oracle_rank(space: FiniteUltrametricSpace, a: Sequence[int], b: Sequence[int]) -> int:
+    """:func:`hausdorff_oracle`'s rank: the sup-inf over every cell of the
+    a x b block of ranks, both ways, with no ultrametric shortcut."""
+    block = [tuple(map(space.ranks[x].__getitem__, b)) for x in a]
+    return max(max(map(min, block)), max(map(min, zip(*block))))
 
 
 def hausdorff_by_cases(space: FiniteUltrametricSpace, b1: Ball, b2: Ball) -> Fraction:
     """Hausdorff distance via :func:`ball_relation`'s case split: zero for equal
     balls, the larger diameter for nested ones, the gap between disjoint ones."""
-    relation = ball_relation(space, b1, b2)
+    k1, k2 = require_canonical(space, b1), require_canonical(space, b2)
+    return space.levels[_cases_rank(space, b1.members, k1, b2.members, k2)]
+
+
+def _cases_rank(space: FiniteUltrametricSpace, m1: Members, k1: int, m2: Members, k2: int) -> int:
+    """:func:`hausdorff_by_cases`'s rank for balls with members m1, m2 and diameter ranks k1, k2."""
+    relation = _relation(m1, m2)
     if relation is BallRelation.EQUAL:
-        return ZERO
+        return space.zero
     if relation is not BallRelation.DISJOINT:
-        return max(b1.diameter, b2.diameter)
-    dist = space.dist
-    return min(dist[x][y] for x in b1.members for y in b2.members)
+        return max(k1, k2)
+    return min(min(map(space.ranks[x].__getitem__, m2)) for x in m1)
 
 
 def hausdorff_balls(space: FiniteUltrametricSpace, b1: Ball, b2: Ball) -> Fraction:
     """Hausdorff distance between two balls: the diameter of their union."""
     k1, k2 = require_canonical(space, b1), require_canonical(space, b2)
-    if b1.members == b2.members:
-        return space.levels[space.zero]
-    # In an ultrametric space diam(A | B) = max(diam A, diam B, d(a, b))
-    # for any a in A and b in B.
-    return space.levels[max(k1, k2, space.ranks[b1.members[0]][b2.members[0]])]
+    return space.levels[_union_rank(space, b1.members, k1, b2.members, k2)]
+
+
+def _union_rank(space: FiniteUltrametricSpace, m1: Members, k1: int, m2: Members, k2: int) -> int:
+    """:func:`hausdorff_balls`'s rank for balls with members m1, m2 and diameter ranks k1, k2:
+    in an ultrametric space diam(A | B) = max(diam A, diam B, d(a, b)) for any a in A, b in B."""
+    if m1 == m2:
+        return space.zero
+    return max(k1, k2, space.ranks[m1[0]][m2[0]])
 
 
 def smallest_ball_distance(
@@ -83,7 +96,7 @@ def smallest_ball_distance(
     if b1.members == b2.members:
         raise EqualBallsError("the two balls must be distinct")
     # Every point of b1 is a center of the ball of radius diam(b1 | b2).
-    bstar = _ball(space, b1.members[0], max(k1, k2, space.ranks[b1.members[0]][b2.members[0]]))
+    bstar = _ball(space, b1.members[0], _union_rank(space, b1.members, k1, b2.members, k2))
     return bstar, bstar.diameter
 
 
@@ -161,18 +174,22 @@ def family_diameters(
             "diameters agree only when the ball is a singleton"
         )
     tops = [require_canonical(space, by_members[members]) for members in distinct]
-    # The max over pairs of hausdorff_balls's rank, reading each ball's rank once.
-    ranks, firsts = space.ranks, [members[0] for members in distinct]
-    hd = space.levels[max(max(tops), max(ranks[x][y] for x, y in combinations(firsts, 2)))]
-    union = set().union(*distinct)  # diam and smallest_ball each sort it
-    ud = diam(space, union)
-    sd = smallest_ball(space, union).diameter
-    # Levels of one space: equal ones are mostly one object, and `is` spares
-    # Fraction.__eq__; a mismatch still compares by value.
-    if not ((hd is ud or hd == ud) and (ud is sd or ud == sd)):
-        raise AssertionError(
-            f"family diameters disagree: hausdorff={hd}, union={ud}, smallest-ball={sd}"
-        )
+    return tuple(map(space.levels.__getitem__, _family_ranks(space, list(zip(distinct, tops)))))
+
+
+def _family_ranks(space: FiniteUltrametricSpace, family: Sequence[tuple[Members, int]]) -> tuple[int, int, int]:
+    """:func:`family_diameters`'s three ranks for distinct balls given as
+    (members, diameter rank) pairs; AssertionError, naming the levels,
+    unless they are equal."""
+    # The max over pairs of _union_rank, reading each ball's rank once.
+    ranks, firsts = space.ranks, [members[0] for members, _ in family]
+    hd = max([ranks[x][y] for x, y in combinations(firsts, 2)] + [k for _, k in family])
+    union = sorted(set().union(*(members for members, _ in family)))
+    ud = _diam_rank(space, union)
+    sd = _diam_rank(space, _ball(space, union[0], ud).members)  # smallest_ball's
+    if not hd == ud == sd:
+        hd, ud, sd = (space.levels[k] for k in (hd, ud, sd))  # the message names levels
+        raise AssertionError(f"family diameters disagree: hausdorff={hd}, union={ud}, smallest-ball={sd}")
     return hd, ud, sd
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from operator import eq, index, itemgetter
 from typing import Iterable, NamedTuple, Sequence, TypeVar
 
@@ -491,8 +491,12 @@ def diam(space: FiniteUltrametricSpace, subset: Iterable[int]) -> Fraction:
     which agrees with the full pairwise maximum on every subset of a valid
     space.
     """
-    idx = _as_index_tuple(space, subset)
-    return space.levels[max(map(space.ranks[idx[0]].__getitem__, idx))]
+    return space.levels[_diam_rank(space, _as_index_tuple(space, subset))]
+
+
+def _diam_rank(space: FiniteUltrametricSpace, idx: Sequence[int]) -> int:
+    """The rank of the diameter of the sorted points idx: the top of the first one's row."""
+    return max(map(space.ranks[idx[0]].__getitem__, idx))
 
 
 def closed_ball(space: FiniteUltrametricSpace, center: int, radius: RationalLike) -> Ball:
@@ -521,7 +525,7 @@ def smallest_ball(space: FiniteUltrametricSpace, subset: Iterable[int]) -> Ball:
     every ball that does.
     """
     idx = _as_index_tuple(space, subset)
-    top = max(map(space.ranks[idx[0]].__getitem__, idx))
+    top = _diam_rank(space, idx)
     if top < space.zero:
         raise NegativeRadiusError(f"radius must be nonnegative, got {space.levels[top]}")
     return _ball(space, idx[0], top)
@@ -551,16 +555,18 @@ def _scan_ball(space: FiniteUltrametricSpace, c: int, k: int) -> Ball:
 
 def require_canonical(space: FiniteUltrametricSpace, ball: Ball) -> int:
     """The rank of the ball's diameter; raises ForeignBallError unless ball
-    is a canonical ball of the space."""
-    # A hand-built ball's float or bool diameter can equal its level, and list
-    # members are unhashable; the miss path rejects all three.
-    if isinstance(ball.members, tuple):
-        k, d = space.ball_table.rank.get(ball.members), ball.diameter
-        if k is not None and (
-            d is space.levels[k]
-            or (isinstance(d, (Fraction, int)) and not isinstance(d, bool) and d == space.levels[k])
-        ):
-            return k
+    is a canonical ball of the space, and BadParamsError on a member that is
+    not a point index."""
+    # A hand-built ball's float or bool diameter can equal its level, a member
+    # such as 1.0 can equal an int, and list members are unhashable; the miss
+    # path rejects all four.
+    members, d = ball.members, ball.diameter
+    k = space.ball_table.rank.get(members) if isinstance(members, tuple) else None
+    if k is not None and all(map(isinstance, members, repeat(int))) and (
+        d is space.levels[k]
+        or (isinstance(d, (Fraction, int)) and not isinstance(d, bool) and d == space.levels[k])
+    ):
+        return k
     if not ball.members:
         raise ForeignBallError("a ball must have at least one member")
     members = _as_index_tuple(space, ball.members)
@@ -585,16 +591,21 @@ def ball_relation(space: FiniteUltrametricSpace, b1: Ball, b2: Ball) -> BallRela
     """
     require_canonical(space, b1)
     require_canonical(space, b2)
-    if b1.members == b2.members:
+    return _relation(b1.members, b2.members)
+
+
+def _relation(m1: tuple[int, ...], m2: tuple[int, ...]) -> BallRelation:
+    """:func:`ball_relation` of two balls given by their member tuples."""
+    if m1 == m2:
         return BallRelation.EQUAL
-    s1, s2 = set(b1.members), set(b2.members)
+    s1, s2 = set(m1), set(m2)
     if s1 < s2:
         return BallRelation.PROPER_SUBSET
     if s1 > s2:
         return BallRelation.PROPER_SUPERSET
     if not s1 & s2:
         return BallRelation.DISJOINT
-    raise AssertionError(f"partial overlap between balls {b1} and {b2}: the space is not ultrametric")
+    raise AssertionError(f"partial overlap between balls {m1} and {m2}: the space is not ultrametric")
 
 
 def equidistant_space(

@@ -18,15 +18,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, count, product
+from operator import lt
 from typing import Callable
 
 from .ballean import (
+    _cases_rank,
+    _family_ranks,
+    _oracle_rank,
+    _union_rank,
     ballean_space,
     enumerate_ballean,
-    family_diameters,
     hausdorff_balls,
-    hausdorff_by_cases,
-    hausdorff_oracle,
     min_positive_distance,
     singleton_embedding,
     smallest_ball_distance,
@@ -171,21 +173,28 @@ Stream = Callable[[], random.Random]
 
 
 def _body_h1(space: FiniteUltrametricSpace, stream: Stream) -> str | None:
-    balls = enumerate_ballean(space)
+    levels, bspace = space.levels, ballean_space(space)
+    if not all(map(lt, levels, levels[1:])):  # so ranks order as distances
+        return "levels do not strictly increase"
+    if bspace.levels != levels:
+        return "the ballean does not keep the space's levels"
+    balls, rank = enumerate_ballean(space), space.ball_table.rank
+    tops = [rank[b.members] for b in balls]
     pairs = list(combinations(range(len(balls)), 2))
     if len(pairs) > 300:
         pairs = stream().sample(pairs, 300)
     for i, j in pairs:
-        b1, b2 = balls[i], balls[j]
-        result = hausdorff_balls(space, b1, b2)
-        cases = hausdorff_by_cases(space, b1, b2)
-        oracle = hausdorff_oracle(space, b1.members, b2.members)
-        # Equal levels of one space are mostly one object: `is` first.
-        if not ((result is cases or result == cases) and (cases is oracle or cases == oracle)):
+        m1, k1, m2, k2 = balls[i].members, tops[i], balls[j].members, tops[j]
+        result = _union_rank(space, m1, k1, m2, k2)
+        cases = _cases_rank(space, m1, k1, m2, k2)
+        oracle = _oracle_rank(space, m1, m2)
+        if not result == cases == oracle:
             return (
-                f"Hausdorff routes disagree on {b1.members} vs {b2.members}: "
-                f"union-diam={result}, cases={cases}, sup-inf={oracle}"
+                f"Hausdorff routes disagree on {m1} vs {m2}: "
+                f"union-diam={levels[result]}, cases={levels[cases]}, sup-inf={levels[oracle]}"
             )
+        if bspace.ranks[i][j] != oracle:
+            return f"ballean matrix puts {m1}, {m2} at {levels[bspace.ranks[i][j]]}, sup-inf at {levels[oracle]}"
     return None
 
 
@@ -226,17 +235,20 @@ def _body_h3(space: FiniteUltrametricSpace, stream: Stream) -> str | None:
 
 
 def _body_h4(space: FiniteUltrametricSpace, stream: Stream) -> str | None:
-    balls = enumerate_ballean(space)
+    balls, rank = enumerate_ballean(space), space.ball_table.rank
     if len(balls) < 2:
         return None
+    if not all(map(lt, space.levels, space.levels[1:])):  # so ranks order as distances
+        return "levels do not strictly increase"
+    table = [(b.members, rank[b.members]) for b in balls]
     rng = stream()
     for _ in range(50):
         size = rng.randint(2, min(8, len(balls)))
-        family = rng.sample(balls, size)
+        family = rng.sample(table, size)
         try:
-            family_diameters(space, family)
+            _family_ranks(space, family)
         except AssertionError as exc:
-            return f"family {[b.members for b in family]}: {exc}"
+            return f"family {[members for members, _ in family]}: {exc}"
     return None
 
 

@@ -1,6 +1,9 @@
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
-from ultraball import ballean, core
+from ultraball import ballean, cli, core, dendrogram, dlps, harness
 from ultraball.core import FiniteUltrametricSpace
 from ultraball.harness import TrialConfig, run_suite
 
@@ -53,3 +56,27 @@ def ball_scans(monkeypatch):
 
     monkeypatch.setattr(core, "_scan_ball", counting)
     return calls
+
+
+@pytest.fixture
+def checks_and_compares(monkeypatch):
+    """Calls in this test, by name: ``Fraction`` rich comparisons (as
+    ``"Fraction.__lt__"``) and the two ball and subset checks,
+    ``require_canonical`` and ``_as_index_tuple``, patched in every module
+    that binds them."""
+    counts = Counter()
+
+    def counting(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("__lt__", "__gt__", "__le__", "__ge__", "__eq__"):
+        monkeypatch.setattr(Fraction, name, counting(f"Fraction.{name}", getattr(Fraction, name)))
+    for name in ("require_canonical", "_as_index_tuple"):
+        real = getattr(core, name)
+        for module in (core, ballean, cli, dendrogram, dlps, harness):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting(name, real))
+    return counts

@@ -6,7 +6,9 @@ detection scans every subset.  They stay slow so they stay trustworthy.
 The per-call ball routes at the end are the ones the ball table replaced;
 they rebuild every ball from a closed-ball scan on every call.  The
 ``Fraction`` routes are the ones integer ranks replaced: they compare the
-distances themselves, never their ranks.  The two split routes are the
+distances themselves, never their ranks; the sup-inf and case-split
+Hausdorff routes among them are the ones the rank cores of
+``hausdorff_oracle`` and ``hausdorff_by_cases`` replaced.  The two split routes are the
 recursive tree builder and the accepting walk that one iterative split on
 the space replaced.  The rational parser reads every string through
 ``Fraction``'s own parser, as it did before digit-only text got a shortcut.
@@ -38,6 +40,7 @@ from ultraball.ballean import (
 from ultraball.core import (
     ZERO,
     Ball,
+    BallRelation,
     BadParamsError,
     FiniteUltrametricSpace,
     ForeignBallError,
@@ -54,6 +57,7 @@ from ultraball.core import (
     _parse_space,
     _prints,
     ball_labels,
+    ball_relation,
     parse_rational,
     rational_str,
 )
@@ -177,6 +181,28 @@ def family_diameters_reference(space: FiniteUltrametricSpace, balls) -> tuple:
             f"family diameters disagree: hausdorff={hd}, union={ud}, smallest-ball={sd}"
         )
     return hd, ud, sd
+
+
+def hausdorff_oracle_reference(space: FiniteUltrametricSpace, a, b) -> Fraction:
+    """The two-sided sup-inf over the two point sets, compared as Fractions."""
+    a_idx = _as_index_tuple(space, a)
+    b_idx = _as_index_tuple(space, b)
+    dist = space.dist
+    forward = max(min(dist[x][y] for y in b_idx) for x in a_idx)
+    backward = max(min(dist[x][y] for x in a_idx) for y in b_idx)
+    return max(forward, backward)
+
+
+def hausdorff_by_cases_reference(space: FiniteUltrametricSpace, b1: Ball, b2: Ball) -> Fraction:
+    """The case split on ball_relation, compared as Fractions: zero for equal
+    balls, the larger diameter for nested ones, the gap between disjoint ones."""
+    relation = ball_relation(space, b1, b2)
+    if relation is BallRelation.EQUAL:
+        return ZERO
+    if relation is not BallRelation.DISJOINT:
+        return max(b1.diameter, b2.diameter)
+    dist = space.dist
+    return min(dist[x][y] for x in b1.members for y in b2.members)
 
 
 def find_violation_reference(matrix, labels=None):

@@ -20,10 +20,12 @@ from ultraball.ballean import (
 from ultraball.core import (
     BadParamsError,
     Ball,
+    BallRelation,
     EmptySubsetError,
     EqualBallsError,
     FamilyTooSmallError,
     ForeignBallError,
+    ball_relation,
     closed_ball,
     equidistant_space,
     find_violation,
@@ -98,6 +100,18 @@ def test_hausdorff_balls_examples():
         assert hausdorff_by_cases(s, b1, b2) == expected
         assert hausdorff_oracle(s, b1.members, b2.members) == expected
     assert hausdorff_by_cases(s, ab, c) == 2  # disjoint: gap between the balls
+
+
+def test_a_ball_whose_members_only_equal_ints_is_refused():
+    # (1.0,) hashes and compares as (1,), the member tuple of a table ball.
+    s = validate_ultrametric([[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+    a, fake = closed_ball(s, 0, 0), Ball((1.0,), Fraction(0))
+    for fn in (hausdorff_balls, hausdorff_by_cases, smallest_ball_distance, ball_relation):
+        for b1, b2 in ((fake, a), (a, fake)):
+            with pytest.raises(BadParamsError, match="point indices must be integers"):
+                fn(s, b1, b2)
+    # A bool is an int, as in closed_ball: (True,) is the ball (1,).
+    assert ball_relation(s, Ball((True,), Fraction(0)), closed_ball(s, 1, 0)) is BallRelation.EQUAL
 
 
 def test_three_way_agreement_random():

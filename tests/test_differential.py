@@ -37,6 +37,8 @@ from oracles import (
     dendrogram_to_space_reference,
     find_violation_reference,
     format_dendrogram_reference,
+    hausdorff_by_cases_reference,
+    hausdorff_oracle_reference,
     is_binary_reference,
     node_leaf_sets_reference,
     parse_space_reference,
@@ -47,6 +49,7 @@ from oracles import (
 )
 from ultraball import ballean as ballean_module
 from ultraball.ballean import (
+    _cases_rank,
     ballean_space,
     enumerate_ballean,
     family_diameters,
@@ -62,6 +65,7 @@ from ultraball.core import (
     BadParamsError,
     EqualBallsError,
     FiniteUltrametricSpace,
+    _diam_rank,
     _parse_space,
     _parse_space_json,
     closed_ball,
@@ -191,10 +195,13 @@ def test_enumerate_ballean_matches_per_center_loop(space):
 @given(space=table_spaces(), data=st.data())
 def test_require_canonical_matches_per_call_check(space, data):
     n = space.n
-    # A float or bool diameter and list members: the wrong field types.  An
-    # int diameter is a rational, as everywhere else.
+    # A float or bool diameter, list members and float members equal to a
+    # table ball's: the wrong field types.  An int diameter is a rational, as
+    # everywhere else, and bool members are ints.
     balls = space.ball_table.balls
     candidates = list(balls) + [Ball((0,), 0.0), Ball((0,), False), Ball([0], Fraction(0))]
+    candidates += [Ball(tuple(map(float, b.members)), b.diameter) for b in balls[:3]]
+    candidates += [Ball(tuple(map(bool, b.members)), b.diameter) for b in balls if b.members in ((0,), (1,))]
     candidates += [Ball(b.members, int(b.diameter)) for b in balls if b.diameter.denominator == 1]
     for _ in range(8):
         members = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 1))
@@ -243,6 +250,40 @@ def test_hausdorff_balls_is_union_diameter(seed, n):
         expected = diam_pairwise(space, b1.members + b2.members)
         assert hausdorff_balls(space, b1, b2) == expected
         assert hausdorff_balls(space, b2, b1) == expected
+
+
+def _rank_core_spaces():
+    """Seeded generated spaces, binary or not, caterpillars, and a hand-built
+    triple whose lowest level is negative and unused (no constructor makes
+    one: see ``test_an_unused_negative_level_keeps_its_verdict``)."""
+    spaces = {f"random-{seed}-{n}": random_space(seed, n, POOL) for seed in range(4) for n in (1, 4, 9)}
+    spaces.update({f"binary-{seed}-{n}": random_binary_space(seed, n) for seed in range(4) for n in (2, 7, 12)})
+    spaces.update({f"caterpillar-{n}": caterpillar(n) for n in (1, 3, 10)})
+    levels = (Fraction(-1), Fraction(0), Fraction(1))
+    spaces["negative-level"] = FiniteUltrametricSpace(("a", "b"), levels, ((1, 2), (2, 1)))
+    return spaces
+
+
+@pytest.mark.parametrize("name", list(_rank_core_spaces()))
+def test_rank_cores_match_the_fraction_routes(name):
+    # Each public wrapper is its check, a core that compares ranks, and one
+    # level lookup; each reference compares the Fractions themselves.
+    space = _rank_core_spaces()[name]
+    balls = enumerate_ballean(space)
+    for b1, b2 in product(balls, repeat=2):
+        want = hausdorff_oracle_reference(space, b1.members, b2.members)
+        assert hausdorff_oracle(space, b1.members, b2.members) == want, (b1, b2)
+        assert hausdorff_balls(space, b1, b2) == want, (b1, b2)
+        assert hausdorff_by_cases(space, b1, b2) == hausdorff_by_cases_reference(space, b1, b2) == want, (b1, b2)
+    rng = random.Random(name)
+    subsets = [rng.sample(range(space.n), rng.randint(1, space.n)) for _ in range(10)]
+    for a, b in product(subsets, repeat=2):  # mostly not balls
+        assert hausdorff_oracle(space, a, b) == hausdorff_oracle_reference(space, a, b), (a, b)
+    for subset in subsets:
+        assert diam(space, subset) == diam_reference(space, subset), subset
+    for _ in range(20 if len(balls) > 1 else 0):
+        family = rng.sample(balls, rng.randint(2, min(8, len(balls))))
+        assert family_diameters(space, family) == family_diameters_reference(space, family), family
 
 
 def _verdict(violation):
@@ -872,19 +913,13 @@ def test_a_suite_run_parses_the_default_pool_at_most_once(monkeypatch):
 
 def test_level_comparisons_test_identity_then_value(monkeypatch):
     """Equal levels that are distinct objects still pass; unequal ones fail
-    with the message a value comparison gives."""
+    with the message a value comparison gives.  The rank routes compare ints:
+    one rank off fails, and the message names the levels."""
     space = random_binary_space(3, 6)
     balls = enumerate_ballean(space)
+    b1, b2 = balls[0], balls[1]
     copy = lambda x: Fraction(x.numerator, x.denominator)
     for shift, fails in ((copy, False), (lambda x: x + 1, True)):
-        with monkeypatch.context() as patch:
-            patch.setattr(ballean_module, "diam", lambda s, subset: shift(diam(s, subset)))
-            got = _outcome(family_diameters, space, balls[:3])
-        hd, ud, sd = family_diameters(space, balls[:3])
-        if fails:
-            assert got == ("AssertionError", f"family diameters disagree: hausdorff={hd}, union={ud + 1}, smallest-ball={sd}")
-        else:
-            assert got == ("ok", (hd, ud, sd)) and got[1][1] is not ud
         with monkeypatch.context() as patch:
             patch.setattr(ballean_module, "hausdorff_balls", lambda s, a, b: shift(hausdorff_balls(s, a, b)))
             got = _outcome(singleton_embedding, space)
@@ -892,19 +927,23 @@ def test_level_comparisons_test_identity_then_value(monkeypatch):
         assert got[0] == ("AssertionError" if fails else "ok")
         if fails:
             assert got[1] == f"singleton embedding failed to preserve d({labels[0]},{labels[1]})"
-        # H1 compares three routes, H3 two; each sees one route shifted.
-        with monkeypatch.context() as patch:
-            patch.setattr(harness, "hausdorff_by_cases", lambda s, a, b: shift(hausdorff_by_cases(s, a, b)))
-            got = harness._body_h1(space, lambda: random.Random(0))
-        b1, b2 = balls[0], balls[1]
-        value = hausdorff_balls(space, b1, b2)
-        assert got == (
-            f"Hausdorff routes disagree on {b1.members} vs {b2.members}: "
-            f"union-diam={value}, cases={value + 1}, sup-inf={value}" if fails else None
-        )
+        # H3 compares two routes and sees one shifted.
         with monkeypatch.context() as patch:
             for module in (harness, oracles):
                 patch.setattr(module, "hausdorff_balls", lambda s, a, b: shift(hausdorff_balls(s, a, b)))
             got = _body_h3(space, lambda: random.Random(0))
             assert got == body_h3_reference(space)
         assert got == (f"smallest-ball diameter != Hausdorff distance for {b1.members}, {b2.members}" if fails else None)
+    # Levels 0..5: the union of balls[:3] has diameter rank 5, read one rank
+    # low as 4, and the ball of rank 4 around point 0 then reads 3.
+    levels = space.levels
+    assert levels == tuple(map(Fraction, range(6)))
+    with monkeypatch.context() as patch:
+        patch.setattr(ballean_module, "_diam_rank", lambda s, idx: _diam_rank(s, idx) - 1)
+        got = _outcome(family_diameters, space, balls[:3])
+    assert got == ("AssertionError", f"family diameters disagree: hausdorff={levels[5]}, union={levels[4]}, smallest-ball={levels[3]}")
+    # H1 compares three routes and sees the case split one rank low.
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_cases_rank", lambda *args: _cases_rank(*args) - 1)
+        got = harness._body_h1(space, lambda: random.Random(0))
+    assert got == f"Hausdorff routes disagree on {b1.members} vs {b2.members}: union-diam={levels[5]}, cases={levels[4]}, sup-inf={levels[5]}"

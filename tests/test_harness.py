@@ -20,7 +20,7 @@ from ultraball.core import (
     space_to_json_dict,
     validate_ultrametric,
 )
-from ultraball.ballean import family_diameters
+from ultraball.ballean import _family_ranks
 from ultraball.dendrogram import _random_space, random_binary_space, random_space
 from ultraball.harness import (
     _PER_SPACE_BODIES,
@@ -160,10 +160,10 @@ def test_a_replayed_h4_record_draws_the_families_of_its_generated_trial(monkeypa
     calls = []
 
     def recording(space, family):
-        calls.append((space_to_json_dict(space), [b.members for b in family]))
-        return family_diameters(space, family)
+        calls.append((space_to_json_dict(space), [members for members, _ in family]))
+        return _family_ranks(space, family)
 
-    monkeypatch.setattr(harness, "family_diameters", recording)
+    monkeypatch.setattr(harness, "_family_ranks", recording)
     run_suite(TrialConfig(seed=42, trials=5, checks=("H4",)))
     before = len(calls)
     run_suite(TrialConfig(seed=42, trials=6, checks=("H4",)))
@@ -194,12 +194,27 @@ def test_each_check_alone_matches_the_full_suite(monkeypatch):
 
 
 def test_each_trial_space_builds_one_ballean(ballean_builds):
-    # H2, H7, H11 and H12 share the trial space's ballean; H12 adds the
+    # H1, H2, H7, H11 and H12 share the trial space's ballean; H12 adds the
     # ballean's own.
-    config = TrialConfig(seed=3, trials=20, checks=("H2", "H7", "H11", "H12"))
+    config = TrialConfig(seed=3, trials=20, checks=("H1", "H2", "H7", "H11", "H12"))
     assert run_suite(config).passed
     assert len(ballean_builds) == 2 * config.trials
     assert len({id(space) for space in ballean_builds}) == len(ballean_builds)
+
+
+def test_h1_and_h4_validate_no_ball_and_compare_fractions_only_along_the_levels(
+    checks_and_compares, monkeypatch
+):
+    # Table balls need no check, and one pass over the levels per space and
+    # check ties the order of ranks to the order of distances.
+    config = TrialConfig(trials=20, checks=("H1", "H4"))
+    spaces = [harness._trial_space(config, "verify", t) for t in range(config.trials)]
+    monkeypatch.setattr(harness, "_trial_space", lambda cfg, stream, trial: spaces[trial])
+    checks_and_compares.clear()  # drawing a space ranks its levels
+    assert run_suite(config).passed
+    assert checks_and_compares["require_canonical"] == checks_and_compares["_as_index_tuple"] == 0
+    compares = sum(v for name, v in checks_and_compares.items() if name.startswith("Fraction."))
+    assert 0 < compares <= 2 * sum(len(space.levels) - 1 for space in spaces)
 
 
 def test_each_ball_is_scanned_once_per_space(ball_scans):

@@ -12,8 +12,8 @@ from dataclasses import replace
 import pytest
 
 from ultraball import ballean, core, dendrogram, dlps, harness
-from ultraball.ballean import ballean_space, hausdorff_by_cases, smallest_ball_distance
-from ultraball.core import ZERO, Ball, BallRelation, FiniteUltrametricSpace, _ball, ball_relation, parse_rational
+from ultraball.ballean import _cases_rank, ballean_space, smallest_ball_distance
+from ultraball.core import ZERO, Ball, BallRelation, FiniteUltrametricSpace, _ball, _relation, parse_rational
 from ultraball.dendrogram import _ballean_walk
 from ultraball.dlps import Singleton, Truncation
 from ultraball.harness import CHECKS, TrialConfig, run_suite
@@ -39,7 +39,8 @@ def _with_ranks(space, rank):
 
 def test_a_ballean_matrix_with_wrong_ranks_fails_h2(monkeypatch):
     # Lowering every rank at or above zero + 2 keeps the axioms and the least
-    # positive distance, so only H2's comparison with the tree route sees it.
+    # positive distance, so only the comparisons with another route see it:
+    # H1's with the sup-inf definition and H2's with the tree route.
     real = ballean.ballean_space
 
     def lowered(space):
@@ -47,7 +48,7 @@ def test_a_ballean_matrix_with_wrong_ranks_fails_h2(monkeypatch):
         return _with_ranks(b, lambda s, t, k: k - 1 if k >= b.zero + 2 else k)
 
     _patch(monkeypatch, ballean, "ballean_space", lowered)
-    assert _failed(TrialConfig(trials=60)) == {"H2"}
+    assert _failed(TrialConfig(trials=60)) == {"H1", "H2"}
 
 
 def _pair_0_1_zeroed(b):
@@ -67,15 +68,14 @@ def _union_for_smallest_ball(space, b1, b2):
     return Ball(tuple(sorted({*b1.members, *b2.members})), value), value
 
 
-def _smaller_diameter_when_nested(space, b1, b2):
-    if ball_relation(space, b1, b2) in (BallRelation.EQUAL, BallRelation.DISJOINT):
-        return hausdorff_by_cases(space, b1, b2)
-    return min(b1.diameter, b2.diameter)
+def _smaller_rank_when_nested(space, m1, k1, m2, k2):
+    if _relation(m1, m2) in (BallRelation.EQUAL, BallRelation.DISJOINT):
+        return _cases_rank(space, m1, k1, m2, k2)
+    return min(k1, k2)
 
 
-def _min_for_diam(space, subset):
-    idx = sorted(set(subset))
-    return space.levels[min(map(space.ranks[idx[0]].__getitem__, idx))]
+def _least_rank_for_diam(space, idx):
+    return min(map(space.ranks[idx[0]].__getitem__, idx))
 
 
 def _walk_by_reversed_members(d):
@@ -108,8 +108,8 @@ def _zeroed_above_12_points(space):
 # Each mutant calls the real functions, bound here at import.
 FINITE_MUTANTS = {
     "union for the smallest ball": (ballean, "smallest_ball_distance", _union_for_smallest_ball, {"H3"}),
-    "nested balls at the smaller diameter": (ballean, "hausdorff_by_cases", _smaller_diameter_when_nested, {"H1"}),
-    "diameter as the least distance": (core, "diam", _min_for_diam, {"H4"}),
+    "nested balls at the smaller diameter": (ballean, "_cases_rank", _smaller_rank_when_nested, {"H1"}),
+    "diameter as the least distance": (core, "_diam_rank", _least_rank_for_diam, {"H4"}),
     "walk by reversed members": (dendrogram, "_ballean_walk", _walk_by_reversed_members, {"H2", "H5"}),
     # bisect_left instead is equivalent at radius 0, the one radius verify asks for.
     "closed ball one rank too far": (core, "closed_ball", _one_rank_too_far, {"H6"}),
