@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -161,11 +161,10 @@ class FiniteUltrametricSpace:
     ``levels`` holds the distinct entries together with 0, sorted, and
     ``d(i, j) == levels[ranks[i][j]]``, so order questions compare ints.
     No level but 0 goes unused, so equal spaces have equal triples.
-    :attr:`dist` is the exact matrix, :attr:`ball_table` the closed balls,
-    :attr:`split` the merge tree and ``_ball_memo`` the balls :func:`_ball`
-    has answered, each built on first use (by validation, for the tree), as
-    is the ballean that ``ballean_space`` keeps here; no cache can go stale
-    because the dataclass is frozen.
+    :attr:`dist` is the exact matrix, :attr:`ball_table` the closed balls and
+    :attr:`split` the merge tree, each built on first use (by validation, for
+    the tree), as is the ballean that ``ballean_space`` keeps here; no cache
+    can go stale because the dataclass is frozen.
 
     Every space is ultrametric: :func:`validate_ultrametric` and
     :func:`space_from_json_dict` refuse a matrix that is not, and the other
@@ -210,11 +209,6 @@ class FiniteUltrametricSpace:
         return _over_levels_of(self.levels, tuple(self.labels[p] for p in idx), rows)
 
     @cached_property
-    def _ball_memo(self) -> dict[tuple[int, int], "Ball"]:
-        """:func:`_ball`'s answers by (center, rank), filled as asked."""
-        return {}
-
-    @cached_property
     def ball_table(self) -> "BallTable":
         """Every closed ball, built once from its smallest member c: every
         point of a ball is a center of it, so c emits the ranks k in its row
@@ -226,8 +220,13 @@ class FiniteUltrametricSpace:
             for k in set(row):
                 if k < below:
                     rank[tuple(compress(points, map(k.__ge__, row)))] = k
-        ordered = sorted(sorted(rank), key=len)  # stable: by (size, members)
-        return BallTable(tuple(Ball(m, levels[rank[m]]) for m in ordered), rank)
+        balls, chains = [], [([], []) for _ in points]
+        for m in sorted(sorted(rank), key=len):  # by (size, members): chains run innermost first
+            balls.append(Ball(m, levels[rank[m]]))
+            for p in m:
+                chains[p][0].append(rank[m])
+                chains[p][1].append(balls[-1])
+        return BallTable(tuple(balls), rank, chains)
 
     @cached_property
     def split(self) -> tuple[Dendrogram, bool]:
@@ -287,12 +286,14 @@ class Ball:
 class BallTable(NamedTuple):
     """The closed balls of one space.
 
-    ``balls`` lists every distinct ball, sorted by (size, members), and
-    ``rank`` maps the member tuple of each to the rank of its diameter.
+    ``balls`` lists every distinct ball, sorted by (size, members), ``rank``
+    maps the member tuple of each to the rank of its diameter, and ``chains[p]``
+    the ranks and the balls of those holding point p, innermost first.
     """
 
     balls: tuple[Ball, ...]
     rank: dict[tuple[int, ...], int]
+    chains: list[tuple[list[int], list[Ball]]]
 
 
 @dataclass(frozen=True)
@@ -514,7 +515,7 @@ def closed_ball(space: FiniteUltrametricSpace, center: int, radius: RationalLike
         raise BadParamsError(f"center must be a point index, got {center!r}") from None
     if not 0 <= c < space.n:
         raise BadParamsError(f"center {center} out of range")
-    return _ball(space, c, bisect_right(space.levels, r) - 1)  # the largest rank at most r
+    return _scan_ball(space, c, bisect_right(space.levels, r) - 1)  # the largest rank at most r
 
 
 def smallest_ball(space: FiniteUltrametricSpace, subset: Iterable[int]) -> Ball:
@@ -528,40 +529,39 @@ def smallest_ball(space: FiniteUltrametricSpace, subset: Iterable[int]) -> Ball:
     top = _diam_rank(space, idx)
     if top < space.zero:
         raise NegativeRadiusError(f"radius must be nonnegative, got {space.levels[top]}")
-    return _ball(space, idx[0], top)
+    return _scan_ball(space, idx[0], top)
 
 
 def _ball(space: FiniteUltrametricSpace, c: int, k: int) -> Ball:
-    """:func:`_scan_ball`'s answer, scanned once per space for each int c and k."""
-    memo = space._ball_memo
-    ball = memo.get((c, k))
-    if ball is None:
-        ball = memo[c, k] = _scan_ball(space, c, k)
-    return ball
+    """The ball table's own ball of the points within rank k of point c: on an
+    ultrametric space, :func:`_scan_ball`'s answer, bisected from c's chain."""
+    ranks, balls = space.ball_table.chains[c]
+    i = bisect_right(ranks, k)
+    if not i:
+        raise EmptySubsetError("subset must be nonempty")
+    return balls[i - 1]
 
 
 def _scan_ball(space: FiniteUltrametricSpace, c: int, k: int) -> Ball:
     """The points within rank k of point c and the level of their diameter, read off
-    the first member's row: the ball table's own equal ball if the table is built.
-    Empty only where d(c, c) > k, off an ultrametric matrix."""
+    the first member's row.  Empty only where d(c, c) > k, off an ultrametric matrix."""
     members = tuple(compress(range(space.n), map(k.__ge__, space.ranks[c])))
     if not members:
         raise EmptySubsetError("subset must be nonempty")
-    ball = Ball(members, space.levels[max(map(space.ranks[members[0]].__getitem__, members))])
-    balls = space.__dict__["ball_table"].balls if "ball_table" in space.__dict__ else ()
-    i = bisect_left(balls, (len(members), members), key=lambda b: (len(b.members), b.members))
-    return balls[i] if i < len(balls) and balls[i] == ball else ball
+    return Ball(members, space.levels[max(map(space.ranks[members[0]].__getitem__, members))])
 
 
 def require_canonical(space: FiniteUltrametricSpace, ball: Ball) -> int:
     """The rank of the ball's diameter; raises ForeignBallError unless ball
     is a canonical ball of the space, and BadParamsError on a member that is
     not a point index."""
-    # A hand-built ball's float or bool diameter can equal its level, a member
-    # such as 1.0 can equal an int, and list members are unhashable; the miss
-    # path rejects all four.
+    # The table's own ball is accepted as itself.  A hand-built ball's float or
+    # bool diameter can equal its level, a member such as 1.0 can equal an int,
+    # and list members are unhashable; the miss path rejects all four.
     members, d = ball.members, ball.diameter
     k = space.ball_table.rank.get(members) if isinstance(members, tuple) else None
+    if k is not None and type(members[0]) is int and _ball(space, members[0], k) is ball:
+        return k
     if k is not None and all(map(isinstance, members, repeat(int))) and (
         d is space.levels[k]
         or (isinstance(d, (Fraction, int)) and not isinstance(d, bool) and d == space.levels[k])

@@ -46,8 +46,9 @@ def ballean_builds(monkeypatch):
 
 @pytest.fixture
 def ball_scans(monkeypatch):
-    """(space, center, rank) of every row scan behind ``core._ball`` in this
-    test, in order: one entry per scan, not per memoized answer."""
+    """(space, center, rank) of every row scan in this test, in order: the
+    route of ``closed_ball`` and ``smallest_ball``, which the ball table's
+    chains spare every lookup of a table ball."""
     scan, calls = core._scan_ball, []
 
     def counting(space, c, k):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import caterpillar
 from ultraball.ballean import ballean_space, enumerate_ballean, iterate_ballean
 from ultraball.cli import _emit, build_parser, cli_main
-from ultraball import dendrogram
+from ultraball import dendrogram, harness
 from ultraball.core import (
     Dendrogram,
     Leaf,
@@ -493,6 +493,19 @@ def test_verify_replay_corrupted(bad_file, tmp_path, capsys):
     assert out["status"] == "fail"
     assert "StrongTriangleViolation" in out["checks"][0]["failures"][0]["detail"]
     assert json.loads(captured.err) == {"error": "ChecksFailed", "message": "failing checks: H2"}
+
+
+def test_verify_fails_crashing_h8_and_h10_instead_of_raising(monkeypatch, capsys):
+    def raising(*args):
+        raise AssertionError("raised")
+
+    monkeypatch.setattr(harness, "equidistant_space", raising)
+    monkeypatch.setattr(harness, "dlps_sample", raising)
+    assert cli_main(["verify", "--checks", "H8,H10"]) == 1
+    captured = capsys.readouterr()
+    details = {f["detail"] for c in json.loads(captured.out)["checks"] for f in c["failures"]}
+    assert details == {"AssertionError: raised"}
+    assert json.loads(captured.err) == {"error": "ChecksFailed", "message": "failing checks: H8, H10"}
 
 
 @pytest.mark.parametrize("n", [10, 64])

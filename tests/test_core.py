@@ -244,7 +244,7 @@ def test_closed_ball_negative_radius():
         with pytest.raises(BadParamsError, match=f"center {center} out of range"):
             closed_ball(three_point_space(), center, 1)
     s = three_point_space()
-    closed_ball(s, 1, 1)  # memoized as (1, rank 1), which 1.0 equals as a key
+    closed_ball(s, 1, 1)  # an int center first: nothing it leaves on the space lets 1.0 in
     for center in (1.0, "1", None):
         with pytest.raises(BadParamsError, match="center must be a point index"):
             closed_ball(s, center, 1)

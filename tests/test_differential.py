@@ -65,8 +65,10 @@ from ultraball.core import (
     BadParamsError,
     EqualBallsError,
     FiniteUltrametricSpace,
+    _ball,
     _diam_rank,
     _parse_space,
+    _scan_ball,
     _parse_space_json,
     closed_ball,
     diam,
@@ -215,6 +217,19 @@ def test_require_canonical_matches_per_call_check(space, data):
         if want == ("ok", None):  # the check hands back the rank of the diameter
             want = ("ok", space.ball_table.rank[ball.members])
         assert got == want, ball
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(space=table_spaces())
+def test_table_balls_bisected_from_the_chains_match_the_row_scan(space):
+    # _ball answers with the table's own ball, where closed_ball and
+    # smallest_ball scan the center's row; below rank 0 both raise.
+    table = {id(b) for b in space.ball_table.balls}
+    for c in range(space.n):
+        for k in range(space.zero - 1, len(space.levels)):
+            got = _outcome(_ball, space, c, k)
+            assert got == _outcome(_scan_ball, space, c, k), (c, k)
+            assert got[0] == "EmptySubsetError" if k < space.zero else id(got[1]) in table, (c, k)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

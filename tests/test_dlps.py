@@ -68,6 +68,8 @@ def test_bad_ratio_rejected():
         dlps_space(tails=[(1, "1")])
     with pytest.raises(BadParamsError):
         dlps_space(tails=[(1, "3/2")])
+    with pytest.raises(BadParamsError):
+        dlps_space(tails=[(1, 0)])
 
 
 def test_point_on_tail_rejected():
@@ -365,6 +367,7 @@ def test_predicates(factory, discrete, metrically, locally, boundedly):
 
 def test_min_positive_distance_closed_form():
     assert dlps_min_positive_distance(finite_012()) == 1  # second-smallest of {0,1,2}
+    assert dlps_min_positive_distance(dlps_space(points=(1,), has_zero=True)) == 1  # of {0,1}
     assert dlps_min_positive_distance(zero_tail()) == 0  # infimum, not attained
     assert dlps_min_positive_distance(dlps_space(points=(5,))) is None
 
@@ -496,6 +499,7 @@ def test_sample_bad_params():
 def test_sample_cut_above_everything_falls_back_to_max():
     s = dlps_sample(bare_tail(), 3, 4)
     assert s.labels == ("1",)
+    assert dlps_space(points=(1, 2), tails=[("1/3", "1/2")]).max_element() == 2
 
 
 # --- finite shadow agreement -------------------------------------------------

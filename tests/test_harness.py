@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from ultraball import harness
 from ultraball.core import (
     BadParamsError,
     ConfigError,
+    equidistant_space,
     find_violation,
     space_to_json_dict,
     validate_ultrametric,
@@ -224,6 +226,12 @@ def test_each_ball_is_scanned_once_per_space(ball_scans):
     assert len(set(keys)) == len(keys)
 
 
+def test_h3_and_h4_read_every_ball_off_the_table(ball_scans):
+    # Their smallest balls are bisected from the table's chains, so no row is scanned.
+    assert run_suite(TrialConfig(trials=20, checks=("H3", "H4"))).passed
+    assert ball_scans == []
+
+
 def test_repeated_checks_run_once(capsys):
     config = TrialConfig(seed=1, trials=2, max_points=4, checks=("H2", "H1", "H2", "H8", "H1"))
     assert config.selected_checks() == ("H2", "H1", "H8")
@@ -367,6 +375,48 @@ def test_a_crashing_check_fails_on_its_space_and_the_run_goes_on(monkeypatch):
     assert report.outcome("H5").failures == []
 
 
+def test_crashing_h8_and_h10_instances_fail_and_the_others_still_run(monkeypatch):
+    # Each failure keeps its record: H8's trial, space and n, H10's fixture and dlps.
+    real_isometric, real_sample = harness.are_isometric, harness.dlps_sample
+
+    def isometric(s1, s2):
+        if s1.n == 3:
+            raise AssertionError("three points")
+        return real_isometric(s1, s2)
+
+    def sample(space, n, cut):
+        if space.tails:
+            raise ValueError("a tail")
+        return real_sample(space, n, cut)
+
+    monkeypatch.setattr(harness, "are_isometric", isometric)
+    monkeypatch.setattr(harness, "dlps_sample", sample)
+    report = run_suite(TrialConfig(checks=("H8", "H10")))
+    h8, h10 = report.outcome("H8"), report.outcome("H10")
+    assert h8.trials == 20 and h10.trials == 4
+    assert h8.failures == [
+        {"trial": trial, "detail": "AssertionError: three points",
+         "space": space_to_json_dict(equidistant_space(3, t)), "n": 3}
+        for trial, t in ((4, 1), (5, Fraction(3, 2)))
+    ]
+    assert h10.failures == [
+        {"trial": name, "detail": "ValueError: a tail", "dlps": space.to_json_dict()}
+        for name, space in harness._dlps_fixtures() if space.tails
+    ]
+    # An instance whose space cannot be built fails too, with no space to record.
+    def equidistant(n, t):
+        if n == 2:
+            raise ValueError("two points")
+        return equidistant_space(n, t)
+
+    monkeypatch.setattr(harness, "equidistant_space", equidistant)
+    failures = run_suite(TrialConfig(checks=("H8",))).outcome("H8").failures
+    assert [(f["trial"], f["detail"], "space" in f) for f in failures] == [
+        (2, "ValueError: two points", False), (3, "ValueError: two points", False),
+        (4, "AssertionError: three points", True), (5, "AssertionError: three points", True),
+    ]
+
+
 def test_h11_scans_every_corpus_space():
     # A valid corpus space passes H11, and an invalid one fails with its violation.
     report = run_suite(TrialConfig(seed=1, trials=1, checks=("H11",)), replay_spaces=_corrupted_corpus())
@@ -392,7 +442,7 @@ def test_h2_and_h12_replay_a_120_point_space_quickly():
 
 
 def test_h3_replays_a_240_point_space_quickly():
-    # Each smallest ball is scanned once per (center, rank), not once per pair of balls.
+    # Each smallest ball is bisected from the ball table's chains, not scanned per pair of balls.
     data = space_to_json_dict(random_binary_space(0, 240))
     start = time.perf_counter()
     report = run_suite(TrialConfig(seed=1, trials=1, checks=("H3",)), replay_spaces=[data])
@@ -402,8 +452,8 @@ def test_h3_replays_a_240_point_space_quickly():
 
 def test_h3_on_a_240_point_caterpillar_keeps_the_table_balls():
     # d(i, j) = max(i, j): 479 balls, and about 29k distinct (center, rank)
-    # smallest-ball queries.  The memo holds the ball table's own balls, not
-    # copies of their members.
+    # smallest-ball queries.  Each is answered with the ball table's own ball,
+    # bisected from the center's chain, not with a copy of its members.
     start = time.perf_counter()
     assert harness._body_h3(caterpillar(240), lambda: random.Random(0)) is None
     assert time.perf_counter() - start < 2.2

@@ -13,7 +13,7 @@ import pytest
 
 from ultraball import ballean, core, dendrogram, dlps, harness
 from ultraball.ballean import _cases_rank, ballean_space, smallest_ball_distance
-from ultraball.core import ZERO, Ball, BallRelation, FiniteUltrametricSpace, _ball, _relation, parse_rational
+from ultraball.core import ZERO, Ball, BallRelation, FiniteUltrametricSpace, _relation, _scan_ball, parse_rational
 from ultraball.dendrogram import _ballean_walk
 from ultraball.dlps import Singleton, Truncation
 from ultraball.harness import CHECKS, TrialConfig, run_suite
@@ -74,6 +74,13 @@ def _smaller_rank_when_nested(space, m1, k1, m2, k2):
     return min(k1, k2)
 
 
+def _min_for_the_first_sup(space, a, b):
+    # The sup-inf with its first outer max turned into a min.  On a nested
+    # pair with the smaller ball first, that half is 0 either way.
+    block = [tuple(map(space.ranks[x].__getitem__, b)) for x in a]
+    return max(min(map(min, block)), max(map(min, zip(*block))))
+
+
 def _least_rank_for_diam(space, idx):
     return min(map(space.ranks[idx[0]].__getitem__, idx))
 
@@ -84,7 +91,7 @@ def _walk_by_reversed_members(d):
 
 
 def _one_rank_too_far(space, center, radius):
-    return _ball(space, center, bisect_right(space.levels, parse_rational(radius)))
+    return _scan_ball(space, center, bisect_right(space.levels, parse_rational(radius)))
 
 
 def _min_positive_skipping_row_0(space):
@@ -104,17 +111,23 @@ def _zeroed_above_12_points(space):
     return b if space.n <= 12 else _pair_0_1_zeroed(b)
 
 
+def _raising(*args):
+    raise AssertionError("mutant raised")
+
+
 # name: (owner, attribute, mutant, the checks it fails at TrialConfig(trials=20)).
 # Each mutant calls the real functions, bound here at import.
 FINITE_MUTANTS = {
     "union for the smallest ball": (ballean, "smallest_ball_distance", _union_for_smallest_ball, {"H3"}),
     "nested balls at the smaller diameter": (ballean, "_cases_rank", _smaller_rank_when_nested, {"H1"}),
+    "sup-inf with a min for the first sup": (ballean, "_oracle_rank", _min_for_the_first_sup, {"H1"}),
     "diameter as the least distance": (core, "_diam_rank", _least_rank_for_diam, {"H4"}),
     "walk by reversed members": (dendrogram, "_ballean_walk", _walk_by_reversed_members, {"H2", "H5"}),
     # bisect_left instead is equivalent at radius 0, the one radius verify asks for.
     "closed ball one rank too far": (core, "closed_ball", _one_rank_too_far, {"H6"}),
     "least distance skipping row 0": (ballean, "min_positive_distance", _min_positive_skipping_row_0, {"H7", "H10"}),
     "isometric always": (dendrogram, "are_isometric", lambda s1, s2: True, {"H8"}),
+    "isometry test raises": (dendrogram, "are_isometric", _raising, {"H8"}),
     "restriction reversed": (FiniteUltrametricSpace, "restrict", _reversed_restrict, {"H9"}),
     "ballean pair zeroed above 12 points": (ballean, "ballean_space", _zeroed_above_12_points, {"H12"}),
 }
@@ -172,6 +185,7 @@ H10_MUTANTS = {
     "local finiteness negated": _negated("dlps_is_locally_finite"),
     "bounded compactness negated": _negated("dlps_is_boundedly_compact"),
     "ball counts always infinite": ("dlps_ball_count_at_most", lambda space, threshold: None),
+    "symbolic distance raises": ("dlps_hausdorff", _raising),
 }
 
 
