@@ -220,13 +220,14 @@ class FiniteUltrametricSpace:
             for k in set(row):
                 if k < below:
                     rank[tuple(compress(points, map(k.__ge__, row)))] = k
-        balls, chains = [], [([], []) for _ in points]
+        balls, chains, own = [], [([], []) for _ in points], {}
         for m in sorted(sorted(rank), key=len):  # by (size, members): chains run innermost first
             balls.append(Ball(m, levels[rank[m]]))
+            own[id(balls[-1])] = rank[m]
             for p in m:
                 chains[p][0].append(rank[m])
                 chains[p][1].append(balls[-1])
-        return BallTable(tuple(balls), rank, chains)
+        return BallTable(tuple(balls), rank, chains, own)
 
     @cached_property
     def split(self) -> tuple[Dendrogram, bool]:
@@ -287,13 +288,16 @@ class BallTable(NamedTuple):
     """The closed balls of one space.
 
     ``balls`` lists every distinct ball, sorted by (size, members), ``rank``
-    maps the member tuple of each to the rank of its diameter, and ``chains[p]``
-    the ranks and the balls of those holding point p, innermost first.
+    maps the member tuple of each to the rank of its diameter, ``chains[p]``
+    the ranks and the balls of those holding point p, innermost first, and
+    ``own`` the id of each ball to its rank: the table keeps its balls alive,
+    so no other object has one of those ids.
     """
 
     balls: tuple[Ball, ...]
     rank: dict[tuple[int, ...], int]
     chains: list[tuple[list[int], list[Ball]]]
+    own: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -555,13 +559,14 @@ def require_canonical(space: FiniteUltrametricSpace, ball: Ball) -> int:
     """The rank of the ball's diameter; raises ForeignBallError unless ball
     is a canonical ball of the space, and BadParamsError on a member that is
     not a point index."""
-    # The table's own ball is accepted as itself.  A hand-built ball's float or
+    # The table's own ball is accepted by its id.  A hand-built ball's float or
     # bool diameter can equal its level, a member such as 1.0 can equal an int,
     # and list members are unhashable; the miss path rejects all four.
+    k = space.ball_table.own.get(id(ball))
+    if k is not None:
+        return k
     members, d = ball.members, ball.diameter
     k = space.ball_table.rank.get(members) if isinstance(members, tuple) else None
-    if k is not None and type(members[0]) is int and _ball(space, members[0], k) is ball:
-        return k
     if k is not None and all(map(isinstance, members, repeat(int))) and (
         d is space.levels[k]
         or (isinstance(d, (Fraction, int)) and not isinstance(d, bool) and d == space.levels[k])

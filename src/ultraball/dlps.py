@@ -8,9 +8,12 @@ possible accumulation point is 0, so the presentation keeps every predicate
 of interest (isolation, discreteness, metrical discreteness, local
 finiteness, bounded compactness) exactly decidable while the underlying set
 is genuinely infinite.  A tail answers membership and "largest term <= r" at
-exponent k in O(log k) integer products, from the denominator of x / first
-and by squaring the ratio's numerator and denominator.  A largest term whose
-numerator or denominator has more digits than ``str`` may print
+exponent k in O(log k) integer products on the squares of the ratio's
+numerator and denominator, which it keeps, and keeps one running product a
+side on the way back down; no float estimate.  One coprime basis per
+presentation decides its tails disjoint, and a sample builds no tail term
+below the n-th largest value kept so far.  A largest term whose numerator or
+denominator has more digits than ``str`` may print
 (``sys.get_int_max_str_digits()``) is refused with BadParamsError.
 """
 
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .core import (
     ZERO,
@@ -49,34 +52,54 @@ class GeometricTail:
     first: Fraction
     ratio: Fraction
 
+    def _squares(self) -> Iterator[tuple[int, int]]:
+        """ratio**(2**j) as (p**(2**j), q**(2**j)) for j = 0, 1, ...: each squared once per tail."""
+        ladder = self.__dict__.get("_ladder") or (self.ratio.as_integer_ratio(),)
+        yield from ladder
+        while True:
+            ladder += ((ladder[-1][0] ** 2, ladder[-1][1] ** 2),)
+            self.__dict__["_ladder"] = ladder  # a whole tuple: a racing reader sees a prefix
+            yield ladder[-1]
+
     def _first_at_most(self, r: Fraction, bits: float) -> Fraction | None:
-        """The term at the least k with first * ratio**k <= r; None once q**k passes
-        ``bits`` bits.  With first = a/b, r = c/d and ratio**j = P/Q, a term passes r
-        iff a*d*P > b*c*Q: square (p, q) until a step passes r, then step back down."""
-        (a, b), (p, q) = self.first.as_integer_ratio(), self.ratio.as_integer_ratio()
+        """The term at the least k with first * ratio**k <= r; None when r <= 0 or once
+        q**k passes ``bits`` bits.  With first = a/b, r = c/d and ratio**j = P/Q, a term
+        passes r iff a*d*P > b*c*Q: climb the squares until one passes r, then step back
+        down, multiplying the running sides a*d*P and b*c*Q by one square each."""
+        a, b = self.first.as_integer_ratio()
         lhs, rhs = a * r.denominator, b * r.numerator
-        steps = [(p, q)]
-        while lhs * steps[-1][0] > rhs * steps[-1][1]:
-            if steps[-1][1].bit_length() > bits:
+        if lhs <= rhs:
+            return self.first
+        steps = []
+        for step_p, step_q in self._squares():
+            if lhs * step_p <= rhs * step_q:
+                break
+            if rhs <= 0 or step_q.bit_length() > bits:
                 return None
-            steps.append((steps[-1][0] ** 2, steps[-1][1] ** 2))
-        big_p = big_q = 1  # ratio**j for the largest j found with the term past r
-        for step_p, step_q in reversed(steps[:-1]):
-            if lhs * big_p * step_p > rhs * big_q * step_q:
-                big_p, big_q = big_p * step_p, big_q * step_q
-        return Fraction(a * big_p * p, b * big_q * q) if lhs * big_p > rhs * big_q else self.first
+            steps.append((step_p, step_q))
+        k = 0  # the largest exponent found with the term past r
+        for i in reversed(range(len(steps))):
+            past_l, past_r = lhs * steps[i][0], rhs * steps[i][1]
+            if past_l > past_r:
+                lhs, rhs, k = past_l, past_r, k + (1 << i)
+        return self.first * self.ratio ** (k + 1)  # a power of p/q needs no gcd
 
     def contains(self, x: Fraction) -> bool:
         """x is the k-th term iff x / first in lowest terms is p**k / q**k: read k
-        off the denominator by squaring q alone, then match both powers exactly."""
+        off the denominator by the squares of q, then match both powers exactly."""
         t = x / self.first
-        den, squares = t.denominator, [self.ratio.denominator]
-        while 2 * squares[-1].bit_length() - 1 <= den.bit_length():  # else its square > den
-            squares.append(squares[-1] ** 2)
+        den, squares = t.denominator, []
+        if den > 1 and den % self.ratio.denominator:
+            return False  # q divides every q**k with k >= 1
+        for _, square in self._squares():
+            squares.append(square)
+            if 2 * square.bit_length() - 1 > den.bit_length():  # its square > den
+                break
         k, power = 0, 1  # power = q**k, the largest found that is <= den
         for j in reversed(range(len(squares))):
-            if power * squares[j] <= den:
-                k, power = k + (1 << j), power * squares[j]
+            larger = power * squares[j]
+            if larger <= den:
+                k, power = k + (1 << j), larger
         return power == den and t.numerator == self.ratio.numerator**k
 
     def terms_at_least(self, cut: Fraction, n: int) -> list[Fraction]:
@@ -107,17 +130,17 @@ class GeometricTail:
 # Exact disjointness of two geometric tails.
 #
 # first1 * ratio1**k == first2 * ratio2**l is a multiplicative equation over
-# the rationals.  Factoring all four numbers over a shared pairwise-coprime
-# base turns it into the integer linear system k*u - l*w = c on exponent
-# vectors, which is solved exactly (no floats, no factorization into primes
-# required: coprime-base refinement is enough for uniqueness).
+# the rationals.  Factoring all the numbers of a presentation's tails over one
+# pairwise-coprime base turns it, for each pair, into the integer linear system
+# k*u - l*w = c on exponent vectors, which is solved exactly (no floats, no
+# factorization into primes: coprime-base refinement is enough for uniqueness).
 # ---------------------------------------------------------------------------
 
 
 def _coprime_basis(values: Iterable[int]) -> list[int]:
     """Pairwise-coprime integers > 1 over which every input factors exactly."""
     basis: list[int] = []
-    stack = [abs(v) for v in values if abs(v) > 1]
+    stack = list({abs(v) for v in values} - {0, 1})
     while stack:
         m = stack.pop()
         if m == 1:
@@ -153,36 +176,37 @@ def _exponent_vector(q: Fraction, basis: Sequence[int]) -> list[int]:
     return [a - b for a, b in zip(num, den)]
 
 
-def _tails_intersect(t1: GeometricTail, t2: GeometricTail) -> bool:
-    """Decide whether the two tails share any element, exactly."""
-    a, r = t1.first, t1.ratio
-    b, s = t2.first, t2.ratio
-    if a == b:
-        return True
+def _tail_vectors(tails: Sequence[GeometricTail]) -> list[tuple[list[int], list[int]]]:
+    """Each tail's exponent vectors over one coprime basis of all their numbers."""
+    basis = _coprime_basis(n for t in tails for q in (t.first, t.ratio) for n in q.as_integer_ratio())
+    return [(_exponent_vector(t.first, basis), _exponent_vector(t.ratio, basis)) for t in tails]
 
-    nums = []
-    for q in (a, b, r, s):
-        nums.extend((q.numerator, q.denominator))
-    basis = _coprime_basis(nums)
-    u = _exponent_vector(r, basis)
-    w = _exponent_vector(s, basis)
-    c = [x - y for x, y in zip(_exponent_vector(b, basis), _exponent_vector(a, basis))]
+
+def _vectors_meet(a: list[int], u: list[int], b: list[int], w: list[int]) -> bool:
+    """Whether the tails (a, r) and (b, s), given as exponent vectors over one basis,
+    meet: a * r**k == b * s**l for some k, l >= 0, that is k*u - l*w == c for c of b / a."""
+    # Only the basis elements that r, s or b / a hold take part; the system has no
+    # solution when b / a holds one that neither ratio does.
+    rows = [(x, y, z - v) for x, y, z, v in zip(u, w, b, a) if x or y or z != v]
+    if any(not (x or y) for x, y, _ in rows):
+        return False
+    if not any(z for _, _, z in rows):
+        return True  # a == b
 
     # Independent exponent directions: a 2x2 subsystem pins (k, l).  Over a
     # coprime basis, a * r**k == b * s**l iff the exponent vectors agree, so
     # no power is built (k can be the square of the input size).
-    dim = len(basis)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            det = -u[i] * w[j] + w[i] * u[j]
+    for i, (ui, wi, ci) in enumerate(rows):
+        for uj, wj, cj in rows[i + 1 :]:
+            det = -ui * wj + wi * uj
             if det == 0:
                 continue
-            k_num = -c[i] * w[j] + w[i] * c[j]
-            l_num = u[i] * c[j] - c[i] * u[j]
+            k_num = -ci * wj + wi * cj
+            l_num = ui * cj - ci * uj
             if k_num % det or l_num % det:
                 return False
             k, l = k_num // det, l_num // det
-            return k >= 0 and l >= 0 and all(k * x - l * y == z for x, y, z in zip(u, w, c))
+            return k >= 0 and l >= 0 and all(k * x - l * y == z for x, y, z in rows)
 
     # Parallel case: u = (p/q) * w, and c must be (e/f) * w, both in lowest
     # terms with q, f > 0.  Then the system is k*p/q - l == e/f, that is
@@ -190,10 +214,16 @@ def _tails_intersect(t1: GeometricTail, t2: GeometricTail) -> bool:
     # divides e*q, iff f | q (gcd(e, f) = 1).  They lie on a line
     # (k, l) + t*(q, p), and r, s < 1 force p > 0 (r**q == s**p), so l grows
     # with k: a solution with k, l >= 0 exists iff any integer one does.
-    pivot = next(i for i in range(dim) if w[i] != 0)
-    if any((x == 0) != (z == 0) or z * w[pivot] != c[pivot] * x for x, z in zip(w, c)):
+    up, wp, cp = next(row for row in rows if row[1])
+    if any((y == 0) != (z == 0) or z * wp != cp * y for _, y, z in rows):
         return False
-    return Fraction(u[pivot], w[pivot]).denominator % Fraction(c[pivot], w[pivot]).denominator == 0
+    return Fraction(up, wp).denominator % Fraction(cp, wp).denominator == 0
+
+
+def _tails_intersect(t1: GeometricTail, t2: GeometricTail) -> bool:
+    """Decide whether the two tails share any element, exactly."""
+    (a, u), (b, w) = _tail_vectors((t1, t2))
+    return _vectors_meet(a, u, b, w)
 
 
 @dataclass(frozen=True)
@@ -287,12 +317,13 @@ def dlps_space(
             raise BadParamsError(f"tail ratio must lie strictly between 0 and 1, got {rf}")
         tl.append(GeometricTail(ff, rf))
 
+    vectors = _tail_vectors(tl)
     for i, t in enumerate(tl):
         for p in pts:
             if t.contains(p):
                 raise BadParamsError(f"point {p} already lies on tail ({t.first}, {t.ratio})")
-        for other in tl[i + 1 :]:
-            if _tails_intersect(t, other):
+        for j, other in enumerate(tl[i + 1 :], i + 1):
+            if _vectors_meet(*vectors[i], *vectors[j]):
                 raise BadParamsError(
                     f"tails ({t.first}, {t.ratio}) and ({other.first}, {other.ratio}) intersect"
                 )
@@ -477,10 +508,14 @@ def dlps_sample(space: DlpsSpace, n: int, scale_cut: RationalLike) -> FiniteUltr
     if cut <= 0:
         raise BadParamsError("scale cut must be positive")
     # The parts of a presentation are disjoint and each is listed in
-    # descending order, so a merge takes the largest positives without a
-    # sort, which would compare long terms of a ratio-near-1 tail many times.
-    parts = [space.finite_points[::-1], *(t.terms_at_least(cut, n) for t in space.tails)]
-    largest = list(islice(heapq.merge(*parts, reverse=True), n - space.has_zero))
+    # descending order, so merges keep the k largest positives without a sort,
+    # which would compare long terms of a ratio-near-1 tail many times.  No tail
+    # builds a term below the k-th largest value kept before it; larger first terms go first.
+    k = n - space.has_zero
+    largest = list(space.finite_points[::-1][:k])
+    for t in sorted(space.tails, key=lambda t: t.first, reverse=True):
+        floor = max(cut, largest[-1]) if 0 < k == len(largest) else cut
+        largest = list(islice(heapq.merge(largest, t.terms_at_least(floor, k), reverse=True), k))
     values = [ZERO] * space.has_zero + largest[::-1] or [space.max_element()]
     if not all(map(_prints, values)):
         raise BadParamsError("a sampled tail term has too many digits to print")
@@ -489,5 +524,5 @@ def dlps_sample(space: DlpsSpace, n: int, scale_cut: RationalLike) -> FiniteUltr
     # of the i-th and j-th smallest values is the larger one, so its rank is
     # max(i, j); the smallest value is never a distance, and 0 takes its rank.
     m = len(values)
-    ranks = tuple(tuple(max(i, j) if i != j else 0 for j in range(m)) for i in range(m))
+    ranks = tuple((i,) * i + (0,) + tuple(range(i + 1, m)) for i in range(m))
     return FiniteUltrametricSpace(tuple(rational_str(v) for v in values), (ZERO, *values[1:]), ranks)

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import time
@@ -16,7 +17,9 @@ from ultraball.dlps import (
     GeometricTail,
     Singleton,
     Truncation,
+    _tail_vectors,
     _tails_intersect,
+    _vectors_meet,
     dlps_acc,
     dlps_ball,
     dlps_ball_count_at_most,
@@ -102,27 +105,29 @@ def test_tail_intersection_solver(t1, t2, expected):
     assert _tails_intersect(b, a) == expected
 
 
+SCANNED_TAILS = [
+    (F(1), F(1, 2)),
+    (F(1), F(1, 3)),
+    (F(2), F(1, 2)),
+    (F(1, 3), F(1, 2)),
+    (F(3, 4), F(1, 4)),
+    (F(1), F(2, 5)),
+    (F(5, 2), F(1, 5)),
+    # Parallel ratios, where the solver's residue class must be pushed up
+    # until both exponents are nonnegative.
+    (F(1), F(1, 4)),
+    (F(1, 8), F(1, 2)),
+    (F(1, 2), F(1, 4)),
+    (F(1), F(1, 16)),
+    (F(1), F(4, 9)),
+    (F(2, 3), F(2, 3)),
+]
+
+
 def test_tail_solver_agrees_with_term_scan():
     # cross-check the algebra against direct enumeration of small terms
-    candidates = [
-        (F(1), F(1, 2)),
-        (F(1), F(1, 3)),
-        (F(2), F(1, 2)),
-        (F(1, 3), F(1, 2)),
-        (F(3, 4), F(1, 4)),
-        (F(1), F(2, 5)),
-        (F(5, 2), F(1, 5)),
-        # Parallel ratios, where the solver's residue class must be pushed up
-        # until both exponents are nonnegative.
-        (F(1), F(1, 4)),
-        (F(1, 8), F(1, 2)),
-        (F(1, 2), F(1, 4)),
-        (F(1), F(1, 16)),
-        (F(1), F(4, 9)),
-        (F(2, 3), F(2, 3)),
-    ]
-    for t1 in candidates:
-        for t2 in candidates:
+    for t1 in SCANNED_TAILS:
+        for t2 in SCANNED_TAILS:
             a, b = GeometricTail(*t1), GeometricTail(*t2)
             terms_a = {a.first * a.ratio**k for k in range(40)}
             terms_b = {b.first * b.ratio**k for k in range(40)}
@@ -130,16 +135,15 @@ def test_tail_solver_agrees_with_term_scan():
             assert _tails_intersect(a, b) == scanned
 
 
+bases = st.builds(F, st.integers(1, 7), st.integers(2, 9)).filter(lambda g: g < 1)
+firsts = st.builds(F, st.integers(1, 12), st.integers(1, 12))
+ratio_powers = st.integers(1, 6)
+offsets = st.integers(0, 8)
+factors = st.sampled_from((F(1), F(1), F(2), F(3, 2), F(5)))
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(
-    base=st.builds(F, st.integers(1, 7), st.integers(2, 9)).filter(lambda g: g < 1),
-    i=st.integers(1, 6),
-    j=st.integers(1, 6),
-    first=st.builds(F, st.integers(1, 12), st.integers(1, 12)),
-    up=st.integers(0, 8),
-    down=st.integers(0, 8),
-    factor=st.sampled_from((F(1), F(1), F(2), F(3, 2), F(5))),
-)
+@given(base=bases, i=ratio_powers, j=ratio_powers, first=firsts, up=offsets, down=offsets, factor=factors)
 def test_parallel_tail_ratios_agree_with_term_scan(base, i, j, first, up, down, factor):
     # Ratios base**i and base**j, first terms apart by base**up / base**down
     # (and a factor that may leave the exponent line): the parallel case.
@@ -230,13 +234,60 @@ def test_tail_questions_match_walks_at_workload_depth(tail, k, l):
         assert tail.max_at_most(r) == tail_max_at_most_walk(tail, r), r
 
 
+def squared_meeting(w):
+    """(1, 2/3**(w-1)) and (2**w, 2/3**w), which meet at k = w**2, l = w*(w-1)."""
+    return [(F(1), F(2, 3 ** (w - 1))), (F(2**w), F(2, 3**w))]
+
+
 @pytest.mark.parametrize("w", [200, 1000])
 def test_tails_meeting_at_a_squared_exponent_are_refused_fast(w):
-    # (1, 2/3**(w-1)) and (2**w, 2/3**w) meet at k = w**2, l = w*(w-1).
     start = time.perf_counter()
     with pytest.raises(BadParamsError, match="intersect"):
-        dlps_space(tails=[(1, F(2, 3 ** (w - 1))), (2**w, F(2, 3**w))])
+        dlps_space(tails=squared_meeting(w))
     assert time.perf_counter() - start < 0.5
+
+
+# Tails from the three solver tests above: the scanned list, a shared base
+# raised to powers with first terms on and off its exponent line, and pairs
+# that first meet at a squared exponent.
+parallel_tails = st.builds(
+    lambda base, i, first, up, down, factor: (first * factor * base**up / base**down, base**i),
+    bases, ratio_powers, firsts, offsets, offsets, factors,
+)
+presentation_tails = st.lists(
+    st.one_of(
+        st.sampled_from(SCANNED_TAILS),
+        parallel_tails,
+        st.integers(2, 6).flatmap(lambda w: st.sampled_from(squared_meeting(w))),
+    ),
+    min_size=2,
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tails=presentation_tails)
+def test_presentation_basis_agrees_with_each_pair_alone(tails):
+    tails = [GeometricTail(*t) for t in tails]
+    vectors = _tail_vectors(tails)
+    for i, t1 in enumerate(tails):
+        for j, t2 in enumerate(tails):
+            assert _vectors_meet(*vectors[i], *vectors[j]) == _tails_intersect(t1, t2), (t1, t2)
+
+
+def test_construction_reports_the_first_fault_in_point_then_pair_order():
+    # Tail 0 meets tail 2 at 1/16, 1/4 lies on tail 0 and 1/9 on tail 1.
+    tails = [(1, "1/4"), ("1/3", "1/3"), ("1/2", "1/8")]
+
+    def refusal(points, tails):
+        with pytest.raises(BadParamsError) as caught:
+            dlps_space(points, tails=tails)
+        return str(caught.value)
+
+    assert refusal(["1/9", "1/4"], tails) == "point 1/4 already lies on tail (1, 1/4)"
+    assert refusal(["1/9"], tails) == "tails (1, 1/4) and (1/2, 1/8) intersect"
+    assert refusal(["1/9"], tails[1:]) == "point 1/9 already lies on tail (1/3, 1/3)"
+    assert refusal([], [tails[1], *squared_meeting(3)]) == "tails (1, 2/9) and (8, 2/27) intersect"
 
 
 def test_ratio_near_one_cutoff_that_cannot_print_is_refused_fast():
@@ -274,6 +325,97 @@ def test_largest_term_is_refused_exactly_when_it_cannot_print(first, ratio, offs
     assert tail.max_at_most(term) == term
     with pytest.raises(BadParamsError):
         tail.max_at_most(term * ratio)
+
+
+@pytest.mark.parametrize("r", [F(0), F(-1, 3)])
+def test_tail_search_ends_below_every_term_without_a_bit_bound(r):
+    # No term is at most r <= 0, and with no bound on q**k nothing else ends the climb.
+    assert GeometricTail(F(1), F(1, 2))._first_at_most(r, math.inf) is None
+
+
+def sample_from_walks(space, n, cut):
+    """The labels dlps_sample should give, from every term at or above cut."""
+    terms = {x for t in space.tails for x in tail_terms_at_least_walk(t, cut)}
+    positives = sorted({*space.finite_points, *terms}, reverse=True)[: n - space.has_zero]
+    values = [F(0)] * space.has_zero + positives[::-1] or [space.max_element()]
+    return tuple(map(str, values))
+
+
+# Presentations shaped like the dlps-symbolic workload's: three tails with
+# first terms prime/100 and ratios (m-1)/m, m two apart, and finite points
+# just off the tails at depths up to 650.
+workload_presentations = st.builds(
+    lambda base, primes, depths, zero: dlps_space(
+        [F(p, 100) * F(base + 2 * t - 1, base + 2 * t) ** k * F(1008, 1009)
+         for t, (p, k) in enumerate(zip(primes, depths))],
+        zero,
+        [(F(p, 100), F(base + 2 * t - 1, base + 2 * t)) for t, p in enumerate(primes)],
+    ),
+    st.integers(90, 96),
+    st.permutations((101, 103, 107, 109, 113, 127, 131)).map(lambda ps: ps[:3]),
+    st.lists(st.sampled_from((200, 350, 500, 650)), max_size=3),
+    st.booleans(),
+)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    space=workload_presentations,
+    n=st.integers(1, 25),
+    depth=st.sampled_from((700, 300, 40, 0, -1)),
+)
+@example(space=dlps_space(tails=[("113/100", "89/90"), ("101/100", "91/92")]), n=20, depth=700)
+@example(space=dlps_space(tails=[("101/100", "89/90"), ("103/100", "91/92")]), n=5, depth=-1)
+@example(space=dlps_space(["1/1000", "1/999", "1/998"], False, [("113/100", "89/90")]), n=3, depth=0)
+def test_sample_matches_the_term_walks_at_workload_depth(space, n, depth):
+    # depth -1 puts the cut above every first term, where a presentation
+    # without points or zero falls back to its largest element; points
+    # below the cut are kept, but no tail term below it.
+    first, ratio = space.tails[0].first, space.tails[0].ratio
+    cut = F(2) if depth < 0 else first * ratio**depth
+    assert dlps_sample(space, n, cut).labels == sample_from_walks(space, n, cut)
+
+
+def test_sample_is_refused_exactly_when_it_keeps_a_term_that_cannot_print():
+    # Every term of this tail lies near 1, above the cut, and the first one
+    # that cannot print is term `bad`.
+    tail = (F(1), F(2**1000 - 1, 2**1000))
+    terms = [tail[0]]
+    while True:
+        try:
+            str(terms[-1])
+        except ValueError:
+            break
+        terms.append(terms[-1] * tail[1])
+    bad = len(terms) - 1
+    above = range(2, bad + 2)  # bad points, all above the tail
+    kept = dlps_sample(dlps_space(tails=[tail]), bad, "1/2")
+    assert kept.labels == tuple(str(t) for t in terms[bad - 1 :: -1])
+    assert dlps_sample(dlps_space(above, tails=[tail]), bad + 1, "1/2").labels[0] == "1"
+    for points, n in (((), bad + 1), (above, 2 * bad + 1)):
+        with pytest.raises(BadParamsError, match="a sampled tail term has too many digits to print"):
+            dlps_sample(dlps_space(points, tails=[tail]), n, "1/2")
+
+
+def test_traced_tail_methods_are_reached_through_the_class(monkeypatch):
+    # The benchmark wraps these two methods on the class by name, and sizes
+    # what terms_at_least returns with len; each entry point must reach them.
+    reached = []
+    for name in ("max_at_most", "terms_at_least"):
+
+        def spy(self, *args, real=getattr(GeometricTail, name), name=name):
+            out = real(self, *args)
+            reached.append((name, type(out)))
+            return out
+
+        monkeypatch.setattr(GeometricTail, name, spy)
+    space = mixed()
+    assert normalize_ball(space, Truncation(F(1, 5))) == Truncation(F(1, 6))
+    assert reached == [("max_at_most", Fraction)]
+    assert dlps_hausdorff(space, Singleton(F(1)), Truncation(F(1, 5))) == 1
+    assert reached[1:] == [("max_at_most", Fraction)]
+    assert dlps_sample(space, 4, "1/8").labels == ("0", "1/3", "1", "2")
+    assert reached[2:] == [("terms_at_least", list)]
 
 
 def test_sample_takes_at_most_n_terms_per_tail():
