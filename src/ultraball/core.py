@@ -222,10 +222,11 @@ class FiniteUltrametricSpace:
                     rank[tuple(compress(points, map(k.__ge__, row)))] = k
         balls, chains, own = [], [([], []) for _ in points], {}
         for m in sorted(sorted(rank), key=len):  # by (size, members): chains run innermost first
-            balls.append(Ball(m, levels[rank[m]]))
-            own[id(balls[-1])] = rank[m]
+            k = rank[m]  # once a ball: hashing m once a member is cubic on deep trees
+            balls.append(Ball(m, levels[k]))
+            own[id(balls[-1])] = k
             for p in m:
-                chains[p][0].append(rank[m])
+                chains[p][0].append(k)
                 chains[p][1].append(balls[-1])
         return BallTable(tuple(balls), rank, chains, own)
 

@@ -10,11 +10,15 @@ finiteness, bounded compactness) exactly decidable while the underlying set
 is genuinely infinite.  A tail answers membership and "largest term <= r" at
 exponent k in O(log k) integer products on the squares of the ratio's
 numerator and denominator, which it keeps, and keeps one running product a
-side on the way back down; no float estimate.  One coprime basis per
-presentation decides its tails disjoint, and a sample builds no tail term
-below the n-th largest value kept so far.  A largest term whose numerator or
-denominator has more digits than ``str`` may print
-(``sys.get_int_max_str_digits()``) is refused with BadParamsError.
+side on the way back down, multiplied only where a step passes; no float
+estimate.  ``_below`` orders long values exactly: by bit lengths, then by the
+leading 64 bits of each factor, and by full products only on a near-tie (tail
+searches, point searches and sorts, a truncation's best and the larger top).
+One coprime basis per presentation decides its tails disjoint, and a sample
+builds no tail term below the n-th largest value kept so far.  A largest
+term whose numerator or denominator has more digits than ``str`` may print
+(``sys.get_int_max_str_digits()``) is refused with BadParamsError, and so is
+a sample whose matrix could print over SAMPLE_MATRIX_CHARS characters.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import islice
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -41,8 +46,44 @@ from .core import (
 )
 
 
+SAMPLE_MATRIX_CHARS = 10**8  # the most characters a sample's matrix may print as JSON
+
+
 class CenterNotInSpaceError(UltraballError):
     pass
+
+
+def _below(a: int, b: int, c: int, d: int) -> bool:
+    """a * b < c * d for positive ints.  An n-bit x has 2**(n-1) <= x < 2**n, so
+    two bit-length sums 2 apart decide it.  Else the leading 64 bits h = x >> s
+    of each factor bound it, h * 2**s <= x <= (h + (s > 0)) * 2**s; the products
+    are formed only where those bounds, in units of 2**min(sa + sb, sc + sd), overlap."""
+    la, lb, lc, ld = a.bit_length(), b.bit_length(), c.bit_length(), d.bit_length()
+    gap = la + lb - lc - ld
+    if gap > 1 or gap < -1:
+        return gap < 0
+    sa, sb, sc, sd = (la > 64) * (la - 64), (lb > 64) * (lb - 64), (lc > 64) * (lc - 64), (ld > 64) * (ld - 64)
+    ha, hb, hc, hd = a >> sa, b >> sb, c >> sc, d >> sd
+    shift, c_shift = (sa + sb - sc - sd, 0) if sa + sb > sc + sd else (0, sc + sd - sa - sb)
+    if (ha + (sa > 0)) * (hb + (sb > 0)) << shift < hc * hd << c_shift:
+        return True
+    if ha * hb << shift >= (hc + (sc > 0)) * (hd + (sd > 0)) << c_shift:
+        return False
+    return a * b < c * d
+
+
+def _less(x: Fraction, y: Fraction) -> bool:
+    """x < y, from the signs of the numerators and ``_below`` on the cross products."""
+    (n, d), (m, e) = x.as_integer_ratio(), y.as_integer_ratio()
+    if n > 0 < m:
+        return _below(n, e, m, d)
+    if n < 0 > m:
+        return _below(-m, d, -n, e)
+    return n < m  # the signs differ, or one is 0
+
+
+# A sort and bisect key by ``_less``; both ask only "<", so "not less" may read 0.
+_order = cmp_to_key(lambda x, y: -_less(x, y))
 
 
 @dataclass(frozen=True)
@@ -65,23 +106,24 @@ class GeometricTail:
         """The term at the least k with first * ratio**k <= r; None when r <= 0 or once
         q**k passes ``bits`` bits.  With first = a/b, r = c/d and ratio**j = P/Q, a term
         passes r iff a*d*P > b*c*Q: climb the squares until one passes r, then step back
-        down, multiplying the running sides a*d*P and b*c*Q by one square each."""
-        a, b = self.first.as_integer_ratio()
-        lhs, rhs = a * r.denominator, b * r.numerator
+        down, multiplying the running sides a*d*P and b*c*Q by a square where it passes."""
+        (a, b), (c, d) = self.first.as_integer_ratio(), r.as_integer_ratio()
+        if c <= 0:
+            return None
+        lhs, rhs = a * d, b * c
         if lhs <= rhs:
             return self.first
         steps = []
         for step_p, step_q in self._squares():
-            if lhs * step_p <= rhs * step_q:
+            if not _below(rhs, step_q, lhs, step_p):
                 break
-            if rhs <= 0 or step_q.bit_length() > bits:
+            if step_q.bit_length() > bits:
                 return None
             steps.append((step_p, step_q))
         k = 0  # the largest exponent found with the term past r
-        for i in reversed(range(len(steps))):
-            past_l, past_r = lhs * steps[i][0], rhs * steps[i][1]
-            if past_l > past_r:
-                lhs, rhs, k = past_l, past_r, k + (1 << i)
+        for i, (step_p, step_q) in reversed(list(enumerate(steps))):
+            if _below(rhs, step_q, lhs, step_p):
+                lhs, rhs, k = lhs * step_p, rhs * step_q, k + (1 << i)
         return self.first * self.ratio ** (k + 1)  # a power of p/q needs no gcd
 
     def contains(self, x: Fraction) -> bool:
@@ -97,9 +139,8 @@ class GeometricTail:
                 break
         k, power = 0, 1  # power = q**k, the largest found that is <= den
         for j in reversed(range(len(squares))):
-            larger = power * squares[j]
-            if larger <= den:
-                k, power = k + (1 << j), larger
+            if not _below(den, 1, power, squares[j]):
+                k, power = k + (1 << j), power * squares[j]
         return power == den and t.numerator == self.ratio.numerator**k
 
     def terms_at_least(self, cut: Fraction, n: int) -> list[Fraction]:
@@ -249,7 +290,7 @@ class DlpsSpace:
             return self.has_zero
         if xf < 0:
             return False
-        i = bisect.bisect_left(self.finite_points, xf)
+        i = bisect.bisect_left(self.finite_points, _order(xf), key=_order)
         if i < len(self.finite_points) and self.finite_points[i] == xf:
             return True
         return any(t.contains(xf) for t in self.tails)
@@ -266,14 +307,14 @@ class DlpsSpace:
         """Largest element of the space that is <= r, if any.  Raises
         BadParamsError when the candidate of a tail that could still win cannot print."""
         best: Fraction | None = None
-        i = bisect.bisect_right(self.finite_points, r)
+        i = bisect.bisect_right(self.finite_points, _order(r), key=_order)
         if i > 0:
             best = self.finite_points[i - 1]
         for t in self.tails:
-            if best is not None and (best == r or t.first <= best):
+            if best is not None and (best == r or not _less(best, t.first)):
                 continue  # no term of this tail lies in (best, r]
             cand = t.max_at_most(r)
-            if cand is not None and (best is None or cand > best):
+            if cand is not None and (best is None or _less(best, cand)):
                 best = cand
         if best is None and self.has_zero and r >= 0:
             best = ZERO
@@ -305,7 +346,9 @@ def dlps_space(
     tails: Iterable[tuple[RationalLike, RationalLike]] = (),
 ) -> DlpsSpace:
     """Validated constructor for a symbolic space presentation."""
-    pts = sorted({parse_rational(p) for p in points})
+    # Keyed by (numerator, denominator), so no long Fraction is hashed.
+    unique = {q.as_integer_ratio(): q for q in map(parse_rational, points)}
+    pts = sorted(unique.values(), key=_order)
     if pts and pts[0] <= 0:
         raise BadParamsError("finite points must be positive; use has_zero for 0")
     tl = []
@@ -495,7 +538,8 @@ def dlps_hausdorff(space: DlpsSpace, b1: SymbolicBall, b2: SymbolicBall) -> Frac
         single, trunc = (b1, b2) if isinstance(b1, Singleton) else (b2, b1)
         # A truncation collapses to one point iff nothing lies below its cutoff.
         same = single.value == trunc.cutoff and not space.has_element_below(trunc.cutoff)
-    return ZERO if same else max(ball_max(b1), ball_max(b2))
+    top1, top2 = ball_max(b1), ball_max(b2)
+    return ZERO if same else top2 if _less(top1, top2) else top1
 
 
 def dlps_sample(space: DlpsSpace, n: int, scale_cut: RationalLike) -> FiniteUltrametricSpace:
@@ -523,6 +567,11 @@ def dlps_sample(space: DlpsSpace, n: int, scale_cut: RationalLike) -> FiniteUltr
     # space by construction, so the matrix is not re-validated.  The distance
     # of the i-th and j-th smallest values is the larger one, so its rank is
     # max(i, j); the smallest value is never a distance, and 0 takes its rank.
+    # So value i fills 2 * i cells and "0" the m diagonal ones; a cell prints at most
+    # floor(bits * 0.30103) + 1 digits a part, a slash and 10 characters of JSON.
     m = len(values)
+    cells = ((v.numerator.bit_length() + v.denominator.bit_length()) * 30103 // 100000 + 13 for v in values)
+    if 11 * m + sum(2 * i * chars for i, chars in enumerate(cells)) > SAMPLE_MATRIX_CHARS:
+        raise BadParamsError(f"the sampled matrix could print over {SAMPLE_MATRIX_CHARS} characters")
     ranks = tuple((i,) * i + (0,) + tuple(range(i + 1, m)) for i in range(m))
     return FiniteUltrametricSpace(tuple(rational_str(v) for v in values), (ZERO, *values[1:]), ranks)

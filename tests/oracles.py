@@ -19,8 +19,11 @@ reads a closed form off the pairs of balls.  The level-pool parse feeds the
 two generators after it, which build a merge tree and read the space off it,
 as the library did before it filled ranks while drawing.  The tree walks after them are
 the recursive ones, one interpreter frame per level, that iterative walks
-replaced.  The tail walks at the very end are the ones repeated squaring
-replaced: they visit every term in turn.
+replaced.  The tail walks near the end are the ones repeated squaring
+replaced: they visit every term in turn.  The space-level membership and
+truncation routes after them are built on those walks and compare plain
+``Fraction``s, where the library decides the order by bit lengths and
+leading words first.
 """
 
 import math
@@ -719,3 +722,20 @@ def tail_max_at_most_walk(tail, r):
     while term > r:
         term *= tail.ratio
     return term
+
+
+def dlps_contains_reference(space, x) -> bool:
+    """Membership in a symbolic space by a scan of its points and a walk of each tail."""
+    if x == 0:
+        return space.has_zero
+    return x in list(space.finite_points) or any(tail_contains_walk(t, x) for t in space.tails)
+
+
+def dlps_max_at_most_reference(space, r):
+    """Largest element <= r, or None: the plain maximum over the points, each
+    tail's walk and 0, compared as Fractions."""
+    candidates = [p for p in space.finite_points if p <= r]
+    candidates += [m for m in (tail_max_at_most_walk(t, r) for t in space.tails) if m is not None]
+    if space.has_zero and r >= 0:
+        candidates.append(ZERO)
+    return max(candidates, default=None)

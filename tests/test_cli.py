@@ -1,8 +1,14 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +17,7 @@ from hypothesis import strategies as st
 from oracles import caterpillar
 from ultraball.ballean import ballean_space, enumerate_ballean, iterate_ballean
 from ultraball.cli import _emit, build_parser, cli_main
+import ultraball
 from ultraball import dendrogram, harness
 from ultraball.core import (
     Dendrogram,
@@ -22,7 +29,7 @@ from ultraball.core import (
     space_to_json_dict,
 )
 from ultraball.dendrogram import random_binary_space, random_space
-from ultraball.dlps import dlps_from_json_dict, dlps_sample
+from ultraball.dlps import SAMPLE_MATRIX_CHARS, dlps_from_json_dict, dlps_sample
 from ultraball.harness import CHECKS
 
 SPACE = {"labels": ["a", "b", "c"], "matrix": [[0, 1, 2], [1, 0, 2], [2, 2, 0]]}
@@ -31,6 +38,14 @@ DLPS = {"points": [], "zero": True, "tails": [{"first": "1", "ratio": "1/2"}]}
 # Two tails that meet only at exponents 200**2 and 200*199.
 MEETING_DEEP = {"tails": [{"first": "1", "ratio": f"2/{3**199}"},
                           {"first": str(2**200), "ratio": f"2/{3**200}"}]}
+# Shaped like a dlps-symbolic workload presentation: three tails of ratio
+# (m-1)/m near 1, and points just off them at exponents 200 to 650.
+NEAR_ONE_TAILS = [(Fraction(p, 100), Fraction(m - 1, m)) for p, m in ((101, 90), (107, 92), (113, 94))]
+NEAR_ONE = {
+    "points": [str(f * r**k * Fraction(1008, 1009)) for (f, r), k in zip(NEAR_ONE_TAILS, (200, 350, 650))],
+    "zero": True,
+    "tails": [{"first": str(f), "ratio": str(r)} for f, r in NEAR_ONE_TAILS],
+}
 
 
 @pytest.fixture
@@ -444,6 +459,58 @@ def test_dlps_sample_of_terms_that_cannot_print_is_refused_fast(doc, n, cut, tmp
     assert cli_main(["dlps", "sample", str(path), "-n", n, "--cut", cut]) == 1
     assert time.perf_counter() - start < 1.0
     assert json.loads(capsys.readouterr().err)["error"] == "BadParamsError"
+
+
+@pytest.mark.parametrize(
+    "doc, cut, message",
+    [
+        # At the default digit limit each tail stops at a term that cannot
+        # print, which the sample keeps; with no limit, about 19,000 terms lie above the cut.
+        (NEAR_ONE, "1/" + "9" * 30, None),
+        # 14,001 terms of up to 4,215 digits: about 5 * 10**11 characters of matrix.
+        ({"tails": [{"first": "1", "ratio": "1/2"}]}, f"1/{2**14000}",
+         f"the sampled matrix could print over {SAMPLE_MATRIX_CHARS} characters"),
+    ],
+    ids=["near-one", "halves"],
+)
+def test_dlps_sample_that_cannot_be_held_is_refused_fast(doc, cut, message, tmp_path, capsys):
+    path = tmp_path / "dlps.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert cli_main(["dlps", "sample", str(path), "-n", "1000000", "--cut", cut]) == 1
+    assert time.perf_counter() - start < 5.0
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BadParamsError"
+    if message:
+        assert err["message"] == message
+
+
+def test_dlps_sample_below_the_print_budget_prints_every_value(tmp_path, capsys):
+    # 226 values of up to about 350 digits: about 5 MB of matrix, under the budget.
+    path = tmp_path / "dlps.json"
+    path.write_text(json.dumps(NEAR_ONE))
+    assert cli_main(["dlps", "sample", str(path), "-n", "1000000", "--cut", "1/2"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == "e8afad5d33d3b91dfdaf77b08a6d4ae6bfc71895ff579d5213015fdaaa1e8830"
+
+
+def test_dlps_output_unchanged_under_python_O(tmp_path):
+    # The symbolic layer must not lean on bare asserts either.
+    path = tmp_path / "dlps.json"
+    path.write_text(json.dumps(NEAR_ONE))
+    cut = str(NEAR_ONE_TAILS[0][0] * NEAR_ONE_TAILS[0][1] ** 700)
+    src = str(Path(ultraball.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = "import sys; from ultraball.cli import main; print(sys.flags.optimize, file=sys.stderr); main()"
+    for args in (["analyze", str(path)], ["sample", str(path), "-n", "20", "--cut", cut]):
+        plain, optimized = (
+            subprocess.run([sys.executable, *flag, "-c", run, "dlps", *args],
+                           capture_output=True, env=env, timeout=120, check=True)
+            for flag in ([], ["-O"])
+        )
+        assert (plain.stderr, optimized.stderr) == (b"0\n", b"1\n")
+        assert optimized.stdout == plain.stdout
+        assert plain.stdout.count(b"\n") > 5
 
 
 @pytest.mark.parametrize("command", ["analyze", "sample"])

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import tail_contains_walk, tail_max_at_most_walk, tail_terms_at_least_walk
+from oracles import (
+    dlps_contains_reference,
+    dlps_max_at_most_reference,
+    tail_contains_walk,
+    tail_max_at_most_walk,
+    tail_terms_at_least_walk,
+)
 from ultraball.ballean import ballean_space, enumerate_ballean, hausdorff_balls, min_positive_distance
 from ultraball.core import BadParamsError, NegativeRadiusError, find_violation
 from ultraball.dlps import (
@@ -17,6 +23,8 @@ from ultraball.dlps import (
     GeometricTail,
     Singleton,
     Truncation,
+    _below,
+    _less,
     _tail_vectors,
     _tails_intersect,
     _vectors_meet,
@@ -449,6 +457,120 @@ def test_hausdorff_normalizes_each_ball_once(monkeypatch):
     monkeypatch.setattr("ultraball.dlps.normalize_ball", counting)
     assert dlps_hausdorff(mixed(), Singleton(F(2)), Truncation(F(1, 2))) == 2
     assert len(calls) == 2
+
+
+# --- the filtered exact order, against plain products and Fractions ----------
+
+ints = st.integers(1, 6000).flatmap(lambda n: st.integers(1 << (n - 1), (1 << n) - 1))
+words = st.integers(1, (1 << 64) - 1)
+twos = st.builds(lambda k, less: (1 << k) - less, st.integers(1, 6000), st.integers(0, 1))
+factors = st.one_of(ints, words, twos.filter(bool))
+
+
+@st.composite
+def factor_pairs(draw):
+    """(a, b, c, d) with a*b and c*d far apart in bits, close, equal in their
+    leading words, exactly tied, or 1 apart."""
+    a, b, c, d = (draw(factors) for _ in range(4))
+    how = draw(st.sampled_from(("free", "lead", "tie", "near")))
+    if how == "lead":  # c shares a's leading 64 bits (a's own low bits when a < 2**64)
+        c, d = a ^ draw(st.integers(0, (1 << max(a.bit_length() - 64, 0)) - 1)), b
+    elif how in ("tie", "near"):  # a*b*c*d both ways, then d one more or one less
+        a, b, c, d = a * b, c * d, a * c, b * d
+        if how == "near":
+            d += draw(st.sampled_from((1, -1))) if d > 1 else 1
+    return a, b, c, d
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(pair=factor_pairs(), signs=st.tuples(st.sampled_from((-1, 0, 1)), st.sampled_from((-1, 0, 1))))
+@example(pair=(2**6000 - 1, 2**6000 - 1, 2**6000 - 2, 2**6000), signs=(1, 1))
+@example(pair=(3 * 2**5000, 2**64 - 1, 2**64 - 1, 3 * 2**5000), signs=(-1, -1))
+@example(pair=(2**63, 2**63, 2**64, 2**62), signs=(1, 1))
+@example(pair=(2**64 + 1, 1, 2**64, 1), signs=(1, 0))
+def test_exact_order_matches_plain_products(pair, signs):
+    a, b, c, d = pair
+    assert _below(a, b, c, d) == (a * b < c * d)
+    assert _below(c, d, a, b) == (c * d < a * b)
+    # a/d < c/b iff a*b < c*d; a sign of 0 makes that side 0.
+    x, y = F(signs[0] * a, d), F(signs[1] * c, b)
+    assert _less(x, y) == (x < y)
+    assert _less(y, x) == (y < x)
+
+
+def near_one_presentation(seed):
+    """Seeded like the dlps-symbolic workload: ratios (m-1)/m with m two apart
+    near 90, and points just off the tails, at exponents 200 to 700.  The
+    probes are the points, tail terms, terms just off their tail, and midpoints."""
+    rng = random.Random(seed)
+    base = rng.randint(90, 96)
+    primes = rng.sample((101, 103, 107, 109, 113, 127, 131), 3)
+    tails = [(F(p, 100), F(base + 2 * t - 1, base + 2 * t)) for t, p in enumerate(primes)]
+
+    def term(t):
+        first, ratio = tails[t]
+        return first * ratio ** rng.randint(200, 700)
+
+    points = [term(t % 3) * F(1008, 1009) for t in range(3)]
+    terms = [term(rng.randrange(3)) for _ in range(3)]
+    probes = [*points, *terms, *(x * F(1012, 1013) for x in terms), *((x + y) / 2 for x, y in zip(terms, points))]
+    return points, rng.random() < 0.5, tails, probes
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_space_questions_match_the_references_near_ratio_one(seed):
+    points, zero, tails, probes = near_one_presentation(seed)
+    # Out of order, each twice, once in other terms: one point each, ascending.
+    given = [*points[::-1], *(f"{3 * p.numerator}/{3 * p.denominator}" for p in points)]
+    space = dlps_space(given, zero, tails)
+    assert space.finite_points == tuple(sorted(set(points)))
+    tops = {x: dlps_max_at_most_reference(space, x) for x in probes}
+    for x in probes:
+        assert space.contains(x) == dlps_contains_reference(space, x), x
+        assert space.max_at_most(x) == tops[x], x
+        assert normalize_ball(space, Truncation(x)) == Truncation(tops[x])
+    for x, y in zip(probes, probes[::-1]):
+        assert dlps_hausdorff(space, Truncation(x), Truncation(y)) == (
+            F(0) if tops[x] == tops[y] else max(tops[x], tops[y])
+        )
+        # A tail lies below every point, so no singleton is a truncation.
+        if dlps_contains_reference(space, x):
+            assert dlps_hausdorff(space, Singleton(x), Truncation(y)) == max(x, tops[y])
+
+
+def test_points_given_in_other_forms_are_one_point():
+    space = dlps_space(["2/4", "1/2", F(1, 2), "0.5", 3, "6/2", "1/3"])
+    assert space.finite_points == (F(1, 3), F(1, 2), F(3))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_refusals_near_ratio_one_keep_their_text_and_order(seed):
+    points, zero, tails, probes = near_one_presentation(seed)
+    on_tail, off_tail = probes[3], probes[6]
+    first, ratio = tails[0]
+    space = dlps_space(points, zero, tails)
+    # The first tail, in the order given, that holds a point, by the walks.
+    holder = next(t for t in space.tails if tail_contains_walk(t, on_tail))
+    cases = [
+        (lambda: dlps_space([*points, on_tail], zero, tails),
+         f"point {on_tail} already lies on tail ({holder.first}, {holder.ratio})"),
+        (lambda: dlps_space(points, zero, [*tails, (first * ratio**300, ratio**2)]),
+         f"tails ({first}, {ratio}) and ({first * ratio**300}, {ratio**2}) intersect"),
+        (lambda: dlps_space([*points, -off_tail], zero, tails),
+         "finite points must be positive; use has_zero for 0"),
+        (lambda: dlps_space(points, zero, [*tails, (-off_tail, ratio)]),
+         f"tail first term must be positive, got {-off_tail}"),
+        (lambda: dlps_space(points, zero, [*tails, (first, 1 / ratio)]),
+         f"tail ratio must lie strictly between 0 and 1, got {1 / ratio}"),
+        (lambda: normalize_ball(space, Singleton(off_tail)),
+         f"singleton value {off_tail} is not in the space"),
+        (lambda: normalize_ball(space, Truncation(-off_tail)),
+         f"no element of the space lies at or below {-off_tail}"),
+    ]
+    for call, text in cases:
+        with pytest.raises(BadParamsError) as err:
+            call()
+        assert str(err.value) == text
 
 
 # --- balls -------------------------------------------------------------------
