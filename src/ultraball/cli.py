@@ -26,7 +26,7 @@ from .core import (
     smallest_ball,
     space_from_json_dict,
 )
-from .dendrogram import _ballean_tree, are_isometric, ballean_ranks, build_dendrogram, format_dendrogram
+from .dendrogram import _ballean_merges, _ballean_rows, _space_text, are_isometric
 from .dlps import (
     dlps_acc,
     dlps_ballean_analysis,
@@ -105,11 +105,12 @@ def _cmd_ballean(args: argparse.Namespace) -> int:
     space = _load_space(args.space)
     if not 1 <= args.iterate <= _MAX_DEPTH:
         raise BadParamsError(f"--iterate must be between 1 and {_MAX_DEPTH}, got {args.iterate}")
-    base = build_dendrogram(space)
-    for _ in range(args.iterate - 1):  # merge trees by construction: no tree check
-        base = _ballean_tree(base)
-    balls, levels, rows = ballean_ranks(base)
-    _emit({"balls": (base.labels, balls), "hausdorff": (list(map(rational_str, levels)), rows)}, args.out)
+    labels, merges = space.labels, space.split[0]
+    for _ in range(args.iterate - 1):  # merge lists by construction: nothing to check
+        labels, merges = _ballean_merges(labels, merges)
+    # Every Hausdorff distance of a ballean is a distance of its base, and back.
+    balls, rows = _ballean_rows(len(labels), merges)
+    _emit({"balls": (labels, balls), "hausdorff": (list(map(rational_str, space.levels)), rows)}, args.out)
     return 0
 
 
@@ -139,7 +140,7 @@ def _cmd_smallest_ball(args: argparse.Namespace) -> int:
 
 def _cmd_tree(args: argparse.Namespace) -> int:
     space = _load_space(args.space)
-    print(format_dendrogram(build_dendrogram(space)))
+    print(_space_text(space))
     return 0
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -16,12 +17,13 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 from operator import eq, index, itemgetter
-from typing import Iterable, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 ZERO = Fraction(0)
 
 RationalLike = Fraction | int | str
 K = TypeVar("K")
+T = TypeVar("T")
 
 
 class UltraballError(Exception):
@@ -161,10 +163,11 @@ class FiniteUltrametricSpace:
     ``levels`` holds the distinct entries together with 0, sorted, and
     ``d(i, j) == levels[ranks[i][j]]``, so order questions compare ints.
     No level but 0 goes unused, so equal spaces have equal triples.
-    :attr:`dist` is the exact matrix, :attr:`ball_table` the closed balls and
-    :attr:`split` the merge tree, each built on first use (by validation, for
-    the tree), as is the ballean that ``ballean_space`` keeps here; no cache
-    can go stale because the dataclass is frozen.
+    :attr:`dist` is the exact matrix, :attr:`ball_table` the closed balls,
+    :attr:`split` the merge tree's merges and :attr:`tree` its nodes, each
+    built on first use (by validation, for the merges), as is the ballean
+    that ``ballean_space`` keeps here; no cache can go stale because the
+    dataclass is frozen.
 
     Every space is ultrametric: :func:`validate_ultrametric` and
     :func:`space_from_json_dict` refuse a matrix that is not, and the other
@@ -231,45 +234,48 @@ class FiniteUltrametricSpace:
         return BallTable(tuple(balls), rank, chains, own)
 
     @cached_property
-    def split(self) -> tuple[Dendrogram, bool]:
-        """The merge tree, split set by set on a stack, and whether it reproduces the matrix.
+    def split(self) -> tuple[Merges, bool]:
+        """The merge tree's merges, split set by set on a stack, and whether they reproduce the matrix.
 
         A set whose diameter has rank ``top`` splits into the classes of
         ``ranks[c][x] < top``, in order of their smallest point c, and each
         class splits the same way before the next is taken; in an ultrametric
-        space the classes are the maximal proper sub-balls.  The flag says
+        space the classes are the maximal proper sub-balls.  A set is recorded
+        as (members, top, its classes) once its classes are.  The flag says
         whether every pair in two classes of a set sits at exactly its
         ``top``; on a symmetric matrix with positive entries off a zero
         diagonal, that holds iff it is ultrametric (Carlsson & Memoli, JMLR
         2010).  A point outside its own class raises AssertionError, so every
         other class is a proper subset and the split ends on any square matrix.
         """
-        levels, ranks = self.levels, self.ranks
-        if self.n == 1:
-            return Dendrogram(Leaf(0), self.labels), True
-        clean, out = True, []
-        # Per set being split: [top rank, points in no class yet, child trees, parent's list].
-        stack = [[max(ranks[0]), list(range(self.n)), [], out]]
+        ranks, points = self.ranks, list(range(self.n))
+        clean, merges = True, []
+        # Per set being split: [top rank, its members, points in no class yet, its classes].
+        stack = [[max(ranks[0]), tuple(points), points, []]] if self.n > 1 else []
         while stack:
-            top, points, children, parent = frame = stack[-1]
+            top, members, points, parts = frame = stack[-1]
             if not points:
                 stack.pop()
-                parent.append(Merge(levels[top], tuple(children)))
+                merges.append((members, top, parts))
                 continue
             c, row = points[0], ranks[points[0]]
             if row[c] >= top:
-                raise AssertionError(f"point {c} is not closer than {levels[top]} to itself")
+                raise AssertionError(f"point {c} is not closer than {self.levels[top]} to itself")
             inner = [x for x in points if row[x] < top]
-            frame[1] = points = [x for x in points if row[x] >= top]
+            frame[2] = points = [x for x in points if row[x] >= top]
             if clean and points:
                 # The repeated last index makes the getter return a tuple.
                 cross, want = itemgetter(*points, points[0]), (top,) * (len(points) + 1)
                 clean = all(cross(ranks[a]) == want for a in inner)
-            if len(inner) == 1:
-                children.append(Leaf(c))
-            else:
-                stack.append([max(map(row.__getitem__, inner)), inner, [], children])
-        return Dendrogram(out[0], self.labels), clean
+            parts.append(tuple(inner))
+            if len(inner) > 1:
+                stack.append([max(map(row.__getitem__, inner)), parts[-1], inner, []])
+        return merges, clean
+
+    @cached_property
+    def tree(self) -> Dendrogram:
+        """The merge tree that :attr:`split` records, built on first use."""
+        return _tree(self.labels, self.split[0], self.levels)
 
 
 @dataclass(frozen=True)
@@ -323,6 +329,26 @@ class Dendrogram:
     @property
     def n(self) -> int:
         return len(self.labels)
+
+
+# A tree's internal nodes, children first: (members, rank of the level, children's members).
+Merges = list[tuple[tuple[int, ...], int, list[tuple[int, ...]]]]
+
+
+def _fold_merges(n: int, merges: Merges, levels: Sequence[Fraction], leaf: Callable[[int], T],
+                 merge: Callable[[Fraction, list[T]], T]) -> T:
+    """Fold the n-point tree with these merges children first, building no
+    node: a point gives ``leaf(point)``, a merge ``merge(level, its children's values)``."""
+    values = {(p,): leaf(p) for p in range(n)}
+    for members, k, parts in merges:
+        values[members] = merge(levels[k], list(map(values.__getitem__, parts)))
+    return values[tuple(range(n))]
+
+
+def _tree(labels: tuple[str, ...], merges: Merges, levels: Sequence[Fraction]) -> Dendrogram:
+    """The node tree with these leaf labels and merges."""
+    root = _fold_merges(len(labels), merges, levels, Leaf, lambda level, kids: Merge(level, tuple(kids)))
+    return Dendrogram(root, labels)
 
 
 def _as_index_tuple(space: FiniteUltrametricSpace, subset: Iterable[int]) -> tuple[int, ...]:
@@ -431,7 +457,7 @@ def space_violation(space: FiniteUltrametricSpace) -> UltrametricViolation | Non
     scan reports its lexicographically first witness, so the result is
     deterministic.  All but the last scan are O(n^2), and the last accepts in
     O(n^2) by the flag of :attr:`FiniteUltrametricSpace.split`, which caches
-    the merge tree; its cubic scan runs only to name a witness.
+    the merges; naming the witness of a matrix it refuses is O(n^2) too.
     "Nothing below 0" is read off the canonical triple (every level but 0 is
     an entry; pinned by ``test_every_constructor_yields_the_canonical_triple``
     in ``tests/test_core.py``): no entry is negative iff 0 has rank 0.
@@ -458,15 +484,34 @@ def space_violation(space: FiniteUltrametricSpace) -> UltrametricViolation | Non
                 return UltrametricViolation(axiom, witness, labs)
     if space.split[1]:
         return None
-    # By now row j is column j, and no triple with i == j or k in {i, j} can
-    # break the inequality, so scanning those too keeps the first witness.
-    for i, ri in enumerate(rows):
-        for j, dij in enumerate(ri):
-            rj = rows[j]
-            for k in range(n):
-                if dij > ri[k] and dij > rj[k]:
-                    return UltrametricViolation("StrongTriangleViolation", (i, j, k), labs)
-    return None
+    return UltrametricViolation("StrongTriangleViolation", _first_triangle_witness(rows, len(space.levels)), labs)
+
+
+def _first_triangle_witness(rows: tuple[tuple[int, ...], ...], top: int) -> tuple[int, int, int]:
+    """The first (i, j, k) in row-major order with rank(i, j) above rank(i, k)
+    and rank(k, j), on a symmetric matrix of ranks below ``top`` that has one,
+    its diagonal below every other entry.  The ranks are swept upwards with a
+    bitmask per point of the points closer to it: a pair breaks the inequality
+    iff the masks of its ends meet before its rank's pairs are added, and k is
+    their lowest common bit.  Pairs i < j are listed in row-major order, and no
+    k in {i, j} can break it, so this is the cubic scan's first witness."""
+    n, bit = len(rows), [1 << j for j in range(len(rows))]
+    lefts, rights = [array("I") for _ in range(top)], [array("I") for _ in range(top)]  # by rank
+    for i, row in enumerate(rows):
+        for j in range(i + 1, n):
+            lefts[row[j]].append(i)
+            rights[row[j]].append(j)
+    masks, best = [0] * n, (n, n, n)
+    for left, right in zip(lefts, rights):
+        for i, j in zip(left, right):
+            common = masks[i] & masks[j]
+            if common:
+                best = min(best, (i, j, (common & -common).bit_length() - 1))
+                break
+        for i, j in zip(left, right):
+            masks[i] |= bit[j]
+            masks[j] |= bit[i]
+    return best
 
 
 def find_violation(

@@ -4,7 +4,9 @@ A finite ultrametric space is the same data as a rooted tree whose internal
 nodes carry strictly decreasing positive levels: the distance between two
 points is the level of their lowest common ancestor, and the node leaf-sets
 are exactly the closed balls.  The tree gives a linear-time canonical form,
-hence cheap isometry testing.  The random generators draw such a tree and
+hence cheap isometry testing.  A space's own tree is read off the merges
+its split records, so no request builds a node, and a given tree is folded
+or walked once into merges.  The random generators draw such a tree and
 fill the rank matrix as they go, so they build no tree objects.
 """
 
@@ -14,7 +16,7 @@ import random
 from fractions import Fraction
 from itertools import chain, combinations
 from operator import itemgetter
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 from .core import (
     ZERO,
@@ -24,10 +26,14 @@ from .core import (
     Leaf,
     MalformedTreeError,
     Merge,
+    Merges,
     Node,
     RationalLike,
+    T,
+    _fold_merges,
     _over_levels_of,
     _rank_levels,
+    _tree,
     ball_labels,
     parse_rational,
     rational_str,
@@ -35,12 +41,11 @@ from .core import (
 
 CanonicalCode = str
 Members = tuple[int, ...]
-T = TypeVar("T")
 
 
-def _fold(root: Node, leaf: Callable[[Leaf], T], merge: Callable[[Merge, list[T]], T]) -> T:
+def _fold(root: Node, leaf: Callable[[int], T], merge: Callable[[Fraction, list[T]], T]) -> T:
     """Fold a tree children first, on lists rather than the call stack: a Leaf
-    gives ``leaf(node)``, a Merge ``merge(node, its children's values in order)``.
+    gives ``leaf(point)``, a Merge ``merge(level, its children's values in order)``.
     Values go by position, as hashing or comparing a node walks its subtree."""
     order, todo = [], [root]
     while todo:  # right-to-left pre-order; reversed, a left-to-right post-order
@@ -51,17 +56,17 @@ def _fold(root: Node, leaf: Callable[[Leaf], T], merge: Callable[[Merge, list[T]
     values: list[T] = []
     for node in reversed(order):
         if isinstance(node, Leaf):
-            values.append(leaf(node))
+            values.append(leaf(node.point))
         else:  # its children's values, the last ones on the list, give way to its own
             start = len(values) - len(node.children)
-            values[start:] = [merge(node, values[start:])]
+            values[start:] = [merge(node.level, values[start:])]
     return values[0]
 
 
 def build_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
-    """Merge tree of a valid space: the tree that :attr:`FiniteUltrametricSpace.split`
+    """Merge tree of a valid space: the tree that :attr:`FiniteUltrametricSpace.tree`
     caches.  Raises AssertionError on a point outside its own class."""
-    return space.split[0]
+    return space.tree
 
 
 def _check_tree(d: Dendrogram) -> None:
@@ -104,38 +109,40 @@ def _check_tree(d: Dendrogram) -> None:
         raise MalformedTreeError("labels must be unique within a space")
 
 
+def _walk(d: Dendrogram) -> tuple[tuple[Fraction, ...], Merges]:
+    """The levels of ``d`` and 0, sorted, and its merges, children in tree
+    order, as a space's split records them.  No check is made: ``d`` comes
+    from :func:`_check_tree`, :func:`build_dendrogram` or :func:`ballean_tree`."""
+    found: list[tuple[Members, Fraction, list[Members]]] = []
+
+    def merge(level: Fraction, parts: list[Members]) -> Members:
+        found.append((tuple(sorted(chain(*parts))), level if type(level) is Fraction else Fraction(level), parts))
+        return found[-1][0]
+
+    _fold(d.root, lambda point: (point,), merge)
+    levels, rank = _rank_levels({i: level for i, (_, level, _) in enumerate(found)})
+    return levels, [(members, rank[i], parts) for i, (members, _, parts) in enumerate(found)]
+
+
+def _balls(n: int, merges: Merges) -> list[Members]:
+    """The member tuples of the n points and the merges, which are the balls,
+    by (size, members): the singletons first, in point order."""
+    return [(p,) for p in range(n)] + sorted((m for m, _, _ in merges), key=lambda m: (len(m), m))
+
+
 def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
     """Distance matrix realized by a hand-built tree: d(x, y) = LCA level,
     an int level read as a Fraction.  Raises MalformedTreeError as
     :func:`_check_tree` does."""
     _check_tree(d)
-    merges, _ = _ballean_walk(d)
-    levels, rank = _rank_levels({i: level for i, (_, level, _) in enumerate(merges)})
+    levels, merges = _walk(d)
     rows = [[0] * d.n for _ in range(d.n)]
-    for i, (_, _, parts) in enumerate(merges):
-        k = rank[i]
+    for _, k, parts in merges:
         for xs, ys in combinations(parts, 2):
             for x in xs:
                 for y in ys:
                     rows[x][y] = rows[y][x] = k
     return FiniteUltrametricSpace(tuple(d.labels), levels, tuple(map(tuple, rows)))
-
-
-def _ballean_walk(d: Dendrogram) -> tuple[list[tuple[Members, Fraction, list[Members]]], list[Members]]:
-    """The internal nodes of ``d`` in post-order, each as (members, level as
-    a Fraction, child member tuples), and the member tuples of all nodes,
-    which are the balls, by (size, members): the singletons first, in point
-    order.  No check is made: ``d`` comes from :func:`_check_tree`, from
-    :attr:`FiniteUltrametricSpace.split` or from :func:`_ballean_tree`."""
-    merges: list[tuple[Members, Fraction, list[Members]]] = []
-
-    def merge(node: Merge, parts: list[Members]) -> Members:
-        members, level = tuple(sorted(chain(*parts))), node.level
-        merges.append((members, level if type(level) is Fraction else Fraction(level), parts))
-        return members
-
-    _fold(d.root, lambda node: (node.point,), merge)
-    return merges, [(p,) for p in range(d.n)] + sorted((m for m, _, _ in merges), key=lambda m: (len(m), m))
 
 
 def ballean_tree(d: Dendrogram) -> Dendrogram:
@@ -151,25 +158,35 @@ def ballean_tree(d: Dendrogram) -> Dendrogram:
     MalformedTreeError as :func:`_check_tree` does.
     """
     _check_tree(d)
-    return _ballean_tree(d)
+    levels, merges = _walk(d)
+    return _tree(*_ballean_merges(d.labels, merges), levels)
 
 
-def _ballean_tree(d: Dendrogram) -> Dendrogram:
-    """:func:`ballean_tree` of a merge tree, from ``split`` or from this function."""
-    merges, balls = _ballean_walk(d)
+def _ballean_merges(labels: Sequence[str], merges: Merges) -> tuple[tuple[str, ...], Merges]:
+    """The labels and merges of :func:`ballean_tree` of the tree with these:
+    each merge gains its own ball as a last child, members renumbered to balls."""
+    balls = _balls(len(labels), merges)
     index = {m: i for i, m in enumerate(balls)}
-    built: dict[Members, Node] = {(p,): Leaf(p) for p in range(d.n)}
-    for members, level, parts in merges:
-        built[members] = Merge(level, (*map(built.__getitem__, parts), Leaf(index[members])))
-    return Dendrogram(built[balls[-1]], ball_labels(d.labels, balls))
+    new = {(p,): (p,) for p in range(len(labels))}
+    out: Merges = []
+    for members, k, parts in merges:
+        kids = [*map(new.__getitem__, parts), (index[members],)]
+        new[members] = tuple(sorted(chain(*kids)))
+        out.append((new[members], k, kids))
+    return ball_labels(labels, balls), out
 
 
 def ballean_ranks(d: Dendrogram) -> tuple[list[Members], tuple[Fraction, ...], list[tuple[int, ...]]]:
-    """The balls of the space that ``d`` realizes, by (size, members), and
-    the levels and rank rows of the ballean's Hausdorff matrix: what
-    ``dendrogram_to_space(ballean_tree(d))`` holds, less its labels.  ``d``
-    must be a merge tree as :func:`build_dendrogram` or :func:`ballean_tree`
-    returns it; it is not checked.
+    """The balls of the space that ``d`` realizes, by (size, members), and the
+    levels and rank rows of its ballean: ``dendrogram_to_space(ballean_tree(d))``
+    less its labels.  ``d`` is not checked; it must be a merge tree."""
+    levels, merges = _walk(d)
+    balls, rows = _ballean_rows(d.n, merges)
+    return balls, levels, rows
+
+
+def _ballean_rows(n: int, merges: Merges) -> tuple[list[Members], list[tuple[int, ...]]]:
+    """The balls and rows of :func:`ballean_ranks` of the n-point tree with these merges.
 
     In pre-order, the balls inside a node are one run of positions.  A ball
     is at its own level from every ball inside it, and as far from any other
@@ -177,11 +194,10 @@ def ballean_ranks(d: Dendrogram) -> tuple[list[Members], tuple[Fraction, ...], l
     rank, and its own cell is zeroed once its children have copied the row.
     One getter then puts the rows' columns in output order.
     """
-    merges, balls = _ballean_walk(d)
-    levels, rank = _rank_levels({i: level for i, (_, level, _) in enumerate(merges)})
-    span = dict.fromkeys(balls[: d.n], (1, 0))  # ball -> (balls inside it, its rank)
-    for i, (members, _, parts) in enumerate(merges):
-        span[members] = (1 + sum(span[p][0] for p in parts), rank[i])
+    balls = _balls(n, merges)
+    span = dict.fromkeys(balls[:n], (1, 0))  # ball -> (balls inside it, its rank)
+    for members, k, parts in merges:
+        span[members] = (1 + sum(span[p][0] for p in parts), k)
     m, root = len(balls), balls[-1]
     at, rows = {root: 0}, {root: [span[root][1]] * m}
     for members, _, parts in reversed(merges):  # each node after its parent
@@ -194,7 +210,11 @@ def ballean_ranks(d: Dendrogram) -> tuple[list[Members], tuple[Fraction, ...], l
         row[at[members]] = 0
     order = [at[b] for b in balls]
     pick = itemgetter(*order, order[0])  # the repeated index makes a 1-ball getter return a tuple
-    return balls, levels, [pick(rows.pop(b))[:-1] for b in balls]
+    return balls, [pick(rows.pop(b))[:-1] for b in balls]
+
+
+def _code(level: Fraction, parts: list[str]) -> CanonicalCode:
+    return f"({rational_str(level)}:{','.join(sorted(parts))})"
 
 
 def canonical_code(d: Dendrogram) -> CanonicalCode:
@@ -203,27 +223,32 @@ def canonical_code(d: Dendrogram) -> CanonicalCode:
     Two dendrograms get equal codes exactly when a level-preserving tree
     isomorphism (forgetting leaf labels) maps one onto the other.
     """
-    return _fold(
-        d.root, lambda _: "*", lambda node, parts: f"({rational_str(node.level)}:{','.join(sorted(parts))})"
-    )
+    return _fold(d.root, lambda _: "*", _code)
 
 
 def are_isometric(s1: FiniteUltrametricSpace, s2: FiniteUltrametricSpace) -> bool:
-    """Distance-preserving bijection exists iff the canonical codes match."""
-    if s1.n != s2.n:
+    """Distance-preserving bijection exists iff the canonical codes match.  An
+    isometry keeps the set of distances, ``levels``, so that is compared first."""
+    if s1.n != s2.n or s1.levels != s2.levels:
         return False
-    return canonical_code(build_dendrogram(s1)) == canonical_code(build_dendrogram(s2))
+    code1, code2 = (_fold_merges(s.n, s.split[0], s.levels, lambda _: "*", _code) for s in (s1, s2))
+    return code1 == code2
+
+
+def _bracket(level: Fraction, parts: list[tuple[int, str]]) -> tuple[int, str]:
+    """A subtree's smallest leaf and its text, children in smallest-leaf order."""
+    parts.sort()
+    return parts[0][0], f"({rational_str(level)} {' '.join(text for _, text in parts)})"
 
 
 def format_dendrogram(d: Dendrogram) -> str:
     """Text form in nested brackets, e.g. ``(2 (1 a b) c)``."""
+    return _fold(d.root, lambda point: (point, d.labels[point]), _bracket)[1]
 
-    def merge(node: Merge, parts: list[tuple[int, str]]) -> tuple[int, str]:
-        """The subtree's smallest leaf and its text, children in smallest-leaf order."""
-        parts.sort()
-        return parts[0][0], f"({rational_str(node.level)} {' '.join(text for _, text in parts)})"
 
-    return _fold(d.root, lambda node: (node.point, d.labels[node.point]), merge)[1]
+def _space_text(space: FiniteUltrametricSpace) -> str:
+    """:func:`format_dendrogram` of the space's merge tree, read off its merges."""
+    return _fold_merges(space.n, space.split[0], space.levels, lambda p: (p, space.labels[p]), _bracket)[1]
 
 
 def _parse_pool(level_pool: Sequence[RationalLike]) -> tuple[Fraction, ...]:

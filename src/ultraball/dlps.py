@@ -555,11 +555,14 @@ def dlps_sample(space: DlpsSpace, n: int, scale_cut: RationalLike) -> FiniteUltr
     # descending order, so merges keep the k largest positives without a sort,
     # which would compare long terms of a ratio-near-1 tail many times.  No tail
     # builds a term below the k-th largest value kept before it; larger first terms go first.
-    k = n - space.has_zero
+    # The bound below refuses `most` values (13 characters a cell), so no tail builds more.
+    k, most = n - space.has_zero, math.isqrt(SAMPLE_MATRIX_CHARS // 13) + 2
     largest = list(space.finite_points[::-1][:k])
     for t in sorted(space.tails, key=lambda t: t.first, reverse=True):
+        if len(largest) >= most:
+            break
         floor = max(cut, largest[-1]) if 0 < k == len(largest) else cut
-        largest = list(islice(heapq.merge(largest, t.terms_at_least(floor, k), reverse=True), k))
+        largest = list(islice(heapq.merge(largest, t.terms_at_least(floor, min(k, most)), reverse=True), k))
     values = [ZERO] * space.has_zero + largest[::-1] or [space.max_element()]
     if not all(map(_prints, values)):
         raise BadParamsError("a sampled tail term has too many digits to print")

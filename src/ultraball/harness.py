@@ -48,9 +48,7 @@ from .core import (
     space_violation,
     validate_ultrametric,
 )
-from .dendrogram import (
-    _ballean_walk, _parse_pool, _random_space, are_isometric, ballean_ranks, build_dendrogram,
-)
+from .dendrogram import _ballean_rows, _balls, _parse_pool, _random_space, are_isometric
 from .dlps import (
     DlpsSpace,
     Singleton,
@@ -204,9 +202,9 @@ def _body_h2(space: FiniteUltrametricSpace, stream: Stream) -> str | None:
     violation = space_violation(bspace)
     if violation is not None:
         return f"ballean space failed validation: {violation.to_json_dict()}"
-    # The tree route, which `ultraball ballean` writes.
-    _, levels, rows = ballean_ranks(build_dendrogram(space))
-    if levels != bspace.levels or tuple(rows) != bspace.ranks:
+    # The merge-list route, which `ultraball ballean` writes.
+    _, rows = _ballean_rows(space.n, space.split[0])
+    if space.levels != bspace.levels or tuple(rows) != bspace.ranks:
         return "ballean matrix differs from the merge-tree route"
     return None
 
@@ -257,9 +255,9 @@ def _body_h5(space: FiniteUltrametricSpace, stream: Stream) -> str | None:
     balls, bound = enumerate_ballean(space), 2 * space.n - 1
     if len(balls) > bound:
         return f"{len(balls)} balls, over the 2n-1 bound of {bound}"
-    # The walk that `ultraball ballean` writes: its ball list, in order.
-    merges, tree_balls = _ballean_walk(build_dendrogram(space))
-    if tree_balls != [b.members for b in balls]:
+    # The merges that `ultraball ballean` reads, and its ball list, in order.
+    merges = space.split[0]
+    if _balls(space.n, merges) != [b.members for b in balls]:
         return "merge-tree node leaf sets differ from the ball table, in order"
     if all(len(parts) == 2 for _, _, parts in merges) and len(balls) != bound:
         return f"binary merge tree but only {len(balls)} balls (expected {bound})"

@@ -12,6 +12,8 @@ Hausdorff routes among them are the ones the rank cores of
 recursive tree builder and the accepting walk that one iterative split on
 the space replaced.  The rational parser reads every string through
 ``Fraction``'s own parser, as it did before digit-only text got a shortcut.
+The triangle scan on ranks is the cubic one that naming a violation's
+witness by a sweep of the thresholds replaced.
 The H3 and H9 bodies that test containment on Python sets and the pairwise
 ``ballean_space`` fill are the routes that bitmasks and one ``map`` per row
 replaced.  The H11 body scans every subset of the ballean, where the library
@@ -237,6 +239,19 @@ def find_violation_reference(matrix, labels=None):
             for k in range(n):
                 if k != i and k != j and m[i][j] > m[i][k] and m[i][j] > m[k][j]:
                     return UltrametricViolation("StrongTriangleViolation", (i, j, k), labs)
+    return None
+
+
+def triangle_scan_reference(rows: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+    """The first (i, j, k) in row-major order with rows[i][j] above both
+    rows[i][k] and rows[j][k], by a scan of every triple; on a symmetric
+    matrix row j is column j."""
+    for i, ri in enumerate(rows):
+        for j, dij in enumerate(ri):
+            rj = rows[j]
+            for k in range(len(rows)):
+                if dij > ri[k] and dij > rj[k]:
+                    return (i, j, k)
     return None
 
 

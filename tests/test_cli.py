@@ -25,10 +25,11 @@ from ultraball.core import (
     MalformedTreeError,
     Merge,
     equidistant_space,
+    find_violation,
     space_from_json_dict,
     space_to_json_dict,
 )
-from ultraball.dendrogram import random_binary_space, random_space
+from ultraball.dendrogram import build_dendrogram, random_binary_space, random_space
 from ultraball.dlps import SAMPLE_MATRIX_CHARS, dlps_from_json_dict, dlps_sample
 from ultraball.harness import CHECKS
 
@@ -273,6 +274,86 @@ def test_tree_commands_split_each_input_once(space_file, tmp_path, split_calls, 
     capsys.readouterr()
 
 
+def _workload_shaped_inputs(folder):
+    """Space files shaped like the large-spaces workload's, written into
+    folder: a 48-point binary space, a 64-point default-pool space, a
+    relabelled permutation of the first, the second with the level 3/2 moved
+    to 7/4 (still ultrametric, not isometric), and the first with one pair
+    raised above every distance, early and late."""
+    binary = space_to_json_dict(random_binary_space(5, 48))
+    shallow = space_to_json_dict(random_space(6, 64, harness.DEFAULT_LEVEL_POOL))
+    perm = list(range(47, -1, -1))
+    files = {
+        "binary": binary,
+        "shallow": shallow,
+        "perm": {"labels": [f"q{k}" for k in range(48)],
+                 "matrix": [[binary["matrix"][a][b] for b in perm] for a in perm]},
+        "bumped": {**shallow, "matrix": [["7/4" if v == "3/2" else v for v in row] for row in shallow["matrix"]]},
+    }
+    for name, (i, j) in (("early", (2, 40)), ("late", (46, 47))):
+        matrix = [row[:] for row in binary["matrix"]]
+        matrix[i][j] = matrix[j][i] = "48"
+        files[name] = {**binary, "matrix": matrix}
+    for name, data in files.items():
+        (folder / f"{name}.json").write_text(json.dumps(data))
+    return [f"{name}.json" for name in files]
+
+
+# Runs each argument as one `ultraball` command line and prints the optimize
+# flag and one sha256 over every command's exit code, stdout and stderr.
+_DIGEST = """
+import contextlib, hashlib, io, sys
+from ultraball.cli import cli_main
+digest = hashlib.sha256()
+for line in sys.argv[1:]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(line.split())
+    digest.update(f"{line}\\0{code}\\0{out.getvalue()}\\0{err.getvalue()}\\n".encode())
+print(sys.flags.optimize, digest.hexdigest())
+"""
+
+
+def test_space_commands_print_the_same_bytes_with_and_without_python_O(tmp_path):
+    # The digest was taken from the commit before the space's split recorded
+    # merges instead of building a tree, so it pins that commit's bytes.
+    files = _workload_shaped_inputs(tmp_path)
+    lines = [f"{command} {name}" for command in ("validate", "tree") for name in files]
+    lines += ["isometric binary.json perm.json", "isometric shallow.json bumped.json",
+              "isometric binary.json shallow.json", "isometric perm.json early.json"]
+    lines += [f"ballean {name} --iterate {k}" for name in ("binary.json", "shallow.json") for k in (1, 2, 3)]
+    src = str(Path(ultraball.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    digests = [
+        subprocess.run([sys.executable, *flag, "-c", _DIGEST, *lines], capture_output=True, text=True,
+                       cwd=tmp_path, env=env, timeout=120, check=True).stdout.split()
+        for flag in ([], ["-O"])
+    ]
+    want = "7cdce89757417f367203ee74984eb07dd1b1a67fb0ed893712f5fb81102f431a"
+    assert digests == [["0", want], ["1", want]]
+
+
+def test_validation_and_the_space_commands_build_no_tree_nodes(tmp_path, monkeypatch, capsys):
+    built = []
+    for cls in (Leaf, Merge, Dendrogram):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, _init=init: built.append(self) or _init(self, *args))
+    files = _workload_shaped_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    data = json.loads(Path("binary.json").read_text())
+    late = json.loads(Path("late.json").read_text())
+    assert space_from_json_dict(data).n == 48
+    assert find_violation(data["matrix"], data["labels"]) is None
+    assert find_violation(late["matrix"], late["labels"]).witness == (46, 47, 0)
+    for argv in (["validate", "binary.json"], ["validate", "late.json"], ["isometric", "binary.json", "perm.json"],
+                 ["ballean", "binary.json", "--iterate", "1"], ["ballean", "binary.json", "--iterate", "3"],
+                 ["tree", "binary.json"]):
+        assert cli_main(argv) in (0, 1)
+    assert built == []
+    assert build_dendrogram(space_from_json_dict(data)).n == 48 and len(built) == 1 + 48 + 47
+    capsys.readouterr()
+
+
 def test_ballean_towers_check_no_tree_they_build(tmp_path, monkeypatch, capsys):
     # The trees of `ballean --iterate` are merge trees by construction; a
     # hand-built tree passed to ballean_tree is still checked, and refused.
@@ -483,6 +564,26 @@ def test_dlps_sample_that_cannot_be_held_is_refused_fast(doc, cut, message, tmp_
     assert err["error"] == "BadParamsError"
     if message:
         assert err["message"] == message
+
+
+def test_dlps_sample_past_the_print_budget_builds_no_more_terms_than_it_could_print(tmp_path, capsys):
+    # With no digit limit about 19,000 terms lie above the cut, and every one
+    # can print.  The first tail stops at the count the budget must refuse,
+    # and no later tail is read: 0.06 s, where building every term took 11 s.
+    path = tmp_path / "dlps.json"
+    path.write_text(json.dumps(NEAR_ONE))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        start = time.process_time()
+        code = cli_main(["dlps", "sample", str(path), "-n", "1000000", "--cut", "1/" + "9" * 30])
+        elapsed = time.process_time() - start
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1 and elapsed < 0.5
+    assert json.loads(capsys.readouterr().err)["message"] == (
+        f"the sampled matrix could print over {SAMPLE_MATRIX_CHARS} characters"
+    )
 
 
 def test_dlps_sample_below_the_print_budget_prints_every_value(tmp_path, capsys):

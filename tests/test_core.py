@@ -1,6 +1,7 @@
 import re
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -11,13 +12,14 @@ from hypothesis import strategies as st
 
 import ultraball
 import ultraball.core as core
-from oracles import caterpillar, diam_pairwise
+from oracles import caterpillar, diam_pairwise, triangle_scan_reference
 from ultraball.ballean import ballean_space, iterate_ballean
 from ultraball.core import (
     BadParamsError,
     Ball,
     BallRelation,
     EmptySubsetError,
+    FiniteUltrametricSpace,
     ForeignBallError,
     NegativeRadiusError,
     UltrametricViolation,
@@ -174,6 +176,37 @@ def test_a_1100_deep_space_validates_in_quadratic_time():
     start = time.perf_counter()
     assert space_violation(space) is None
     assert time.perf_counter() - start < 2
+
+
+def _raised(space, i, j):
+    """The space with d(i, j) raised above every distance."""
+    rows = [list(row) for row in space.ranks]
+    rows[i][j] = rows[j][i] = len(space.levels)
+    return FiniteUltrametricSpace(space.labels, (*space.levels, space.levels[-1] + 1), tuple(map(tuple, rows)))
+
+
+def test_a_late_violation_on_512_points_is_named_in_quadratic_time():
+    # The cubic scan takes about 4 s of process time on this input (2-vCPU
+    # box, CPython 3.11.7), and split and sweep together about 0.05 s.
+    space = _raised(random_binary_space(7, 512), 510, 511)
+    start = time.process_time()
+    violation = space_violation(space)
+    assert time.process_time() - start < 0.35
+    assert (violation.axiom, violation.witness) == ("StrongTriangleViolation", (510, 511, 0))
+    assert violation.witness_labels == ("p510", "p511", "p0")
+
+
+def test_naming_a_late_violation_on_a_512_point_caterpillar_holds_under_4_mb():
+    # Mask tables kept per row would hold about 14 MB here.
+    space = _raised(caterpillar(512), 510, 511)
+    tracemalloc.start()
+    try:
+        violation = space_violation(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert violation.witness == (510, 511, 0) == triangle_scan_reference(space.ranks)
+    assert peak < 4_000_000
 
 
 @pytest.mark.parametrize("odd", [True, 1.5, None, [1], {"a": 1}])

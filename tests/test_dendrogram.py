@@ -32,7 +32,8 @@ from ultraball.dendrogram import (
     Dendrogram,
     Leaf,
     Merge,
-    _ballean_walk,
+    _balls,
+    _walk,
     are_isometric,
     ballean_ranks,
     ballean_tree,
@@ -161,6 +162,7 @@ def test_int_levels_become_fractions():
     assert space.levels == (0, 1, 2) and all(type(v) is Fraction for v in space.levels)
     tower = ballean_tree(Dendrogram(Merge(2, (Leaf(0), Leaf(1))), ("a", "b")))
     assert type(tower.root.level) is Fraction
+    assert tower == Dendrogram(Merge(Fraction(2), (Leaf(0), Leaf(1), Leaf(2))), ("a", "b", "a+b"))  # its own ball last
 
 
 def test_repeated_labels_rejected():
@@ -212,7 +214,8 @@ def test_codes_agree_with_brute_force_search(s1, s2, n):
 def test_node_leaf_sets_equal_ball_member_sets():
     for seed in range(8):
         s = random_space(seed, 8, POOL)
-        assert _ballean_walk(build_dendrogram(s))[1] == [b.members for b in enumerate_ballean(s)]
+        assert _balls(s.n, s.split[0]) == [b.members for b in enumerate_ballean(s)]
+        assert _balls(s.n, _walk(build_dendrogram(s))[1]) == _balls(s.n, s.split[0])
 
 
 def test_random_space_deterministic():
@@ -251,7 +254,7 @@ def test_random_binary_space_maximal_ballean():
     for seed in range(6):
         for n in (2, 5, 9):
             s = random_binary_space(seed, n)
-            assert all(len(parts) == 2 for _, _, parts in _ballean_walk(build_dendrogram(s))[0])
+            assert all(len(parts) == 2 for _, _, parts in s.split[0])
             assert len(enumerate_ballean(s)) == 2 * n - 1
 
 
@@ -282,9 +285,11 @@ def test_validation_builds_the_tree_that_build_dendrogram_returns(split_calls):
     data = space_to_json_dict(random_binary_space(3, 20))
     space = validate_ultrametric(data["matrix"], data["labels"])
     assert len(split_calls) == 1
-    tree, clean = split_calls[0]
-    assert clean
-    assert build_dendrogram(space).root is tree.root
+    merges, clean = split_calls[0]
+    assert clean and "tree" not in vars(space)  # validation records merges, and builds no tree
+    tree = build_dendrogram(space)
+    assert build_dendrogram(space) is tree
+    assert _walk(tree) == (space.levels, merges)
     assert are_isometric(space, space)
     assert len(split_calls) == 1
 
@@ -295,8 +300,8 @@ def test_walks_handle_a_3000_deep_tree():
     space = dendrogram_to_space(d)
     assert space.levels == tuple(map(Fraction, range(n)))
     assert all(row == (i,) * i + (0,) + tuple(range(i + 1, n)) for i, row in enumerate(space.ranks))
-    merges, balls = _ballean_walk(d)
-    assert all(len(parts) == 2 for _, _, parts in merges) and len(balls) == 2 * n - 1
+    merges = _walk(d)[1]
+    assert all(len(parts) == 2 for _, _, parts in merges) and len(_balls(n, merges)) == 2 * n - 1
     assert canonical_code(d).count("*") == n
     assert format_dendrogram(d).startswith("(3000 (2999 (2998 ")
     # One ballean: a tower's labels grow with the cube of the depth.

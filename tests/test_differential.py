@@ -46,6 +46,7 @@ from oracles import (
     random_space_reference,
     require_canonical_reference,
     smallest_ball_reference,
+    triangle_scan_reference,
 )
 from ultraball import ballean as ballean_module
 from ultraball.ballean import (
@@ -67,6 +68,7 @@ from ultraball.core import (
     FiniteUltrametricSpace,
     _ball,
     _diam_rank,
+    _fold_merges,
     _parse_space,
     _scan_ball,
     _parse_space_json,
@@ -79,13 +81,20 @@ from ultraball.core import (
     smallest_ball,
 )
 from ultraball import dendrogram, harness
-from ultraball.harness import _body_h3, _body_h9, _body_h11
+from ultraball.harness import DEFAULT_LEVEL_POOL, _body_h3, _body_h9, _body_h11
 from ultraball.dendrogram import (
     Dendrogram,
     Leaf,
     Merge,
-    _ballean_walk,
+    _ballean_merges,
+    _ballean_rows,
+    _balls,
+    _bracket,
+    _code,
     _parse_pool,
+    _space_text,
+    _walk,
+    are_isometric,
     ballean_ranks,
     ballean_tree,
     build_dendrogram,
@@ -331,6 +340,36 @@ def near_ultrametric_matrices(draw):
 @given(matrix=near_ultrametric_matrices())
 def test_find_violation_on_near_ultrametric_spaces_matches_lcm_rescale(matrix):
     assert _verdict(find_violation(matrix)) == _verdict(find_violation_reference(matrix))
+
+
+@st.composite
+def planted_violations(draw):
+    """Binary, caterpillar and default-pool spaces of 3 to 40 points with one
+    or several symmetric entries moved to another level or to a fresh value,
+    all among the first six points or all among the last six."""
+    n, seed = draw(st.integers(3, 40)), draw(st.integers(0, 10**6))
+    kind = draw(st.sampled_from(("binary", "caterpillar", "pool")))
+    if kind == "binary":
+        space = random_binary_space(seed, n)
+    else:
+        space = caterpillar(n) if kind == "caterpillar" else random_space(seed, n, DEFAULT_LEVEL_POOL)
+    rows = [list(row) for row in space.dist]
+    near = range(min(6, n)) if draw(st.booleans()) else range(max(0, n - 6), n)
+    fresh = (Fraction(1, 7), (space.levels[1] + space.levels[-1]) / 2, space.levels[-1] + 1)
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.lists(st.sampled_from(near), min_size=2, max_size=2, unique=True))
+        rows[i][j] = rows[j][i] = draw(st.sampled_from(space.levels[1:] + fresh))
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(matrix=planted_violations())
+def test_planted_violations_name_the_cubic_scans_witness(matrix):
+    space = _parse_space(matrix, None)
+    witness = triangle_scan_reference(space.ranks)
+    want = None if witness is None else ("StrongTriangleViolation", witness)
+    assert _verdict(find_violation(matrix)) == want
+    assert want == _verdict(find_violation_reference(matrix))
 
 
 def test_planted_violation_on_64_points_names_the_first_triple():
@@ -662,8 +701,9 @@ def _assert_walks_match(tree):
 def _assert_ballean_walk_matches(tree):
     """The unchecked walk, on a well-formed tree, against the recursive walk,
     the node leaf sets and the two-part test."""
-    merges, balls = _ballean_walk(tree)
-    assert (merges, balls) == ballean_walk_reference(tree)
+    levels, merges = _walk(tree)
+    balls = _balls(tree.n, merges)
+    assert ([(m, levels[k], parts) for m, k, parts in merges], balls) == ballean_walk_reference(tree)
     assert set(balls) == node_leaf_sets_reference(tree)
     assert all(len(parts) == 2 for _, _, parts in merges) == is_binary_reference(tree)
 
@@ -962,3 +1002,63 @@ def test_level_comparisons_test_identity_then_value(monkeypatch):
         patch.setattr(harness, "_cases_rank", lambda *args: _cases_rank(*args) - 1)
         got = harness._body_h1(space, lambda: random.Random(0))
     assert got == f"Hausdorff routes disagree on {b1.members} vs {b2.members}: union-diam={levels[5]}, cases={levels[4]}, sup-inf={levels[5]}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(space=table_spaces())
+def test_merge_list_cores_match_the_tree_routes(space):
+    """What the CLI and H2 and H5 read off the split's merges is what the
+    public routes read off ``build_dendrogram(space)``."""
+    tree = build_dendrogram(space)
+    assert _walk(tree) == (space.levels, space.split[0])
+    balls, levels, rows = ballean_ranks(tree)
+    assert _ballean_rows(space.n, space.split[0]) == (balls, rows) and levels == space.levels
+    assert _balls(space.n, space.split[0]) == balls
+    assert _fold_merges(space.n, space.split[0], space.levels, lambda _: "*", _code) == canonical_code(tree)
+    assert _space_text(space) == format_dendrogram(tree)
+    labels, merges = space.labels, space.split[0]
+    for _ in range(2):  # the towers of `ballean --iterate 2` and `3`
+        tree = ballean_tree(tree)
+        labels, merges = _ballean_merges(labels, merges)
+        assert labels == tree.labels and (levels, merges) == _walk(tree)
+        balls, _, rows = ballean_ranks(tree)
+        assert _ballean_rows(len(labels), merges) == (balls, rows)
+
+
+def _bumped(space, merge):
+    """The space with one merge's level moved halfway down to the largest
+    level inside it: still ultrametric, and its levels change unless the new
+    value is a level elsewhere."""
+    members, k, parts = merge
+    below = max((kk for m, kk, _ in space.split[0] if set(m) < set(members)), default=0)
+    rows = [list(row) for row in space.dist]
+    new = (space.levels[k] + space.levels[below]) / 2
+    for xs, ys in combinations(parts, 2):
+        for x in xs:
+            for y in ys:
+                rows[x][y] = rows[y][x] = new
+    return _parse_space(rows, space.labels)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(space=table_spaces(), data=st.data())
+def test_isometry_by_levels_first_matches_the_code_comparison(space, data):
+    perm = data.draw(st.permutations(range(space.n)))
+    others = [space.restrict(perm)]
+    if space.n > 1:
+        others.append(_bumped(space, data.draw(st.sampled_from(space.split[0]))))
+    for other in others:
+        codes = canonical_code(build_dendrogram(space)) == canonical_code(build_dendrogram(other))
+        assert are_isometric(space, other) == codes == are_isometric(other, space)
+        if space.n <= 6:
+            assert codes == oracles.brute_isometric(space, other)
+
+
+def test_spaces_with_other_levels_form_no_code(monkeypatch):
+    folds = []
+    monkeypatch.setattr(dendrogram, "_fold_merges", lambda *args: folds.append(args) or _fold_merges(*args))
+    space = random_binary_space(7, 48)
+    for merge in space.split[0]:
+        assert not are_isometric(space, _bumped(space, merge))  # the new value is a fresh level
+    assert folds == []
+    assert are_isometric(space, space.restrict(range(47, -1, -1))) and len(folds) == 2

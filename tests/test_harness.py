@@ -68,14 +68,14 @@ def test_reports_are_deterministic():
 def test_h5_compares_the_walk_with_the_ball_table_in_order(monkeypatch):
     # The first two balls, both singletons, swapped: the same set of balls in
     # another order than the one `ultraball ballean` writes.
-    real = harness._ballean_walk
+    real = harness._balls
 
-    def swapped(tree):
-        merges, balls = real(tree)
+    def swapped(n, merges):
+        balls = real(n, merges)
         balls[:2] = balls[1::-1]
-        return merges, balls
+        return balls
 
-    monkeypatch.setattr(harness, "_ballean_walk", swapped)
+    monkeypatch.setattr(harness, "_balls", swapped)
     config = TrialConfig(seed=1, trials=12, max_points=8)
     report = run_suite(config)
     failures = report.outcome("H5").failures

@@ -14,7 +14,7 @@ import pytest
 from ultraball import ballean, core, dendrogram, dlps, harness
 from ultraball.ballean import _cases_rank, ballean_space, smallest_ball_distance
 from ultraball.core import ZERO, Ball, BallRelation, FiniteUltrametricSpace, _relation, _scan_ball, parse_rational
-from ultraball.dendrogram import _ballean_walk
+from ultraball.dendrogram import _balls
 from ultraball.dlps import Singleton, Truncation
 from ultraball.harness import CHECKS, TrialConfig, run_suite
 
@@ -85,9 +85,9 @@ def _least_rank_for_diam(space, idx):
     return min(map(space.ranks[idx[0]].__getitem__, idx))
 
 
-def _walk_by_reversed_members(d):
-    merges, balls = _ballean_walk(d)
-    return merges, balls[: d.n] + sorted(balls[d.n :], key=lambda m: (len(m), m[::-1]))
+def _balls_by_reversed_members(n, merges):
+    balls = _balls(n, merges)
+    return balls[:n] + sorted(balls[n:], key=lambda m: (len(m), m[::-1]))
 
 
 def _one_rank_too_far(space, center, radius):
@@ -122,7 +122,7 @@ FINITE_MUTANTS = {
     "nested balls at the smaller diameter": (ballean, "_cases_rank", _smaller_rank_when_nested, {"H1"}),
     "sup-inf with a min for the first sup": (ballean, "_oracle_rank", _min_for_the_first_sup, {"H1"}),
     "diameter as the least distance": (core, "_diam_rank", _least_rank_for_diam, {"H4"}),
-    "walk by reversed members": (dendrogram, "_ballean_walk", _walk_by_reversed_members, {"H2", "H5"}),
+    "walk by reversed members": (dendrogram, "_balls", _balls_by_reversed_members, {"H2", "H5"}),
     # bisect_left instead is equivalent at radius 0, the one radius verify asks for.
     "closed ball one rank too far": (core, "closed_ball", _one_rank_too_far, {"H6"}),
     "least distance skipping row 0": (ballean, "min_positive_distance", _min_positive_skipping_row_0, {"H7", "H10"}),
