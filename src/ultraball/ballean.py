@@ -3,7 +3,8 @@
 The ballean is the set of all distinct closed balls.  Between two distinct
 balls the Hausdorff distance collapses to the diameter of their union; this
 module also carries the raw sup-inf definition and the disjoint/nested case
-split so the three routes can be checked against each other.
+split so the three routes can be checked against each other.  The ballean
+as a space, and its iterates, are read off the space's merges alone.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .core import (
     closed_ball,
     require_canonical,
 )
+from .dendrogram import _ballean_merges, _ballean_rows
 
 Members = tuple[int, ...]  # a ball's sorted points, as the ball table keys them
 
@@ -107,35 +109,15 @@ def ballean_space(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
     Every Hausdorff distance between balls is a distance of the space, and
     each positive distance is one: the diameter of the smallest ball holding
     its two points, which is that far from a maximal proper sub-ball.  So the
-    result keeps the space's levels.  It is built directly from the ball list
-    and not revalidated here, so checking it against the ultrametric axioms
-    stays a meaningful test rather than a tautology.  It is built once per
-    space and cached on it, as the ball table is.
+    result keeps the space's levels.  Its rows are read off the space's merges
+    and not revalidated here, so validating it tests that reading; check H1
+    compares the cells it samples with the sup-inf definition.  It is built
+    once per space and cached on it, as the ball table is.
     """
     cache = space.__dict__
     if "_ballean" not in cache:
-        cache["_ballean"] = _build_ballean(space)
+        cache["_ballean"] = _ballean_of(space, 1)
     return cache["_ballean"]
-
-
-def _build_ballean(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
-    balls = enumerate_ballean(space)
-    labels = ball_labels(space.labels, [b.members for b in balls])
-    m = len(balls)
-    # hausdorff_balls's rank of each pair, reading each ball's rank and first point
-    # once.  Balls come by (size, members): for i < j ball i lies in ball j or
-    # misses it, so top_i <= max(top_j, d(f_i, f_j)) and one comparison does.
-    rank, ranks = space.ball_table.rank, space.ranks
-    tops, firsts = [rank[b.members] for b in balls], [b.members[0] for b in balls]
-    rows = [[space.zero] * m for _ in range(m)]
-    for i in range(m):
-        at, row = ranks[firsts[i]], rows[i]
-        for j in range(i + 1, m):
-            k, t = at[firsts[j]], tops[j]
-            if k < t:
-                k = t
-            row[j] = rows[j][i] = k
-    return FiniteUltrametricSpace(labels, space.levels, tuple(map(tuple, rows)))
 
 
 _MAX_DEPTH = 3
@@ -147,14 +129,30 @@ def iterate_ballean(space: FiniteUltrametricSpace, depth: int) -> FiniteUltramet
     Each round adds one point per internal node of the merge tree (a binary
     10-point space grows 10, 19, 28, 37), so a round costs more than the
     last; deeper towers raise BadParamsError.  :func:`dendrogram.ballean_tree`
-    builds towers of any depth from the merge tree, without matrices.
+    builds the towers' merge trees at any depth, without matrices.
     """
     if not 0 <= depth <= _MAX_DEPTH:
         raise BadParamsError(f"iteration depth must be between 0 and {_MAX_DEPTH}, got {depth}")
-    out = space
-    for _ in range(depth):
-        out = ballean_space(out)
-    return out
+    if depth < 2:
+        return ballean_space(space) if depth else space
+    return _ballean_of(space, depth)
+
+
+def _ballean_of(space: FiniteUltrametricSpace, depth: int) -> FiniteUltrametricSpace:
+    labels, balls, rows = _ballean_tower(space, depth)
+    return FiniteUltrametricSpace(ball_labels(labels, balls), space.levels, tuple(rows))
+
+
+def _ballean_tower(
+    space: FiniteUltrametricSpace, depth: int
+) -> tuple[tuple[str, ...], list[Members], list[tuple[int, ...]]]:
+    """The labels of the (depth-1)-th ballean, for depth >= 1, and the balls and
+    rank rows of its ballean: every ballean builder's core.  Each level's merges
+    are the last level's with each node's own ball as a last child."""
+    labels, merges = space.labels, space.split[0]
+    for _ in range(depth - 1):  # merge lists by construction: nothing to check
+        labels, merges = _ballean_merges(labels, merges)
+    return (labels, *_ballean_rows(len(labels), merges))
 
 
 def family_diameters(

@@ -13,7 +13,7 @@ import sys
 from json.encoder import encode_basestring_ascii as encode
 from operator import itemgetter
 
-from .ballean import _MAX_DEPTH, hausdorff_balls
+from .ballean import _MAX_DEPTH, _ballean_tower, hausdorff_balls
 from .core import (
     BadParamsError,
     Ball,
@@ -26,7 +26,7 @@ from .core import (
     smallest_ball,
     space_from_json_dict,
 )
-from .dendrogram import _ballean_merges, _ballean_rows, _space_text, are_isometric
+from .dendrogram import _space_text, are_isometric
 from .dlps import (
     dlps_acc,
     dlps_ballean_analysis,
@@ -105,11 +105,7 @@ def _cmd_ballean(args: argparse.Namespace) -> int:
     space = _load_space(args.space)
     if not 1 <= args.iterate <= _MAX_DEPTH:
         raise BadParamsError(f"--iterate must be between 1 and {_MAX_DEPTH}, got {args.iterate}")
-    labels, merges = space.labels, space.split[0]
-    for _ in range(args.iterate - 1):  # merge lists by construction: nothing to check
-        labels, merges = _ballean_merges(labels, merges)
-    # Every Hausdorff distance of a ballean is a distance of its base, and back.
-    balls, rows = _ballean_rows(len(labels), merges)
+    labels, balls, rows = _ballean_tower(space, args.iterate)
     _emit({"balls": (labels, balls), "hausdorff": (list(map(rational_str, space.levels)), rows)}, args.out)
     return 0
 

@@ -179,7 +179,8 @@ def _ballean_merges(labels: Sequence[str], merges: Merges) -> tuple[tuple[str, .
 def ballean_ranks(d: Dendrogram) -> tuple[list[Members], tuple[Fraction, ...], list[tuple[int, ...]]]:
     """The balls of the space that ``d`` realizes, by (size, members), and the
     levels and rank rows of its ballean: ``dendrogram_to_space(ballean_tree(d))``
-    less its labels.  ``d`` is not checked; it must be a merge tree."""
+    less its labels.  Raises MalformedTreeError as :func:`_check_tree` does."""
+    _check_tree(d)
     levels, merges = _walk(d)
     balls, rows = _ballean_rows(d.n, merges)
     return balls, levels, rows
@@ -221,8 +222,10 @@ def canonical_code(d: Dendrogram) -> CanonicalCode:
     """Label-free canonical form: recursive (level, sorted child codes).
 
     Two dendrograms get equal codes exactly when a level-preserving tree
-    isomorphism (forgetting leaf labels) maps one onto the other.
+    isomorphism (forgetting leaf labels) maps one onto the other.  Raises
+    MalformedTreeError as :func:`_check_tree` does.
     """
+    _check_tree(d)
     return _fold(d.root, lambda _: "*", _code)
 
 
@@ -242,7 +245,9 @@ def _bracket(level: Fraction, parts: list[tuple[int, str]]) -> tuple[int, str]:
 
 
 def format_dendrogram(d: Dendrogram) -> str:
-    """Text form in nested brackets, e.g. ``(2 (1 a b) c)``."""
+    """Text form in nested brackets, e.g. ``(2 (1 a b) c)``.  Raises
+    MalformedTreeError as :func:`_check_tree` does."""
+    _check_tree(d)
     return _fold(d.root, lambda point: (point, d.labels[point]), _bracket)[1]
 
 

@@ -202,7 +202,7 @@ def _body_h2(space: FiniteUltrametricSpace, stream: Stream) -> str | None:
     violation = space_violation(bspace)
     if violation is not None:
         return f"ballean space failed validation: {violation.to_json_dict()}"
-    # The merge-list route, which `ultraball ballean` writes.
+    # The rows read off the merges, which `ballean_space` and `ultraball ballean` give.
     _, rows = _ballean_rows(space.n, space.split[0])
     if space.levels != bspace.levels or tuple(rows) != bspace.ranks:
         return "ballean matrix differs from the merge-tree route"

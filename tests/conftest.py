@@ -31,16 +31,16 @@ def split_calls(monkeypatch):
 
 @pytest.fixture
 def ballean_builds(monkeypatch):
-    """Every space whose ballean was built in this test, in order: one entry
-    per build, not per call of ``ballean_space``.  Holding the spaces keeps
-    their ids distinct."""
-    build, spaces = ballean._build_ballean, []
+    """Every space whose ballean or tower was built in this test, in order:
+    one entry per run of the one builder, ``_ballean_tower``, not per call
+    of ``ballean_space``.  Holding the spaces keeps their ids distinct."""
+    build, spaces = ballean._ballean_tower, []
 
-    def counting(space):
+    def counting(space, depth):
         spaces.append(space)
-        return build(space)
+        return build(space, depth)
 
-    monkeypatch.setattr(ballean, "_build_ballean", counting)
+    monkeypatch.setattr(ballean, "_ballean_tower", counting)
     return spaces
 
 

@@ -14,9 +14,10 @@ the space replaced.  The rational parser reads every string through
 ``Fraction``'s own parser, as it did before digit-only text got a shortcut.
 The triangle scan on ranks is the cubic one that naming a violation's
 witness by a sweep of the thresholds replaced.
-The H3 and H9 bodies that test containment on Python sets and the pairwise
-``ballean_space`` fill are the routes that bitmasks and one ``map`` per row
-replaced.  The H11 body scans every subset of the ballean, where the library
+The H3 and H9 bodies that test containment on Python sets are the routes
+that bitmasks and one ``map`` per row replaced; the pairwise fill is the
+``ballean_space`` and ``iterate_ballean`` route that rows read off the
+merge tree replaced.  The H11 body scans every subset of the ballean, where the library
 reads a closed form off the pairs of balls.  The level-pool parse feeds the
 two generators after it, which build a merge tree and read the space off it,
 as the library did before it filled ranks while drawing.  The tree walks after them are
@@ -521,6 +522,13 @@ def ballean_space_pairwise_reference(space: FiniteUltrametricSpace) -> FiniteUlt
         for j in range(i + 1, m):
             rows[i][j] = rows[j][i] = max(top, tops[j], at[firsts[j]])
     return _over_levels_of(space.levels, labels, tuple(map(tuple, rows)))
+
+
+def iterate_ballean_pairwise_reference(space: FiniteUltrametricSpace, depth: int) -> FiniteUltrametricSpace:
+    """The depth-th ballean, the pairwise fill applied ``depth`` times."""
+    for _ in range(depth):
+        space = ballean_space_pairwise_reference(space)
+    return space
 
 
 def parse_pool_reference(level_pool: Sequence[RationalLike]) -> list[Fraction]:

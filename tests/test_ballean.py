@@ -169,6 +169,13 @@ def test_iterate_ballean_capped():
         iterate_ballean(s, 4)
 
 
+def test_a_tower_splits_its_base_only(split_calls):
+    space = random_binary_space(7, 12)
+    tower = iterate_ballean(space, 3)
+    assert split_calls == [space.split]
+    assert tower.n == 45 and "ball_table" not in vars(space)
+
+
 def test_family_diameters_examples():
     s = three_point_space()
     balls = enumerate_ballean(s)

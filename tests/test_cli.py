@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import caterpillar
-from ultraball.ballean import ballean_space, enumerate_ballean, iterate_ballean
+from oracles import ballean_space_pairwise_reference, caterpillar, iterate_ballean_pairwise_reference
+from ultraball.ballean import enumerate_ballean
 from ultraball.cli import _emit, build_parser, cli_main
 import ultraball
 from ultraball import dendrogram, harness
@@ -146,10 +146,10 @@ BALLEAN_INPUTS = [
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("data", BALLEAN_INPUTS)
 def test_ballean_from_the_tree_writes_the_matrix_route_text(data, k, tmp_path, capsys):
-    base = iterate_ballean(space_from_json_dict(data), k - 1)
+    base = iterate_ballean_pairwise_reference(space_from_json_dict(data), k - 1)
     payload = {
         "balls": [[base.labels[m] for m in b.members] for b in enumerate_ballean(base)],
-        "hausdorff": space_to_json_dict(ballean_space(base))["matrix"],
+        "hausdorff": space_to_json_dict(ballean_space_pairwise_reference(base))["matrix"],
     }
     expected = json.dumps(payload, indent=2) + "\n"
     source, target = tmp_path / "space.json", tmp_path / "ballean.json"

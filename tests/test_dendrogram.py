@@ -116,9 +116,13 @@ def test_malformed_trees_rejected():
             ballean_tree(Dendrogram(tree, labels))
 
 
+# Every public function that takes a Dendrogram checks it first.
+TREE_ENTRIES = (dendrogram_to_space, ballean_tree, canonical_code, format_dendrogram, ballean_ranks)
+
+
 @pytest.mark.parametrize("level", [1.5, float("inf"), float("nan"), True, "2", None])
 def test_levels_that_are_not_rationals_are_rejected(level):
-    for entry in (dendrogram_to_space, ballean_tree):
+    for entry in TREE_ENTRIES:
         with pytest.raises(MalformedTreeError, match="levels must be Fractions or ints"):
             entry(Dendrogram(Merge(level, (Leaf(0), Leaf(1))), ("a", "b")))
         nested = Merge(Fraction(3), (Merge(level, (Leaf(0), Leaf(1))), Leaf(2)))
@@ -139,17 +143,20 @@ def test_levels_that_are_not_rationals_are_rejected(level):
         (Merge(Fraction(1), (Leaf(0), Leaf(1))), None),
         (Merge(Fraction(1), (Leaf(0), Leaf(1))), (1, 2)),
         (Merge(Fraction(1), (Leaf(0), Leaf(1))), "ab"),
+        (Merge(Fraction(2), (Leaf(0), Leaf(0))), ("a", "b")),
+        (Merge(Fraction(2), (Leaf(0), Leaf(5))), ("a", "b")),
+        (Merge(Fraction(2), (Leaf(0), "b")), ("a", "b")),
     ],
 )
 def test_malformed_nodes_points_and_labels_rejected(root, labels):
-    for entry in (dendrogram_to_space, ballean_tree):
+    for entry in TREE_ENTRIES:
         with pytest.raises(MalformedTreeError):
             entry(Dendrogram(root, labels))
 
 
 def test_a_bad_point_is_reported_in_pre_order():
     high = Merge(Fraction(2), (Leaf(1), Leaf(2)))
-    for entry in (dendrogram_to_space, ballean_tree):
+    for entry in TREE_ENTRIES:
         with pytest.raises(MalformedTreeError, match="leaf points must be ints, got 0.0"):
             entry(Dendrogram(Merge(Fraction(1), (Leaf(0.0), high)), ("a", "b", "c")))
         with pytest.raises(MalformedTreeError, match="strictly decrease"):

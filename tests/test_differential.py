@@ -522,9 +522,10 @@ def test_ballean_tree_tower_matches_iterated_ballean(seed, n, k, kind):
         tree = ballean_tree(tree)
     balls, levels, rows = ballean_ranks(tree)
     tree = ballean_tree(tree)
-    expected = iterate_ballean(space, k)
-    assert dendrogram_to_space(tree) == expected
-    assert balls == [b.members for b in enumerate_ballean(iterate_ballean(space, k - 1))]
+    below = oracles.iterate_ballean_pairwise_reference(space, k - 1)
+    expected = oracles.ballean_space_pairwise_reference(below)
+    assert dendrogram_to_space(tree) == expected == iterate_ballean(space, k)
+    assert balls == [b.members for b in enumerate_ballean(below)]
     assert (levels, tuple(rows)) == (expected.levels, expected.ranks)
     assert canonical_code(tree) == canonical_code(build_dendrogram(expected))
 
@@ -685,7 +686,10 @@ def test_h11_closed_form_matches_the_subset_scan_on_crafted_balleans(monkeypatch
     assert {next((d for d in details if o and o.startswith(d)), o) for o in outcomes} == {None, *details}
 
 
-# Walks that take any tree, malformed ones included.
+# Walks that take any tree, malformed ones included: each refuses a tree
+# that the reference tree check refuses, with the same error, and otherwise
+# matches its recursive reference.  ballean_ranks refuses the same trees;
+# its values are held to the pairwise fill by the tower test above.
 TREE_WALKS = [
     (dendrogram_to_space, dendrogram_to_space_reference),
     (canonical_code, canonical_code_reference),
@@ -694,8 +698,13 @@ TREE_WALKS = [
 
 
 def _assert_walks_match(tree):
+    refused = _outcome(dendrogram_to_space_reference, tree)
+    if refused[0] != "MalformedTreeError":
+        refused = None
     for walk, reference in TREE_WALKS:
-        assert _outcome(walk, tree) == _outcome(reference, tree), walk.__name__
+        assert _outcome(walk, tree) == (refused or _outcome(reference, tree)), walk.__name__
+    if refused:
+        assert _outcome(ballean_ranks, tree) == refused
 
 
 def _assert_ballean_walk_matches(tree):
@@ -930,6 +939,10 @@ def test_ballean_space_rows_match_the_pairwise_fill():
         assert ballean_space(space) == oracles.ballean_space_pairwise_reference(space)
         twice = ballean_space(ballean_space(space))
         assert twice == oracles.ballean_space_pairwise_reference(oracles.ballean_space_pairwise_reference(space))
+        expected = space
+        for k in range(1, 4):  # the tower of the base's merges, against the fill applied k times
+            expected = oracles.ballean_space_pairwise_reference(expected)
+            assert iterate_ballean(space, k) == expected, k
 
 
 # Tuples and lists, unsorted with duplicates, one string read as its

@@ -204,6 +204,14 @@ def test_each_trial_space_builds_one_ballean(ballean_builds):
     assert len({id(space) for space in ballean_builds}) == len(ballean_builds)
 
 
+def test_no_check_builds_a_ball_table_for_a_ballean(ballean_builds):
+    # A ballean's rows are read off its base's merges, so the checks read
+    # its ranks and its split, never its balls.
+    assert run_suite(TrialConfig(seed=3, trials=20)).passed
+    balleans = [vars(space)["_ballean"] for space in ballean_builds]
+    assert balleans and [b for b in balleans if "ball_table" in vars(b)] == []
+
+
 def test_h1_and_h4_validate_no_ball_and_compare_fractions_only_along_the_levels(
     checks_and_compares, monkeypatch
 ):

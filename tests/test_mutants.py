@@ -39,8 +39,9 @@ def _with_ranks(space, rank):
 
 def test_a_ballean_matrix_with_wrong_ranks_fails_h2(monkeypatch):
     # Lowering every rank at or above zero + 2 keeps the axioms and the least
-    # positive distance, so only the comparisons with another route see it:
-    # H1's with the sup-inf definition and H2's with the tree route.
+    # positive distance, so only the comparisons with other routes see it:
+    # H1's with the sup-inf definition and H2's with the rows read off the
+    # space's merges, which the mutant changes after they are read.
     real = ballean.ballean_space
 
     def lowered(space):
@@ -111,6 +112,13 @@ def _zeroed_above_12_points(space):
     return b if space.n <= 12 else _pair_0_1_zeroed(b)
 
 
+def _levels_doubled(space):
+    # Same ranks, every distance twice as far: still ultrametric, so only
+    # H1's and H2's levels comparisons and the distances H7 and H8 read see it.
+    b = ballean_space(space)
+    return FiniteUltrametricSpace(b.labels, tuple(2 * v for v in b.levels), b.ranks)
+
+
 def _raising(*args):
     raise AssertionError("mutant raised")
 
@@ -122,7 +130,8 @@ FINITE_MUTANTS = {
     "nested balls at the smaller diameter": (ballean, "_cases_rank", _smaller_rank_when_nested, {"H1"}),
     "sup-inf with a min for the first sup": (ballean, "_oracle_rank", _min_for_the_first_sup, {"H1"}),
     "diameter as the least distance": (core, "_diam_rank", _least_rank_for_diam, {"H4"}),
-    "walk by reversed members": (dendrogram, "_balls", _balls_by_reversed_members, {"H2", "H5"}),
+    # The ballean's rows follow the walk's order, so H1's sup-inf cells, in table order, see it.
+    "walk by reversed members": (dendrogram, "_balls", _balls_by_reversed_members, {"H1", "H5"}),
     # bisect_left instead is equivalent at radius 0, the one radius verify asks for.
     "closed ball one rank too far": (core, "closed_ball", _one_rank_too_far, {"H6"}),
     "least distance skipping row 0": (ballean, "min_positive_distance", _min_positive_skipping_row_0, {"H7", "H10"}),
@@ -130,6 +139,7 @@ FINITE_MUTANTS = {
     "isometry test raises": (dendrogram, "are_isometric", _raising, {"H8"}),
     "restriction reversed": (FiniteUltrametricSpace, "restrict", _reversed_restrict, {"H9"}),
     "ballean pair zeroed above 12 points": (ballean, "ballean_space", _zeroed_above_12_points, {"H12"}),
+    "ballean levels doubled": (ballean, "ballean_space", _levels_doubled, {"H1", "H2", "H7", "H8"}),
 }
 
 
