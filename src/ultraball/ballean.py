@@ -21,6 +21,7 @@ from .core import (
     EqualBallsError,
     FamilyTooSmallError,
     FiniteUltrametricSpace,
+    T,
     _as_index_tuple,
     _ball,
     _diam_rank,
@@ -139,20 +140,21 @@ def iterate_ballean(space: FiniteUltrametricSpace, depth: int) -> FiniteUltramet
 
 
 def _ballean_of(space: FiniteUltrametricSpace, depth: int) -> FiniteUltrametricSpace:
-    labels, balls, rows = _ballean_tower(space, depth)
+    labels, balls, rows = _ballean_tower(space, depth, range(len(space.levels)))
     return FiniteUltrametricSpace(ball_labels(labels, balls), space.levels, tuple(rows))
 
 
 def _ballean_tower(
-    space: FiniteUltrametricSpace, depth: int
-) -> tuple[tuple[str, ...], list[Members], list[tuple[int, ...]]]:
+    space: FiniteUltrametricSpace, depth: int, cells: Sequence[T]
+) -> tuple[tuple[str, ...], list[Members], list[tuple[T, ...]]]:
     """The labels of the (depth-1)-th ballean, for depth >= 1, and the balls and
-    rank rows of its ballean: every ballean builder's core.  Each level's merges
-    are the last level's with each node's own ball as a last child."""
+    rows of its ballean, each rank k written as ``cells[k]``: every ballean
+    builder's core.  Each level's merges are the last level's with each node's
+    own ball as a last child."""
     labels, merges = space.labels, space.split[0]
     for _ in range(depth - 1):  # merge lists by construction: nothing to check
         labels, merges = _ballean_merges(labels, merges)
-    return (labels, *_ballean_rows(len(labels), merges))
+    return (labels, *_ballean_rows(len(labels), merges, cells))
 
 
 def family_diameters(

@@ -59,19 +59,22 @@ def _load_space(path: str) -> FiniteUltrametricSpace:
 def _emit(payload: dict[str, object], out: str | None) -> None:
     """Write ``json.dumps(payload, indent=2)`` and a newline, where a pair
     ``(strings, rows)`` stands for the lists of ``strings`` that the index
-    rows ``rows`` pick.
+    rows ``rows`` pick, and a pair ``(None, rows)`` for rows that already
+    hold each cell's JSON text.
 
-    A pair is written from its indices, each string encoded once and each
-    row one getter and one ``str.join``: given an indent, ``json.dumps`` runs
-    its pure-Python encoder, which costs more per cell.
+    A pair is written row by row, each string encoded once and each row one
+    ``str.join`` (after one getter, for index rows): given an indent,
+    ``json.dumps`` runs its pure-Python encoder, which costs more per cell.
     """
     items = []
     for key, value in payload.items():
         if type(value) is tuple:
-            strings = list(map(encode, value[0]))
-            # The repeated index makes a 1-element row's getter return a tuple.
-            rows = ["[\n      " + ",\n      ".join(itemgetter(*r, r[0])(strings)[:-1]) + "\n    ]"
-                    for r in value[1]]
+            strings, rows = value
+            if strings is not None:
+                strings = list(map(encode, strings))
+                # The repeated index makes a 1-element row's getter return a tuple.
+                rows = (itemgetter(*r, r[0])(strings)[:-1] for r in rows)
+            rows = ["[\n      " + ",\n      ".join(r) + "\n    ]" for r in rows]
             text = "[\n    " + ",\n    ".join(rows) + "\n  ]"
         else:
             text = json.dumps(value, indent=2).replace("\n", "\n  ")
@@ -105,8 +108,9 @@ def _cmd_ballean(args: argparse.Namespace) -> int:
     space = _load_space(args.space)
     if not 1 <= args.iterate <= _MAX_DEPTH:
         raise BadParamsError(f"--iterate must be between 1 and {_MAX_DEPTH}, got {args.iterate}")
-    labels, balls, rows = _ballean_tower(space, args.iterate)
-    _emit({"balls": (labels, balls), "hausdorff": (list(map(rational_str, space.levels)), rows)}, args.out)
+    cells = [encode(rational_str(level)) for level in space.levels]
+    labels, balls, rows = _ballean_tower(space, args.iterate, cells)
+    _emit({"balls": (labels, balls), "hausdorff": (None, rows)}, args.out)
     return 0
 
 

@@ -262,7 +262,8 @@ class FiniteUltrametricSpace:
             if row[c] >= top:
                 raise AssertionError(f"point {c} is not closer than {self.levels[top]} to itself")
             inner = [x for x in points if row[x] < top]
-            frame[2] = points = [x for x in points if row[x] >= top]
+            # A class of every point left is the last one: no second pass.
+            frame[2] = points = [x for x in points if row[x] >= top] if len(inner) < len(points) else []
             if clean and points:
                 # The repeated last index makes the getter return a tuple.
                 cross, want = itemgetter(*points, points[0]), (top,) * (len(points) + 1)

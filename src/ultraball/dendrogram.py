@@ -182,33 +182,35 @@ def ballean_ranks(d: Dendrogram) -> tuple[list[Members], tuple[Fraction, ...], l
     less its labels.  Raises MalformedTreeError as :func:`_check_tree` does."""
     _check_tree(d)
     levels, merges = _walk(d)
-    balls, rows = _ballean_rows(d.n, merges)
+    balls, rows = _ballean_rows(d.n, merges, range(len(levels)))
     return balls, levels, rows
 
 
-def _ballean_rows(n: int, merges: Merges) -> tuple[list[Members], list[tuple[int, ...]]]:
-    """The balls and rows of :func:`ballean_ranks` of the n-point tree with these merges.
+def _ballean_rows(n: int, merges: Merges, cells: Sequence[T]) -> tuple[list[Members], list[tuple[T, ...]]]:
+    """The balls of :func:`ballean_ranks` of the n-point tree with these
+    merges, and its rows with each rank k written as ``cells[k]``:
+    ``range(len(levels))`` gives the rank rows.
 
     In pre-order, the balls inside a node are one run of positions.  A ball
     is at its own level from every ball inside it, and as far from any other
     as its parent is, so its row is its parent's row with its run set to its
-    rank, and its own cell is zeroed once its children have copied the row.
+    cell, and its own cell is zeroed once its children have copied the row.
     One getter then puts the rows' columns in output order.
     """
     balls = _balls(n, merges)
-    span = dict.fromkeys(balls[:n], (1, 0))  # ball -> (balls inside it, its rank)
+    span = dict.fromkeys(balls[:n], (1, cells[0]))  # ball -> (balls inside it, its cell)
     for members, k, parts in merges:
-        span[members] = (1 + sum(span[p][0] for p in parts), k)
+        span[members] = (1 + sum(span[p][0] for p in parts), cells[k])
     m, root = len(balls), balls[-1]
     at, rows = {root: 0}, {root: [span[root][1]] * m}
     for members, _, parts in reversed(merges):  # each node after its parent
         row, start = rows[members], at[members] + 1
         for part in parts:
-            size, k = span[part]
+            size, cell = span[part]
             child = rows[part] = row.copy()
-            child[start:start + size] = [k] * size
+            child[start:start + size] = [cell] * size
             at[part], start = start, start + size
-        row[at[members]] = 0
+        row[at[members]] = cells[0]
     order = [at[b] for b in balls]
     pick = itemgetter(*order, order[0])  # the repeated index makes a 1-ball getter return a tuple
     return balls, [pick(rows.pop(b))[:-1] for b in balls]

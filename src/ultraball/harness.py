@@ -11,7 +11,6 @@ its trial and a serialized instance that reproduce the failure on its own.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import time
 from dataclasses import dataclass, field
@@ -20,6 +19,15 @@ from functools import partial
 from itertools import combinations, count, product
 from operator import lt
 from typing import Callable
+
+try:
+    # CPython's built-in SHA-256: unlike hashlib, it does not load OpenSSL.
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .ballean import (
     _cases_rank,
@@ -143,7 +151,7 @@ class CheckReport:
 
 def _substream(seed: int, *parts: object) -> int:
     data = ":".join([str(seed), *map(str, parts)]).encode()
-    return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
+    return int.from_bytes(sha256(data).digest()[:8], "big")
 
 
 def _trial_rng(cfg: TrialConfig, stream: str, trial: int) -> random.Random:
@@ -203,7 +211,7 @@ def _body_h2(space: FiniteUltrametricSpace, stream: Stream) -> str | None:
     if violation is not None:
         return f"ballean space failed validation: {violation.to_json_dict()}"
     # The rows read off the merges, which `ballean_space` and `ultraball ballean` give.
-    _, rows = _ballean_rows(space.n, space.split[0])
+    _, rows = _ballean_rows(space.n, space.split[0], range(len(space.levels)))
     if space.levels != bspace.levels or tuple(rows) != bspace.ranks:
         return "ballean matrix differs from the merge-tree route"
     return None

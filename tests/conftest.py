@@ -36,9 +36,9 @@ def ballean_builds(monkeypatch):
     of ``ballean_space``.  Holding the spaces keeps their ids distinct."""
     build, spaces = ballean._ballean_tower, []
 
-    def counting(space, depth):
+    def counting(space, depth, cells):
         spaces.append(space)
-        return build(space, depth)
+        return build(space, depth, cells)
 
     monkeypatch.setattr(ballean, "_ballean_tower", counting)
     return spaces

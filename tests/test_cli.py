@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ballean_space_pairwise_reference, caterpillar, iterate_ballean_pairwise_reference
-from ultraball.ballean import enumerate_ballean
+from ultraball.ballean import _ballean_tower, ballean_space, enumerate_ballean
 from ultraball.cli import _emit, build_parser, cli_main
 import ultraball
 from ultraball import dendrogram, harness
@@ -182,6 +182,13 @@ def test_emit_writes_a_pair_as_the_lists_its_index_rows_pick(capsys):
     _emit({"n": 1, "pair": (strings, rows)}, None)
     picked = [[strings[i] for i in r] for r in rows]
     assert capsys.readouterr().out == json.dumps({"n": 1, "pair": picked}, indent=2) + "\n"
+    # Rows of JSON text, as `ballean` writes its matrix: one 1-cell row for a 1-ball space.
+    for space in (equidistant_space(1, 1), random_binary_space(0, 5)):
+        cells = [json.dumps(str(level)) for level in space.levels]
+        _, _, text_rows = _ballean_tower(space, 1, cells)
+        _emit({"pair": (None, text_rows)}, None)
+        matrix = [[str(space.levels[k]) for k in row] for row in ballean_space(space).ranks]
+        assert capsys.readouterr().out == json.dumps({"pair": matrix}, indent=2) + "\n"
 
 
 def test_ballean_iterate_3_on_200_points_is_fast(tmp_path, capsys):
@@ -312,6 +319,32 @@ for line in sys.argv[1:]:
     digest.update(f"{line}\\0{code}\\0{out.getvalue()}\\0{err.getvalue()}\\n".encode())
 print(sys.flags.optimize, digest.hexdigest())
 """
+
+
+# Runs `ultraball` commands in one process, their output dropped, and prints
+# which of hashlib and OpenSSL's _hashlib were imported by the end.
+_HASHLIB_LOADED = """
+import contextlib, io, sys
+import ultraball
+from ultraball.cli import cli_main
+for line in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        print(line, cli_main(line.split()), file=sys.__stdout__)
+print(sorted({"hashlib", "_hashlib"} & sys.modules.keys()))
+"""
+
+
+def test_no_command_imports_hashlib(tmp_path):
+    # A subprocess, since pytest and Hypothesis may import hashlib themselves.
+    (tmp_path / "space.json").write_text(json.dumps(SPACE))
+    (tmp_path / "dlps.json").write_text(json.dumps(DLPS))
+    lines = ["validate space.json", "tree space.json", "isometric space.json space.json",
+             "ballean space.json", "dlps sample dlps.json -n 4 --cut 1/8", "verify --trials 2"]
+    src = str(Path(ultraball.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _HASHLIB_LOADED, *lines], capture_output=True, text=True,
+                         cwd=tmp_path, env=env, timeout=120, check=True).stdout
+    assert out == "".join(f"{line} 0\n" for line in lines) + "[]\n"
 
 
 def test_space_commands_print_the_same_bytes_with_and_without_python_O(tmp_path):

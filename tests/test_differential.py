@@ -1025,7 +1025,7 @@ def test_merge_list_cores_match_the_tree_routes(space):
     tree = build_dendrogram(space)
     assert _walk(tree) == (space.levels, space.split[0])
     balls, levels, rows = ballean_ranks(tree)
-    assert _ballean_rows(space.n, space.split[0]) == (balls, rows) and levels == space.levels
+    assert _ballean_rows(space.n, space.split[0], range(len(levels))) == (balls, rows) and levels == space.levels
     assert _balls(space.n, space.split[0]) == balls
     assert _fold_merges(space.n, space.split[0], space.levels, lambda _: "*", _code) == canonical_code(tree)
     assert _space_text(space) == format_dendrogram(tree)
@@ -1035,7 +1035,7 @@ def test_merge_list_cores_match_the_tree_routes(space):
         labels, merges = _ballean_merges(labels, merges)
         assert labels == tree.labels and (levels, merges) == _walk(tree)
         balls, _, rows = ballean_ranks(tree)
-        assert _ballean_rows(len(labels), merges) == (balls, rows)
+        assert _ballean_rows(len(labels), merges, range(len(levels))) == (balls, rows)
 
 
 def _bumped(space, merge):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -49,6 +50,35 @@ def test_small_suite_passes():
 def test_one_point_config_passes_trivially():
     report = run_suite(TrialConfig(seed=1, trials=1, max_points=1))
     assert report.passed
+
+
+_SUBSTREAM_GRID = [(seed, stream, trial) for seed in (0, 42, -7, 10**30)
+                   for stream in ("verify", "H1", "H4", "q63") for trial in range(50)]
+
+# Prints the substreams of the grid on argv with CPython's built-in SHA-256
+# modules hidden, so the harness takes its hashlib fallback.
+_SUBSTREAMS_VIA_HASHLIB = """
+import json, sys
+sys.modules["_sha256"] = sys.modules["_sha2"] = None
+from ultraball import harness
+print(json.dumps(["hashlib" in sys.modules, [harness._substream(*key) for key in json.loads(sys.argv[1])]]))
+"""
+
+
+def test_substreams_are_the_first_8_bytes_of_sha256_by_either_import():
+    def reference(seed, *parts):
+        data = ":".join([str(seed), *map(str, parts)]).encode()
+        return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
+
+    expected = [reference(*key) for key in _SUBSTREAM_GRID]
+    assert [harness._substream(*key) for key in _SUBSTREAM_GRID] == expected
+    src = str(Path(ultraball.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", _SUBSTREAMS_VIA_HASHLIB, json.dumps(_SUBSTREAM_GRID)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert json.loads(result.stdout) == [True, expected]
 
 
 def _timeless(report):
