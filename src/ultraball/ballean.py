@@ -21,7 +21,7 @@ from .core import (
     EqualBallsError,
     FamilyTooSmallError,
     FiniteUltrametricSpace,
-    T,
+    Members,
     _as_index_tuple,
     _ball,
     _diam_rank,
@@ -30,9 +30,7 @@ from .core import (
     closed_ball,
     require_canonical,
 )
-from .dendrogram import _ballean_merges, _ballean_rows
-
-Members = tuple[int, ...]  # a ball's sorted points, as the ball table keys them
+from .dendrogram import T, _ballean_merges, _ballean_rows
 
 
 def enumerate_ballean(space: FiniteUltrametricSpace) -> tuple[Ball, ...]:

@@ -17,13 +17,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 from operator import eq, index, itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
+from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 ZERO = Fraction(0)
 
 RationalLike = Fraction | int | str
 K = TypeVar("K")
-T = TypeVar("T")
 
 
 class UltraballError(Exception):
@@ -163,11 +162,11 @@ class FiniteUltrametricSpace:
     ``levels`` holds the distinct entries together with 0, sorted, and
     ``d(i, j) == levels[ranks[i][j]]``, so order questions compare ints.
     No level but 0 goes unused, so equal spaces have equal triples.
-    :attr:`dist` is the exact matrix, :attr:`ball_table` the closed balls,
-    :attr:`split` the merge tree's merges and :attr:`tree` its nodes, each
-    built on first use (by validation, for the merges), as is the ballean
-    that ``ballean_space`` keeps here; no cache can go stale because the
-    dataclass is frozen.
+    :attr:`dist` is the exact matrix, :attr:`ball_table` the closed balls
+    and :attr:`split` the merge tree's merges, each built on first use (by
+    validation, for the merges), as are the ballean that ``ballean_space``
+    and the node tree that ``build_dendrogram`` keep here; no cache can go
+    stale because the dataclass is frozen, and a copy builds its own.
 
     Every space is ultrametric: :func:`validate_ultrametric` and
     :func:`space_from_json_dict` refuse a matrix that is not, and the other
@@ -273,10 +272,11 @@ class FiniteUltrametricSpace:
                 stack.append([max(map(row.__getitem__, inner)), parts[-1], inner, []])
         return merges, clean
 
-    @cached_property
-    def tree(self) -> Dendrogram:
-        """The merge tree that :attr:`split` records, built on first use."""
-        return _tree(self.labels, self.split[0], self.levels)
+    def __getstate__(self) -> dict:
+        """The three fields alone, so that a copy or an unpickled space builds
+        its own caches: a ball table keys its balls by id, and a copy of the
+        table would name the original's balls."""
+        return {"labels": self.labels, "levels": self.levels, "ranks": self.ranks}
 
 
 @dataclass(frozen=True)
@@ -308,48 +308,9 @@ class BallTable(NamedTuple):
     own: dict[int, int]
 
 
-@dataclass(frozen=True)
-class Leaf:
-    point: int
-
-
-@dataclass(frozen=True)
-class Merge:
-    level: Fraction
-    children: tuple["Node", ...]
-
-
-Node = Leaf | Merge
-
-
-@dataclass(frozen=True)
-class Dendrogram:
-    root: Node
-    labels: tuple[str, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-
-# A tree's internal nodes, children first: (members, rank of the level, children's members).
-Merges = list[tuple[tuple[int, ...], int, list[tuple[int, ...]]]]
-
-
-def _fold_merges(n: int, merges: Merges, levels: Sequence[Fraction], leaf: Callable[[int], T],
-                 merge: Callable[[Fraction, list[T]], T]) -> T:
-    """Fold the n-point tree with these merges children first, building no
-    node: a point gives ``leaf(point)``, a merge ``merge(level, its children's values)``."""
-    values = {(p,): leaf(p) for p in range(n)}
-    for members, k, parts in merges:
-        values[members] = merge(levels[k], list(map(values.__getitem__, parts)))
-    return values[tuple(range(n))]
-
-
-def _tree(labels: tuple[str, ...], merges: Merges, levels: Sequence[Fraction]) -> Dendrogram:
-    """The node tree with these leaf labels and merges."""
-    root = _fold_merges(len(labels), merges, levels, Leaf, lambda level, kids: Merge(level, tuple(kids)))
-    return Dendrogram(root, labels)
+Members = tuple[int, ...]  # a ball's sorted points, as the ball table keys them
+# A merge tree's internal nodes, children first: (members, rank of the level, children's members).
+Merges = list[tuple[Members, int, list[Members]]]
 
 
 def _as_index_tuple(space: FiniteUltrametricSpace, subset: Iterable[int]) -> tuple[int, ...]:

@@ -4,43 +4,80 @@ A finite ultrametric space is the same data as a rooted tree whose internal
 nodes carry strictly decreasing positive levels: the distance between two
 points is the level of their lowest common ancestor, and the node leaf-sets
 are exactly the closed balls.  The tree gives a linear-time canonical form,
-hence cheap isometry testing.  A space's own tree is read off the merges
-its split records, so no request builds a node, and a given tree is folded
-or walked once into merges.  The random generators draw such a tree and
-fill the rank matrix as they go, so they build no tree objects.
+hence cheap isometry testing.  The node tree (:class:`Leaf`, :class:`Merge`,
+:class:`Dendrogram`) is this module's format alone: a space holds the merges
+its split records, and every request reads those, so none builds a node; a
+hand-built tree is checked and walked once into merges.  The random
+generators draw such a tree and fill the rank matrix as they go, so they
+build no tree objects.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .core import (
     ZERO,
     BadParamsError,
-    Dendrogram,
     FiniteUltrametricSpace,
-    Leaf,
     MalformedTreeError,
-    Merge,
+    Members,
     Merges,
-    Node,
     RationalLike,
-    T,
-    _fold_merges,
     _over_levels_of,
     _rank_levels,
-    _tree,
     ball_labels,
     parse_rational,
     rational_str,
 )
 
 CanonicalCode = str
-Members = tuple[int, ...]
+T = TypeVar("T")
+
+
+@dataclass(frozen=True)
+class Leaf:
+    point: int
+
+
+@dataclass(frozen=True)
+class Merge:
+    level: Fraction
+    children: tuple["Node", ...]
+
+
+Node = Leaf | Merge
+
+
+@dataclass(frozen=True)
+class Dendrogram:
+    root: Node
+    labels: tuple[str, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+
+def _fold_merges(n: int, merges: Merges, levels: Sequence[Fraction], leaf: Callable[[int], T],
+                 merge: Callable[[Fraction, list[T]], T]) -> T:
+    """Fold the n-point tree with these merges children first, building no
+    node: a point gives ``leaf(point)``, a merge ``merge(level, its children's values)``."""
+    values = {(p,): leaf(p) for p in range(n)}
+    for members, k, parts in merges:
+        values[members] = merge(levels[k], list(map(values.__getitem__, parts)))
+    return values[tuple(range(n))]
+
+
+def _tree(labels: tuple[str, ...], merges: Merges, levels: Sequence[Fraction]) -> Dendrogram:
+    """The node tree with these leaf labels and merges."""
+    root = _fold_merges(len(labels), merges, levels, Leaf, lambda level, kids: Merge(level, tuple(kids)))
+    return Dendrogram(root, labels)
 
 
 def _fold(root: Node, leaf: Callable[[int], T], merge: Callable[[Fraction, list[T]], T]) -> T:
@@ -64,9 +101,13 @@ def _fold(root: Node, leaf: Callable[[int], T], merge: Callable[[Fraction, list[
 
 
 def build_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
-    """Merge tree of a valid space: the tree that :attr:`FiniteUltrametricSpace.tree`
-    caches.  Raises AssertionError on a point outside its own class."""
-    return space.tree
+    """Merge tree of a valid space, built from :attr:`FiniteUltrametricSpace.split`
+    on first request and cached on the space, as ``ballean_space`` caches the
+    ballean.  Raises AssertionError on a point outside its own class."""
+    cache = space.__dict__
+    if "tree" not in cache:
+        cache["tree"] = _tree(space.labels, space.split[0], space.levels)
+    return cache["tree"]
 
 
 def _check_tree(d: Dendrogram) -> None:
@@ -111,8 +152,9 @@ def _check_tree(d: Dendrogram) -> None:
 
 def _walk(d: Dendrogram) -> tuple[tuple[Fraction, ...], Merges]:
     """The levels of ``d`` and 0, sorted, and its merges, children in tree
-    order, as a space's split records them.  No check is made: ``d`` comes
-    from :func:`_check_tree`, :func:`build_dendrogram` or :func:`ballean_tree`."""
+    order, as a space's split records them: every hand-built tree's one entry.
+    Raises MalformedTreeError as :func:`_check_tree` does."""
+    _check_tree(d)
     found: list[tuple[Members, Fraction, list[Members]]] = []
 
     def merge(level: Fraction, parts: list[Members]) -> Members:
@@ -134,7 +176,6 @@ def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
     """Distance matrix realized by a hand-built tree: d(x, y) = LCA level,
     an int level read as a Fraction.  Raises MalformedTreeError as
     :func:`_check_tree` does."""
-    _check_tree(d)
     levels, merges = _walk(d)
     rows = [[0] * d.n for _ in range(d.n)]
     for _, k, parts in merges:
@@ -157,7 +198,6 @@ def ballean_tree(d: Dendrogram) -> Dendrogram:
     gives the k-th ballean with no matrix and no depth cap.  Raises
     MalformedTreeError as :func:`_check_tree` does.
     """
-    _check_tree(d)
     levels, merges = _walk(d)
     return _tree(*_ballean_merges(d.labels, merges), levels)
 
@@ -176,19 +216,9 @@ def _ballean_merges(labels: Sequence[str], merges: Merges) -> tuple[tuple[str, .
     return ball_labels(labels, balls), out
 
 
-def ballean_ranks(d: Dendrogram) -> tuple[list[Members], tuple[Fraction, ...], list[tuple[int, ...]]]:
-    """The balls of the space that ``d`` realizes, by (size, members), and the
-    levels and rank rows of its ballean: ``dendrogram_to_space(ballean_tree(d))``
-    less its labels.  Raises MalformedTreeError as :func:`_check_tree` does."""
-    _check_tree(d)
-    levels, merges = _walk(d)
-    balls, rows = _ballean_rows(d.n, merges, range(len(levels)))
-    return balls, levels, rows
-
-
 def _ballean_rows(n: int, merges: Merges, cells: Sequence[T]) -> tuple[list[Members], list[tuple[T, ...]]]:
-    """The balls of :func:`ballean_ranks` of the n-point tree with these
-    merges, and its rows with each rank k written as ``cells[k]``:
+    """The balls of the n-point tree with these merges, by (size, members),
+    and the rows of its ballean with each rank k written as ``cells[k]``:
     ``range(len(levels))`` gives the rank rows.
 
     In pre-order, the balls inside a node are one run of positions.  A ball

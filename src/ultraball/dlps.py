@@ -261,12 +261,6 @@ def _vectors_meet(a: list[int], u: list[int], b: list[int], w: list[int]) -> boo
     return Fraction(up, wp).denominator % Fraction(cp, wp).denominator == 0
 
 
-def _tails_intersect(t1: GeometricTail, t2: GeometricTail) -> bool:
-    """Decide whether the two tails share any element, exactly."""
-    (a, u), (b, w) = _tail_vectors((t1, t2))
-    return _vectors_meet(a, u, b, w)
-
-
 @dataclass(frozen=True)
 class DlpsSpace:
     """Symbolic presentation: finite positive points, optional 0, geometric tails.

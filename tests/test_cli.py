@@ -20,16 +20,13 @@ from ultraball.cli import _emit, build_parser, cli_main
 import ultraball
 from ultraball import dendrogram, harness
 from ultraball.core import (
-    Dendrogram,
-    Leaf,
     MalformedTreeError,
-    Merge,
     equidistant_space,
     find_violation,
     space_from_json_dict,
     space_to_json_dict,
 )
-from ultraball.dendrogram import build_dendrogram, random_binary_space, random_space
+from ultraball.dendrogram import Dendrogram, Leaf, Merge, build_dendrogram, random_binary_space, random_space
 from ultraball.dlps import SAMPLE_MATRIX_CHARS, dlps_from_json_dict, dlps_sample
 from ultraball.harness import CHECKS
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 import sys
 import time
@@ -36,7 +38,8 @@ from ultraball.core import (
     validate_ultrametric,
 )
 from ultraball.dendrogram import (
-    ballean_ranks,
+    _ballean_rows,
+    _walk,
     build_dendrogram,
     dendrogram_to_space,
     random_binary_space,
@@ -360,6 +363,22 @@ def test_canonical_radius_reproduces_ball(seed, n):
                 assert closed_ball(s, member, ball.diameter).members == ball.members
 
 
+def test_a_copied_space_builds_its_own_caches():
+    # A ball table accepts its own balls by id.  A copy that carried the
+    # original's table over would name addresses that are not its balls, and a
+    # foreign ball landing on one once the original is freed would be accepted.
+    space = random_binary_space(1, 30)
+    build_dendrogram(space), ballean_space(space), space.dist
+    table = space.ball_table
+    for copied in (copy.copy(space), copy.deepcopy(space), pickle.loads(pickle.dumps(space))):
+        assert set(vars(copied)) == {"labels", "levels", "ranks"} and copied == space
+        own = copied.ball_table
+        assert own is not table and own.balls == table.balls and own.rank == table.rank
+        assert sorted(own.own) == sorted(map(id, own.balls))
+        assert [core.require_canonical(copied, b) for b in own.balls] == [table.own[id(b)] for b in table.balls]
+        assert ballean_space(copied) == ballean_space(space) and build_dendrogram(copied) == build_dendrogram(space)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10**6), n=st.integers(2, 8))
 def test_no_partial_overlap_and_disjoint_distance(seed, n):
@@ -462,7 +481,8 @@ def test_loading_and_ranking_a_ballean_hash_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__hash__", counting)
     space = space_from_json_dict(data)
     assert len(calls) == 0
-    balls, levels, rows = ballean_ranks(build_dendrogram(space))
+    levels, merges = _walk(build_dendrogram(space))
+    balls, rows = _ballean_rows(space.n, merges, range(len(levels)))
     assert len(calls) == 0
     assert len(balls) == len(rows) == 95 and levels == space.levels
 

@@ -16,10 +16,11 @@ from oracles import (
     recursive_split_reference,
     splits_cleanly_reference,
 )
-from ultraball import dendrogram
+from ultraball import core, dendrogram
 from ultraball.ballean import ballean_space, enumerate_ballean
 from ultraball.core import (
     BadParamsError,
+    FiniteUltrametricSpace,
     MalformedTreeError,
     _parse_space,
     equidistant_space,
@@ -32,10 +33,10 @@ from ultraball.dendrogram import (
     Dendrogram,
     Leaf,
     Merge,
+    _ballean_rows,
     _balls,
     _walk,
     are_isometric,
-    ballean_ranks,
     ballean_tree,
     build_dendrogram,
     canonical_code,
@@ -116,8 +117,8 @@ def test_malformed_trees_rejected():
             ballean_tree(Dendrogram(tree, labels))
 
 
-# Every public function that takes a Dendrogram checks it first.
-TREE_ENTRIES = (dendrogram_to_space, ballean_tree, canonical_code, format_dendrogram, ballean_ranks)
+# Every function that takes a hand-built Dendrogram checks it first.
+TREE_ENTRIES = (dendrogram_to_space, ballean_tree, canonical_code, format_dendrogram, _walk)
 
 
 @pytest.mark.parametrize("level", [1.5, float("inf"), float("nan"), True, "2", None])
@@ -316,7 +317,8 @@ def test_walks_handle_a_3000_deep_tree():
     assert code.startswith("(3000:(2999:(2998:") and "(2:(1:*,*,*),*,*)" in code
     # The ballean of a 3000-deep tree has a 6001-ball square matrix, so the
     # rank rows are read off a 999-deep tree.
-    balls, levels, rows = ballean_ranks(Dendrogram(caterpillar_tree(1000), d.labels[:1000]))
+    levels, merges = _walk(Dendrogram(caterpillar_tree(1000), d.labels[:1000]))
+    balls, rows = _ballean_rows(1000, merges, range(len(levels)))
     assert len(balls) == len(rows) == 2 * 1000 - 1 and levels == tuple(map(Fraction, range(1000)))
     assert rows[-1][:3] == (999, 999, 999) and rows[0][0] == 0
 
@@ -340,6 +342,30 @@ def test_no_function_in_the_package_recurses():
     for path in sorted(Path(dendrogram.__file__).parent.glob("*.py")):
         assert _recursive_functions(path.read_text(encoding="utf-8")) == [], path.name
     assert _recursive_functions("def f(t):\n    return list(map(f, t))") == ["f (line 1)"]
+
+
+def _names(source: str) -> set[str]:
+    """Every name the source defines, imports, reads or writes, attributes included."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+    return found
+
+
+def test_core_knows_no_node_tree():
+    # The node tree is the tree module's format alone: core holds merges.
+    tree_names = {"Leaf", "Merge", "Node", "Dendrogram", "_tree", "_fold_merges"}
+    assert _names(Path(core.__file__).read_text(encoding="utf-8")) & tree_names == set()
+    assert _names(Path(dendrogram.__file__).read_text(encoding="utf-8")) >= tree_names
+    assert _names("from m import Leaf\nclass Node: pass\nx = m._tree(Merge)") >= {"Leaf", "Node", "_tree", "Merge"}
+    assert not hasattr(FiniteUltrametricSpace, "tree")
 
 
 def test_ballean_tree_labels_a_collision_as_ballean_space_does():

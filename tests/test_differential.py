@@ -68,7 +68,6 @@ from ultraball.core import (
     FiniteUltrametricSpace,
     _ball,
     _diam_rank,
-    _fold_merges,
     _parse_space,
     _scan_ball,
     _parse_space_json,
@@ -91,11 +90,11 @@ from ultraball.dendrogram import (
     _balls,
     _bracket,
     _code,
+    _fold_merges,
     _parse_pool,
     _space_text,
     _walk,
     are_isometric,
-    ballean_ranks,
     ballean_tree,
     build_dendrogram,
     canonical_code,
@@ -520,7 +519,7 @@ def test_ballean_tree_tower_matches_iterated_ballean(seed, n, k, kind):
     tree = build_dendrogram(space)
     for _ in range(k - 1):
         tree = ballean_tree(tree)
-    balls, levels, rows = ballean_ranks(tree)
+    balls, levels, rows = _ballean_ranks(tree)
     tree = ballean_tree(tree)
     below = oracles.iterate_ballean_pairwise_reference(space, k - 1)
     expected = oracles.ballean_space_pairwise_reference(below)
@@ -528,6 +527,14 @@ def test_ballean_tree_tower_matches_iterated_ballean(seed, n, k, kind):
     assert balls == [b.members for b in enumerate_ballean(below)]
     assert (levels, tuple(rows)) == (expected.levels, expected.ranks)
     assert canonical_code(tree) == canonical_code(build_dendrogram(expected))
+
+
+def _ballean_ranks(tree):
+    """The balls of a hand-built tree, and the levels and rank rows of its
+    ballean: :func:`_ballean_rows` read off :func:`_walk`."""
+    levels, merges = _walk(tree)
+    balls, rows = _ballean_rows(tree.n, merges, range(len(levels)))
+    return balls, levels, rows
 
 
 def test_ballean_ranks_of_a_hand_built_tree_with_distinct_equal_levels():
@@ -542,7 +549,7 @@ def test_ballean_ranks_of_a_hand_built_tree_with_distinct_equal_levels():
         )),
         tuple("abcdefghi"),
     )
-    balls, levels, rows = ballean_ranks(tree)
+    balls, levels, rows = _ballean_ranks(tree)
     expected = dendrogram_to_space(ballean_tree(tree))
     assert levels == (0, f(5, 4), f(4, 3), f(3, 2), 2)
     assert (levels, tuple(rows)) == (expected.levels, expected.ranks)
@@ -688,8 +695,10 @@ def test_h11_closed_form_matches_the_subset_scan_on_crafted_balleans(monkeypatch
 
 # Walks that take any tree, malformed ones included: each refuses a tree
 # that the reference tree check refuses, with the same error, and otherwise
-# matches its recursive reference.  ballean_ranks refuses the same trees;
-# its values are held to the pairwise fill by the tower test above.
+# matches its recursive reference.  _walk, the one entry of every hand-built
+# tree, refuses the same trees; its values are held to the recursive walk by
+# _assert_ballean_walk_matches, and the ballean rows it feeds to the pairwise
+# fill by the tower test above.
 TREE_WALKS = [
     (dendrogram_to_space, dendrogram_to_space_reference),
     (canonical_code, canonical_code_reference),
@@ -704,11 +713,11 @@ def _assert_walks_match(tree):
     for walk, reference in TREE_WALKS:
         assert _outcome(walk, tree) == (refused or _outcome(reference, tree)), walk.__name__
     if refused:
-        assert _outcome(ballean_ranks, tree) == refused
+        assert _outcome(_walk, tree) == refused
 
 
 def _assert_ballean_walk_matches(tree):
-    """The unchecked walk, on a well-formed tree, against the recursive walk,
+    """The merge walk, on a well-formed tree, against the recursive walk,
     the node leaf sets and the two-part test."""
     levels, merges = _walk(tree)
     balls = _balls(tree.n, merges)
@@ -808,8 +817,8 @@ def test_tree_walks_match_the_recursive_walks_on_malformed_trees():
 
 
 def test_ballean_tree_refuses_what_the_reference_refuses():
-    # ballean_tree checks a hand-built tree as dendrogram_to_space does, so
-    # only well-formed trees reach the unchecked walk.
+    # ballean_tree checks a hand-built tree as dendrogram_to_space does: both
+    # enter through _walk, which checks before it walks.
     refused = 0
     for tree in _hand_built_trees():
         expected = _outcome(dendrogram_to_space_reference, tree)
@@ -1024,7 +1033,7 @@ def test_merge_list_cores_match_the_tree_routes(space):
     public routes read off ``build_dendrogram(space)``."""
     tree = build_dendrogram(space)
     assert _walk(tree) == (space.levels, space.split[0])
-    balls, levels, rows = ballean_ranks(tree)
+    balls, levels, rows = _ballean_ranks(tree)
     assert _ballean_rows(space.n, space.split[0], range(len(levels))) == (balls, rows) and levels == space.levels
     assert _balls(space.n, space.split[0]) == balls
     assert _fold_merges(space.n, space.split[0], space.levels, lambda _: "*", _code) == canonical_code(tree)
@@ -1034,7 +1043,7 @@ def test_merge_list_cores_match_the_tree_routes(space):
         tree = ballean_tree(tree)
         labels, merges = _ballean_merges(labels, merges)
         assert labels == tree.labels and (levels, merges) == _walk(tree)
-        balls, _, rows = ballean_ranks(tree)
+        balls, _, rows = _ballean_ranks(tree)
         assert _ballean_rows(len(labels), merges, range(len(levels))) == (balls, rows)
 
 

@@ -26,7 +26,6 @@ from ultraball.dlps import (
     _below,
     _less,
     _tail_vectors,
-    _tails_intersect,
     _vectors_meet,
     dlps_acc,
     dlps_ball,
@@ -93,6 +92,13 @@ def test_intersecting_tails_rejected():
         dlps_space(tails=[(1, "1/4"), ("1/2", "1/8")])  # both hit 1/16
 
 
+def _tails_meet(t1, t2):
+    """Whether two tails meet, asked as dlps_space asks it: _vectors_meet over
+    one _tail_vectors basis, here the pair's own."""
+    (a, u), (b, w) = _tail_vectors((t1, t2))
+    return _vectors_meet(a, u, b, w)
+
+
 @pytest.mark.parametrize(
     "t1, t2, expected",
     [
@@ -109,8 +115,8 @@ def test_intersecting_tails_rejected():
 def test_tail_intersection_solver(t1, t2, expected):
     a = GeometricTail(F(t1[0]), F(t1[1]))
     b = GeometricTail(F(t2[0]), F(t2[1]))
-    assert _tails_intersect(a, b) == expected
-    assert _tails_intersect(b, a) == expected
+    assert _tails_meet(a, b) == expected
+    assert _tails_meet(b, a) == expected
 
 
 SCANNED_TAILS = [
@@ -140,7 +146,7 @@ def test_tail_solver_agrees_with_term_scan():
             terms_a = {a.first * a.ratio**k for k in range(40)}
             terms_b = {b.first * b.ratio**k for k in range(40)}
             scanned = bool(terms_a & terms_b)
-            assert _tails_intersect(a, b) == scanned
+            assert _tails_meet(a, b) == scanned
 
 
 bases = st.builds(F, st.integers(1, 7), st.integers(2, 9)).filter(lambda g: g < 1)
@@ -159,8 +165,8 @@ def test_parallel_tail_ratios_agree_with_term_scan(base, i, j, first, up, down, 
     a = GeometricTail(first, base**i)
     b = GeometricTail(first * factor * base**up / base**down, base**j)
     scanned = bool({a.first * a.ratio**k for k in range(120)} & {b.first * b.ratio**k for k in range(120)})
-    assert _tails_intersect(a, b) == scanned
-    assert _tails_intersect(b, a) == scanned
+    assert _tails_meet(a, b) == scanned
+    assert _tails_meet(b, a) == scanned
 
 
 # --- tail questions by repeated squaring, against the term walks -------------
@@ -280,7 +286,7 @@ def test_presentation_basis_agrees_with_each_pair_alone(tails):
     vectors = _tail_vectors(tails)
     for i, t1 in enumerate(tails):
         for j, t2 in enumerate(tails):
-            assert _vectors_meet(*vectors[i], *vectors[j]) == _tails_intersect(t1, t2), (t1, t2)
+            assert _vectors_meet(*vectors[i], *vectors[j]) == _tails_meet(t1, t2), (t1, t2)
 
 
 def test_construction_reports_the_first_fault_in_point_then_pair_order():

@@ -537,6 +537,19 @@ def test_probe_q63_never_finds_witness():
     assert "|ballean| >= n+1" in report["conclusion"]
 
 
+def test_probe_q63_draws_its_random_spaces_one_at_a_time():
+    # Each space keeps its ball table and ballean, so a list of all of them
+    # peaked near 17 MB here.
+    tracemalloc.start()
+    try:
+        report = probe_q63(TrialConfig(seed=1, trials=2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["random_instances"] == 2000 and report["witnesses"] == []
+    assert peak < 4_000_000
+
+
 def test_probe_q63_schema_with_empty_search():
     report = probe_q63(TrialConfig(seed=5, trials=1, max_points=1))
     assert set(report) == {
