@@ -639,14 +639,16 @@ def equidistant_space(
 
 def ball_labels(labels: Sequence[str], balls: Iterable[tuple[int, ...]]) -> tuple[str, ...]:
     """Point labels for balls given by member tuples: the "+"-joined sorted
-    member labels.  These are unique unless the input labels themselves
-    embed "+"; a repeat gets "#2", "#3", ... in order, deterministically."""
-    seen: dict[str, int] = {}
-    out = []
-    for members in balls:
-        label = "+".join(sorted(labels[m] for m in members))
+    member labels, distinct: a repeat, possible only where input labels embed
+    "+", takes the next "#2", "#3", ... that no joined or given label holds."""
+    joined = ["+".join(sorted(labels[m] for m in members)) for members in balls]
+    taken, seen, out = set(joined), {}, []
+    for label in joined:
         count = seen[label] = seen.get(label, 0) + 1
+        while count > 1 and f"{label}#{count}" in taken:
+            count = seen[label] = count + 1
         out.append(label if count == 1 else f"{label}#{count}")
+        taken.add(out[-1])
     return tuple(out)
 
 

@@ -6,8 +6,8 @@ points is the level of their lowest common ancestor, and the node leaf-sets
 are exactly the closed balls.  The tree gives a linear-time canonical form,
 hence cheap isometry testing.  The node tree (:class:`Leaf`, :class:`Merge`,
 :class:`Dendrogram`) is this module's format alone: a space holds the merges
-its split records, and every request reads those, so none builds a node; a
-hand-built tree is checked and walked once into merges.  The random
+its split records, and every request reads those, so none builds a node.
+One walk, :func:`_fold`, checks and folds a hand-built tree.  The random
 generators draw such a tree and fill the rank matrix as they go, so they
 build no tree objects.
 """
@@ -80,18 +80,57 @@ def _tree(labels: tuple[str, ...], merges: Merges, levels: Sequence[Fraction]) -
     return Dendrogram(root, labels)
 
 
-def _fold(root: Node, leaf: Callable[[int], T], merge: Callable[[Fraction, list[T]], T]) -> T:
-    """Fold a tree children first, on lists rather than the call stack: a Leaf
-    gives ``leaf(point)``, a Merge ``merge(level, its children's values in order)``.
-    Values go by position, as hashing or comparing a node walks its subtree."""
-    order, todo = [], [root]
-    while todo:  # right-to-left pre-order; reversed, a left-to-right post-order
-        node = todo.pop()
-        order.append(node)
-        if not isinstance(node, Leaf):
-            todo.extend(node.children)
+_DONE = object()  # marks a merge on the walk's stack whose subtree is done
+
+
+def _fold(d: Dendrogram, leaf: Callable[[int], T], merge: Callable[[Fraction, list[T]], T]) -> T:
+    """Check a hand-built tree and fold it children first, in one walk on a
+    stack: a Leaf gives ``leaf(point)``, a Merge ``merge(level, its children's
+    values in order)``.  Values go by position, as hashing or comparing a node
+    walks its subtree.
+
+    Each node is checked on entry, in left-to-right pre-order, and the whole
+    tree before any callback runs.  Raises MalformedTreeError on a node that
+    is neither a Leaf nor a Merge, a leaf point whose type is not exactly int
+    (a bool's is bool), children that are not a tuple or list of at least
+    two, a level that is not a Fraction or an int, a level that is not
+    positive or not strictly below its parent's, leaf points that are not
+    exactly 0..n-1, or labels that are not a tuple or list of n distinct strs.
+    """
+    order, leaves, todo = [], [], [(d.root, None)]  # order: left-to-right post-order
+    while todo:
+        node, above = todo.pop()
+        if above is _DONE:
+            order.append(node)
+        elif isinstance(node, Leaf):
+            if type(node.point) is not int:
+                raise MalformedTreeError(f"leaf points must be ints, got {node.point!r}")
+            leaves.append(node.point)
+            order.append(node)
+        elif not isinstance(node, Merge):
+            raise MalformedTreeError(f"tree nodes must be Leafs or Merges, got {node!r}")
+        elif not isinstance(node.children, (tuple, list)) or len(node.children) < 2:
+            raise MalformedTreeError("internal nodes need at least two children")
+        elif isinstance(node.level, bool) or not isinstance(node.level, (Fraction, int)):
+            raise MalformedTreeError(f"levels must be Fractions or ints, got {node.level!r}")
+        elif node.level <= 0:
+            raise MalformedTreeError(f"levels must be positive, got {node.level}")
+        elif above is not None and node.level >= above:
+            raise MalformedTreeError(f"levels must strictly decrease from the root: {node.level} under {above}")
+        else:
+            todo.append((node, _DONE))
+            todo.extend((child, node.level) for child in reversed(node.children))
+    n = len(leaves)
+    if sorted(leaves) != list(range(n)):
+        raise MalformedTreeError(f"leaf indices must be exactly 0..{n - 1}, got {sorted(leaves)}")
+    if not isinstance(d.labels, (tuple, list)) or not all(isinstance(label, str) for label in d.labels):
+        raise MalformedTreeError("labels must be a tuple or list of strs")
+    if len(d.labels) != n:
+        raise MalformedTreeError(f"{len(d.labels)} labels for {n} leaves")
+    if len(set(d.labels)) != n:
+        raise MalformedTreeError("labels must be unique within a space")
     values: list[T] = []
-    for node in reversed(order):
+    for node in order:
         if isinstance(node, Leaf):
             values.append(leaf(node.point))
         else:  # its children's values, the last ones on the list, give way to its own
@@ -110,58 +149,17 @@ def build_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
     return cache["tree"]
 
 
-def _check_tree(d: Dendrogram) -> None:
-    """Check a hand-built tree in one pre-order walk on a stack, each node
-    before its subtree.  Raises MalformedTreeError on a node that is neither
-    a Leaf nor a Merge, a leaf point whose type is not exactly int (a bool's
-    is bool), children that are not a tuple or list of at least two, a level
-    that is not a Fraction or an int, a level that is not positive or not
-    strictly below its parent's, leaf points that are not exactly 0..n-1, or
-    labels that are not a tuple or list of n distinct strs."""
-    leaves, todo = [], [(d.root, None)]
-    while todo:
-        node, above = todo.pop()
-        if isinstance(node, Leaf):
-            if type(node.point) is not int:
-                raise MalformedTreeError(f"leaf points must be ints, got {node.point!r}")
-            leaves.append(node.point)
-            continue
-        if not isinstance(node, Merge):
-            raise MalformedTreeError(f"tree nodes must be Leafs or Merges, got {node!r}")
-        if not isinstance(node.children, (tuple, list)) or len(node.children) < 2:
-            raise MalformedTreeError("internal nodes need at least two children")
-        if isinstance(node.level, bool) or not isinstance(node.level, (Fraction, int)):
-            raise MalformedTreeError(f"levels must be Fractions or ints, got {node.level!r}")
-        if node.level <= 0:
-            raise MalformedTreeError(f"levels must be positive, got {node.level}")
-        if above is not None and node.level >= above:
-            raise MalformedTreeError(
-                f"levels must strictly decrease from the root: {node.level} under {above}"
-            )
-        todo.extend((child, node.level) for child in reversed(node.children))
-    n = len(leaves)
-    if sorted(leaves) != list(range(n)):
-        raise MalformedTreeError(f"leaf indices must be exactly 0..{n - 1}, got {sorted(leaves)}")
-    if not isinstance(d.labels, (tuple, list)) or not all(isinstance(label, str) for label in d.labels):
-        raise MalformedTreeError("labels must be a tuple or list of strs")
-    if len(d.labels) != n:
-        raise MalformedTreeError(f"{len(d.labels)} labels for {n} leaves")
-    if len(set(d.labels)) != n:
-        raise MalformedTreeError("labels must be unique within a space")
-
-
 def _walk(d: Dendrogram) -> tuple[tuple[Fraction, ...], Merges]:
     """The levels of ``d`` and 0, sorted, and its merges, children in tree
-    order, as a space's split records them: every hand-built tree's one entry.
-    Raises MalformedTreeError as :func:`_check_tree` does."""
-    _check_tree(d)
+    order, as a space's split records them, folded off a hand-built tree.
+    Raises MalformedTreeError as :func:`_fold` does."""
     found: list[tuple[Members, Fraction, list[Members]]] = []
 
     def merge(level: Fraction, parts: list[Members]) -> Members:
         found.append((tuple(sorted(chain(*parts))), level if type(level) is Fraction else Fraction(level), parts))
         return found[-1][0]
 
-    _fold(d.root, lambda point: (point,), merge)
+    _fold(d, lambda point: (point,), merge)
     levels, rank = _rank_levels({i: level for i, (_, level, _) in enumerate(found)})
     return levels, [(members, rank[i], parts) for i, (members, _, parts) in enumerate(found)]
 
@@ -175,7 +173,7 @@ def _balls(n: int, merges: Merges) -> list[Members]:
 def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
     """Distance matrix realized by a hand-built tree: d(x, y) = LCA level,
     an int level read as a Fraction.  Raises MalformedTreeError as
-    :func:`_check_tree` does."""
+    :func:`_fold` does."""
     levels, merges = _walk(d)
     rows = [[0] * d.n for _ in range(d.n)]
     for _, k, parts in merges:
@@ -196,7 +194,7 @@ def ballean_tree(d: Dendrogram) -> Dendrogram:
     (size, members), so the singletons keep their indices, and are labelled
     as :func:`ballean.ballean_space` labels them.  Applying this k times
     gives the k-th ballean with no matrix and no depth cap.  Raises
-    MalformedTreeError as :func:`_check_tree` does.
+    MalformedTreeError as :func:`_fold` does.
     """
     levels, merges = _walk(d)
     return _tree(*_ballean_merges(d.labels, merges), levels)
@@ -255,10 +253,9 @@ def canonical_code(d: Dendrogram) -> CanonicalCode:
 
     Two dendrograms get equal codes exactly when a level-preserving tree
     isomorphism (forgetting leaf labels) maps one onto the other.  Raises
-    MalformedTreeError as :func:`_check_tree` does.
+    MalformedTreeError as :func:`_fold` does.
     """
-    _check_tree(d)
-    return _fold(d.root, lambda _: "*", _code)
+    return _fold(d, lambda _: "*", _code)
 
 
 def are_isometric(s1: FiniteUltrametricSpace, s2: FiniteUltrametricSpace) -> bool:
@@ -278,9 +275,8 @@ def _bracket(level: Fraction, parts: list[tuple[int, str]]) -> tuple[int, str]:
 
 def format_dendrogram(d: Dendrogram) -> str:
     """Text form in nested brackets, e.g. ``(2 (1 a b) c)``.  Raises
-    MalformedTreeError as :func:`_check_tree` does."""
-    _check_tree(d)
-    return _fold(d.root, lambda point: (point, d.labels[point]), _bracket)[1]
+    MalformedTreeError as :func:`_fold` does."""
+    return _fold(d, lambda point: (point, d.labels[point]), _bracket)[1]
 
 
 def _space_text(space: FiniteUltrametricSpace) -> str:

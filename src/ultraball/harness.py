@@ -558,17 +558,16 @@ def probe_q63(config: TrialConfig) -> dict:
     one_point_isometric = None
 
     exhaustive = _enumerate_small_spaces()
-    # Drawn one at a time: each space keeps its ball table and ballean.
+    # Drawn one at a time: each space keeps its split and ballean.
     randoms = (_trial_space(config, "q63", trial) for trial in range(config.trials))
     for space in chain(exhaustive, randoms):
-        bl = enumerate_ballean(space)
         bspace = ballean_space(space)
         isometric = are_isometric(space, bspace)
         if space.n == 1:
             if one_point_isometric is None:
                 one_point_isometric = isometric
             continue
-        if len(bl) < space.n + 1:
+        if bspace.n < space.n + 1:
             witnesses.append(
                 {"detail": "ballean smaller than n+1", "space": space_to_json_dict(space)}
             )

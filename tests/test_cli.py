@@ -388,8 +388,8 @@ def test_ballean_towers_check_no_tree_they_build(tmp_path, monkeypatch, capsys):
     # The trees of `ballean --iterate` are merge trees by construction; a
     # hand-built tree passed to ballean_tree is still checked, and refused.
     checked = []
-    check = dendrogram._check_tree
-    monkeypatch.setattr(dendrogram, "_check_tree", lambda d: checked.append(d) or check(d))
+    fold = dendrogram._fold
+    monkeypatch.setattr(dendrogram, "_fold", lambda d, *rest: checked.append(d) or fold(d, *rest))
     path = tmp_path / "space.json"
     path.write_text(json.dumps(space_to_json_dict(random_binary_space(7, 48))))
     assert cli_main(["ballean", str(path), "--iterate", "3"]) == 0

@@ -437,6 +437,9 @@ def test_equidistant_space_shape():
 def _constructed_spaces():
     binary = random_binary_space(3, 6)
     shallow = random_space(7, 8, POOL)
+    # {a, b} is a ball, so its joined label "a+b" repeats, and "a+b#2" is taken.
+    collision = validate_ultrametric([[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 2], [2, 2, 2, 0]],
+                                     ["a", "b", "a+b", "a+b#2"])
     return {
         "random_space": shallow,
         "random_binary_space": binary,
@@ -447,6 +450,8 @@ def _constructed_spaces():
         "restrict_one_point": binary.restrict([4]),
         "ballean_space": ballean_space(shallow),
         "iterate_ballean_2": iterate_ballean(binary, 2),
+        "ballean_space_label_collision": ballean_space(collision),
+        "iterate_ballean_2_label_collision": iterate_ballean(collision, 2),
         "dlps_sample_zero": dlps_sample(dlps_space((1, 2), True, [("1/3", "1/2")]), 5, "1/16"),
         "dlps_sample_no_zero": dlps_sample(dlps_space(tails=[(1, "1/2")]), 4, "1/16"),
     }

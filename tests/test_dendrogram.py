@@ -368,11 +368,37 @@ def test_core_knows_no_node_tree():
     assert not hasattr(FiniteUltrametricSpace, "tree")
 
 
+def _node_readers(source: str) -> set[str]:
+    """The functions in the source that read a node's or a tree's fields."""
+    fields = {"root", "children", "point", "level"}
+    return {
+        f.name for f in ast.walk(ast.parse(source)) if isinstance(f, ast.FunctionDef)
+        and any(isinstance(a, ast.Attribute) and a.attr in fields for a in ast.walk(f))
+    }
+
+
+def test_one_function_reads_a_node_tree():
+    # One walk checks and folds a hand-built tree; every tree routine calls it.
+    assert _node_readers(Path(dendrogram.__file__).read_text(encoding="utf-8")) == {"_fold"}
+    assert _node_readers("def f(d): return d.root\ndef g(n): return n.level\ndef h(point): return point") == {"f", "g"}
+
+
 def test_ballean_tree_labels_a_collision_as_ballean_space_does():
     space = validate_ultrametric([[0, 1, 2], [1, 0, 2], [2, 2, 0]], ["a", "b", "a+b"])
     labels = ("a", "b", "a+b", "a+b#2", "a+a+b+b")
     assert ballean_tree(build_dendrogram(space)).labels == labels
     assert ballean_space(space).labels == labels
+    # "a+b#2" is an input label, so the ball {a, b}, a repeat of "a+b", takes "#3".
+    space = validate_ultrametric([[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 2], [2, 2, 2, 0]], ["a", "b", "a+b", "a+b#2"])
+    labels = ("a", "b", "a+b", "a+b#2", "a+b#3", "a+a+b+a+b#2+b")
+    d = ballean_tree(build_dendrogram(space))
+    assert d.labels == labels
+    assert ballean_space(space).labels == labels
+    tower = ballean_tree(d)
+    assert tower.labels == ballean_space(ballean_space(space)).labels
+    assert len(set(tower.labels)) == tower.n == 8
+    assert dendrogram_to_space(tower) == ballean_space(ballean_space(space))
+    assert canonical_code(tower) == canonical_code(build_dendrogram(ballean_space(ballean_space(space))))
 
 
 def test_ballean_tree_tower_of_depth_5_on_200_points_is_fast():

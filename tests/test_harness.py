@@ -18,6 +18,7 @@ from ultraball import harness
 from ultraball.core import (
     BadParamsError,
     ConfigError,
+    FiniteUltrametricSpace,
     equidistant_space,
     find_violation,
     space_to_json_dict,
@@ -548,6 +549,16 @@ def test_probe_q63_draws_its_random_spaces_one_at_a_time():
         tracemalloc.stop()
     assert report["random_instances"] == 2000 and report["witnesses"] == []
     assert peak < 4_000_000
+
+
+def test_probe_q63_builds_no_ball_table(monkeypatch):
+    # The ballean has one point per ball, so its size is the ball count.
+    prop = FiniteUltrametricSpace.__dict__["ball_table"]
+    built, build = [], prop.func
+    monkeypatch.setattr(prop, "func", lambda space: built.append(space) or build(space))
+    report = probe_q63(TrialConfig(trials=50))
+    assert report["ballean_excess_verified"] > 50 and report["witnesses"] == []
+    assert built == []
 
 
 def test_probe_q63_schema_with_empty_search():
