@@ -240,36 +240,39 @@ class FiniteUltrametricSpace:
         ``ranks[c][x] < top``, in order of their smallest point c, and each
         class splits the same way before the next is taken; in an ultrametric
         space the classes are the maximal proper sub-balls.  A set is recorded
-        as (members, top, its classes) once its classes are.  The flag says
-        whether every pair in two classes of a set sits at exactly its
-        ``top``; on a symmetric matrix with positive entries off a zero
-        diagonal, that holds iff it is ultrametric (Carlsson & Memoli, JMLR
-        2010).  A point outside its own class raises AssertionError, so every
+        as (top, its classes' ids) once its classes are, the i-th as n + i and
+        a point as itself.  The flag says whether every pair in two classes of
+        a set sits at exactly its ``top``; on a symmetric matrix with positive
+        entries off a zero diagonal, that holds iff it is ultrametric
+        (Carlsson & Memoli, JMLR 2010).  A point outside its own class raises AssertionError, so every
         other class is a proper subset and the split ends on any square matrix.
         """
-        ranks, points = self.ranks, list(range(self.n))
+        ranks, n = self.ranks, self.n
         clean, merges = True, []
-        # Per set being split: [top rank, its members, points in no class yet, its classes].
-        stack = [[max(ranks[0]), tuple(points), points, []]] if self.n > 1 else []
+        # Per set being split: [top rank, points in no class yet, its classes' ids].
+        stack = [[max(ranks[0]), list(range(n)), []]] if n > 1 else []
         while stack:
-            top, members, points, parts = frame = stack[-1]
+            top, points, parts = frame = stack[-1]
             if not points:
                 stack.pop()
-                merges.append((members, top, parts))
+                merges.append((top, parts))
+                if stack:  # the set is its parent's latest class
+                    stack[-1][2].append(n + len(merges) - 1)
                 continue
             c, row = points[0], ranks[points[0]]
             if row[c] >= top:
                 raise AssertionError(f"point {c} is not closer than {self.levels[top]} to itself")
             inner = [x for x in points if row[x] < top]
             # A class of every point left is the last one: no second pass.
-            frame[2] = points = [x for x in points if row[x] >= top] if len(inner) < len(points) else []
+            frame[1] = points = [x for x in points if row[x] >= top] if len(inner) < len(points) else []
             if clean and points:
                 # The repeated last index makes the getter return a tuple.
                 cross, want = itemgetter(*points, points[0]), (top,) * (len(points) + 1)
                 clean = all(cross(ranks[a]) == want for a in inner)
-            parts.append(tuple(inner))
             if len(inner) > 1:
-                stack.append([max(map(row.__getitem__, inner)), parts[-1], inner, []])
+                stack.append([max(map(row.__getitem__, inner)), inner, []])
+            else:
+                parts.append(c)
         return merges, clean
 
     def __getstate__(self) -> dict:
@@ -309,8 +312,8 @@ class BallTable(NamedTuple):
 
 
 Members = tuple[int, ...]  # a ball's sorted points, as the ball table keys them
-# A merge tree's internal nodes, children first: (members, rank of the level, children's members).
-Merges = list[tuple[Members, int, list[Members]]]
+# Merge-tree nodes, children first: (rank of the level, children's ids), id p < n point p, n + i merge i.
+Merges = list[tuple[int, list[int]]]
 
 
 def _as_index_tuple(space: FiniteUltrametricSpace, subset: Iterable[int]) -> tuple[int, ...]:
@@ -662,10 +665,12 @@ def space_to_json_dict(space: FiniteUltrametricSpace) -> dict:
 def _json_fields(data: dict) -> tuple[object, object]:
     """The matrix and labels of a space's JSON form."""
     try:
-        labels = data["labels"]
-        return data["matrix"], labels
+        labels, matrix = data["labels"], data["matrix"]
     except (KeyError, TypeError) as exc:
         raise BadParamsError(f"space JSON needs 'labels' and 'matrix': {exc}") from exc
+    if not isinstance(labels, (list, tuple)):  # null too: only a Python caller may leave labels out
+        raise BadParamsError(f"labels must be a list, got {type(labels).__name__}")
+    return matrix, labels
 
 
 def _parse_space_json(data: dict) -> FiniteUltrametricSpace:

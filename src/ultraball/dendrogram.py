@@ -7,9 +7,10 @@ are exactly the closed balls.  The tree gives a linear-time canonical form,
 hence cheap isometry testing.  The node tree (:class:`Leaf`, :class:`Merge`,
 :class:`Dendrogram`) is this module's format alone: a space holds the merges
 its split records, and every request reads those, so none builds a node.
-One walk, :func:`_fold`, checks and folds a hand-built tree.  The random
-generators draw such a tree and fill the rank matrix as they go, so they
-build no tree objects.
+Merges name nodes by id, point p as p and the i-th merge as n + i: one
+linear walk, :func:`_walk`, reads them off a hand-built tree, and one fold,
+:func:`_fold_merges`, serves every route.  The random generators fill the
+rank matrix as they draw a tree, so they build no tree objects.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product, repeat
 from operator import itemgetter
 from typing import Callable, Sequence, TypeVar
 
@@ -67,11 +68,15 @@ class Dendrogram:
 def _fold_merges(n: int, merges: Merges, levels: Sequence[Fraction], leaf: Callable[[int], T],
                  merge: Callable[[Fraction, list[T]], T]) -> T:
     """Fold the n-point tree with these merges children first, building no
-    node: a point gives ``leaf(point)``, a merge ``merge(level, its children's values)``."""
-    values = {(p,): leaf(p) for p in range(n)}
-    for members, k, parts in merges:
-        values[members] = merge(levels[k], list(map(values.__getitem__, parts)))
-    return values[tuple(range(n))]
+    node: a point gives ``leaf(point)``, a merge ``merge(level, its children's
+    values)``.  Values sit in a list by id, each dropped once its parent has it."""
+    values = list(map(leaf, range(n)))
+    for k, kids in merges:
+        parts = list(map(values.__getitem__, kids))
+        for c in kids:
+            values[c] = None
+        values.append(merge(levels[k], parts))
+    return values[-1]
 
 
 def _tree(labels: tuple[str, ...], merges: Merges, levels: Sequence[Fraction]) -> Dendrogram:
@@ -83,30 +88,31 @@ def _tree(labels: tuple[str, ...], merges: Merges, levels: Sequence[Fraction]) -
 _DONE = object()  # marks a merge on the walk's stack whose subtree is done
 
 
-def _fold(d: Dendrogram, leaf: Callable[[int], T], merge: Callable[[Fraction, list[T]], T]) -> T:
-    """Check a hand-built tree and fold it children first, in one walk on a
-    stack: a Leaf gives ``leaf(point)``, a Merge ``merge(level, its children's
-    values in order)``.  Values go by position, as hashing or comparing a node
-    walks its subtree.
-
-    Each node is checked on entry, in left-to-right pre-order, and the whole
-    tree before any callback runs.  Raises MalformedTreeError on a node that
-    is neither a Leaf nor a Merge, a leaf point whose type is not exactly int
-    (a bool's is bool), children that are not a tuple or list of at least
-    two, a level that is not a Fraction or an int, a level that is not
-    positive or not strictly below its parent's, leaf points that are not
-    exactly 0..n-1, or labels that are not a tuple or list of n distinct strs.
-    """
-    order, leaves, todo = [], [], [(d.root, None)]  # order: left-to-right post-order
+def _walk(d: Dendrogram) -> tuple[tuple[Fraction, ...], Merges]:
+    """Check a hand-built tree and read it in one walk on a stack: the levels
+    of ``d`` and 0, sorted, and its merges, children in tree order, as a
+    space's split records them.  Nodes go by position, as hashing one walks
+    its subtree.  Each is checked on entry, in left-to-right pre-order: raises
+    MalformedTreeError on a node that is neither a Leaf nor a Merge, a leaf
+    point whose type is not exactly int (a bool's is bool), children that are
+    not a tuple or list of at least two, a level that is not a Fraction or an
+    int, or not positive, or not strictly below its parent's; then on leaf
+    points that are not exactly 0..n-1, or labels that are not a tuple or
+    list of n distinct strs."""
+    # Merge ids count from the labels, which the checks below hold to the leaves.
+    n = len(d.labels) if isinstance(d.labels, (tuple, list)) else 0
+    found, ids, leaves, todo = [], [], [], [(d.root, None)]  # ids: done subtrees not yet merged
     while todo:
         node, above = todo.pop()
         if above is _DONE:
-            order.append(node)
+            count = len(node.children)
+            found.append((node.level if type(node.level) is Fraction else Fraction(node.level), ids[-count:]))
+            ids[-count:] = [n + len(found) - 1]
         elif isinstance(node, Leaf):
             if type(node.point) is not int:
                 raise MalformedTreeError(f"leaf points must be ints, got {node.point!r}")
             leaves.append(node.point)
-            order.append(node)
+            ids.append(node.point)
         elif not isinstance(node, Merge):
             raise MalformedTreeError(f"tree nodes must be Leafs or Merges, got {node!r}")
         elif not isinstance(node.children, (tuple, list)) or len(node.children) < 2:
@@ -119,24 +125,17 @@ def _fold(d: Dendrogram, leaf: Callable[[int], T], merge: Callable[[Fraction, li
             raise MalformedTreeError(f"levels must strictly decrease from the root: {node.level} under {above}")
         else:
             todo.append((node, _DONE))
-            todo.extend((child, node.level) for child in reversed(node.children))
-    n = len(leaves)
-    if sorted(leaves) != list(range(n)):
-        raise MalformedTreeError(f"leaf indices must be exactly 0..{n - 1}, got {sorted(leaves)}")
+            todo.extend(zip(reversed(node.children), repeat(node.level)))
+    if sorted(leaves) != list(range(len(leaves))):
+        raise MalformedTreeError(f"leaf indices must be exactly 0..{len(leaves) - 1}, got {sorted(leaves)}")
     if not isinstance(d.labels, (tuple, list)) or not all(isinstance(label, str) for label in d.labels):
         raise MalformedTreeError("labels must be a tuple or list of strs")
-    if len(d.labels) != n:
-        raise MalformedTreeError(f"{len(d.labels)} labels for {n} leaves")
+    if n != len(leaves):
+        raise MalformedTreeError(f"{n} labels for {len(leaves)} leaves")
     if len(set(d.labels)) != n:
         raise MalformedTreeError("labels must be unique within a space")
-    values: list[T] = []
-    for node in order:
-        if isinstance(node, Leaf):
-            values.append(leaf(node.point))
-        else:  # its children's values, the last ones on the list, give way to its own
-            start = len(values) - len(node.children)
-            values[start:] = [merge(node.level, values[start:])]
-    return values[0]
+    levels, rank = _rank_levels(dict(enumerate(level for level, _ in found)))
+    return levels, [(rank[i], kids) for i, (_, kids) in enumerate(found)]
 
 
 def build_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
@@ -149,38 +148,30 @@ def build_dendrogram(space: FiniteUltrametricSpace) -> Dendrogram:
     return cache["tree"]
 
 
-def _walk(d: Dendrogram) -> tuple[tuple[Fraction, ...], Merges]:
-    """The levels of ``d`` and 0, sorted, and its merges, children in tree
-    order, as a space's split records them, folded off a hand-built tree.
-    Raises MalformedTreeError as :func:`_fold` does."""
-    found: list[tuple[Members, Fraction, list[Members]]] = []
-
-    def merge(level: Fraction, parts: list[Members]) -> Members:
-        found.append((tuple(sorted(chain(*parts))), level if type(level) is Fraction else Fraction(level), parts))
-        return found[-1][0]
-
-    _fold(d, lambda point: (point,), merge)
-    levels, rank = _rank_levels({i: level for i, (_, level, _) in enumerate(found)})
-    return levels, [(members, rank[i], parts) for i, (members, _, parts) in enumerate(found)]
-
-
-def _balls(n: int, merges: Merges) -> list[Members]:
-    """The member tuples of the n points and the merges, which are the balls,
-    by (size, members): the singletons first, in point order."""
-    return [(p,) for p in range(n)] + sorted((m for m, _, _ in merges), key=lambda m: (len(m), m))
+def _balls(n: int, merges: Merges) -> list[tuple[Members, int]]:
+    """The member tuple and id of each node, which are the balls, by (size,
+    smallest member): the singletons first, in point order.  For the distinct
+    balls of a laminar family that is the order by (size, members)."""
+    members = [(p,) for p in range(n)]
+    for _, kids in merges:
+        members.append(tuple(sorted(chain.from_iterable(map(members.__getitem__, kids)))))
+    return sorted(zip(members, range(len(members))), key=lambda ball: (len(ball[0]), ball[0][0]))
 
 
 def dendrogram_to_space(d: Dendrogram) -> FiniteUltrametricSpace:
     """Distance matrix realized by a hand-built tree: d(x, y) = LCA level,
     an int level read as a Fraction.  Raises MalformedTreeError as
-    :func:`_fold` does."""
+    :func:`_walk` does."""
     levels, merges = _walk(d)
     rows = [[0] * d.n for _ in range(d.n)]
-    for _, k, parts in merges:
+
+    def fill(k: int, parts: list[list[int]]) -> list[int]:
         for xs, ys in combinations(parts, 2):
-            for x in xs:
-                for y in ys:
-                    rows[x][y] = rows[y][x] = k
+            for x, y in product(xs, ys):
+                rows[x][y] = rows[y][x] = k
+        return list(chain(*parts))
+
+    _fold_merges(d.n, merges, range(len(levels)), lambda point: [point], fill)  # ranks for levels
     return FiniteUltrametricSpace(tuple(d.labels), levels, tuple(map(tuple, rows)))
 
 
@@ -194,7 +185,7 @@ def ballean_tree(d: Dendrogram) -> Dendrogram:
     (size, members), so the singletons keep their indices, and are labelled
     as :func:`ballean.ballean_space` labels them.  Applying this k times
     gives the k-th ballean with no matrix and no depth cap.  Raises
-    MalformedTreeError as :func:`_fold` does.
+    MalformedTreeError as :func:`_walk` does.
     """
     levels, merges = _walk(d)
     return _tree(*_ballean_merges(d.labels, merges), levels)
@@ -202,16 +193,12 @@ def ballean_tree(d: Dendrogram) -> Dendrogram:
 
 def _ballean_merges(labels: Sequence[str], merges: Merges) -> tuple[tuple[str, ...], Merges]:
     """The labels and merges of :func:`ballean_tree` of the tree with these:
-    each merge gains its own ball as a last child, members renumbered to balls."""
+    each merge gains its own ball as a last child, ids renumbered to balls."""
     balls = _balls(len(labels), merges)
-    index = {m: i for i, m in enumerate(balls)}
-    new = {(p,): (p,) for p in range(len(labels))}
-    out: Merges = []
-    for members, k, parts in merges:
-        kids = [*map(new.__getitem__, parts), (index[members],)]
-        new[members] = tuple(sorted(chain(*kids)))
-        out.append((new[members], k, kids))
-    return ball_labels(labels, balls), out
+    at = {j: i for i, (_, j) in enumerate(balls)}  # id -> the ball's point in the ballean
+    n, shift = len(labels), len(balls) - len(labels)  # points keep their ids, merges move up
+    out = [(k, [c if c < n else c + shift for c in kids] + [at[j]]) for j, (k, kids) in enumerate(merges, n)]
+    return ball_labels(labels, (m for m, _ in balls)), out
 
 
 def _ballean_rows(n: int, merges: Merges, cells: Sequence[T]) -> tuple[list[Members], list[tuple[T, ...]]]:
@@ -225,27 +212,28 @@ def _ballean_rows(n: int, merges: Merges, cells: Sequence[T]) -> tuple[list[Memb
     cell, and its own cell is zeroed once its children have copied the row.
     One getter then puts the rows' columns in output order.
     """
-    balls = _balls(n, merges)
-    span = dict.fromkeys(balls[:n], (1, cells[0]))  # ball -> (balls inside it, its cell)
-    for members, k, parts in merges:
-        span[members] = (1 + sum(span[p][0] for p in parts), cells[k])
-    m, root = len(balls), balls[-1]
-    at, rows = {root: 0}, {root: [span[root][1]] * m}
-    for members, _, parts in reversed(merges):  # each node after its parent
-        row, start = rows[members], at[members] + 1
-        for part in parts:
-            size, cell = span[part]
-            child = rows[part] = row.copy()
-            child[start:start + size] = [cell] * size
-            at[part], start = start, start + size
-        row[at[members]] = cells[0]
-    order = [at[b] for b in balls]
+    balls, m = _balls(n, merges), n + len(merges)
+    size, cell = [1] * n, [cells[0]] * n  # per id: the balls inside it, and its cell
+    for k, kids in merges:
+        size.append(1 + sum(map(size.__getitem__, kids)))
+        cell.append(cells[k])
+    at, rows = [0] * m, {m - 1: [cell[-1]] * m}  # per id: its pre-order position, and its row
+    for j in range(m - 1, n - 1, -1):  # each node after its parent
+        row, start = rows[j], at[j] + 1
+        for c in merges[j - n][1]:
+            child = rows[c] = row.copy()
+            child[start:start + size[c]] = [cell[c]] * size[c]
+            at[c], start = start, start + size[c]
+        row[at[j]] = cells[0]
+    order = [at[j] for _, j in balls]
     pick = itemgetter(*order, order[0])  # the repeated index makes a 1-ball getter return a tuple
-    return balls, [pick(rows.pop(b))[:-1] for b in balls]
+    return [members for members, _ in balls], [pick(rows.pop(j))[:-1] for _, j in balls]
 
 
-def _code(level: Fraction, parts: list[str]) -> CanonicalCode:
-    return f"({rational_str(level)}:{','.join(sorted(parts))})"
+def _code_of(n: int, merges: Merges, levels: Sequence[Fraction]) -> CanonicalCode:
+    """The canonical code of the n-point tree with these merges."""
+    return _fold_merges(n, merges, levels, lambda _: "*",
+                        lambda level, parts: f"({rational_str(level)}:{','.join(sorted(parts))})")
 
 
 def canonical_code(d: Dendrogram) -> CanonicalCode:
@@ -253,9 +241,10 @@ def canonical_code(d: Dendrogram) -> CanonicalCode:
 
     Two dendrograms get equal codes exactly when a level-preserving tree
     isomorphism (forgetting leaf labels) maps one onto the other.  Raises
-    MalformedTreeError as :func:`_fold` does.
+    MalformedTreeError as :func:`_walk` does.
     """
-    return _fold(d, lambda _: "*", _code)
+    levels, merges = _walk(d)
+    return _code_of(d.n, merges, levels)
 
 
 def are_isometric(s1: FiniteUltrametricSpace, s2: FiniteUltrametricSpace) -> bool:
@@ -263,8 +252,7 @@ def are_isometric(s1: FiniteUltrametricSpace, s2: FiniteUltrametricSpace) -> boo
     isometry keeps the set of distances, ``levels``, so that is compared first."""
     if s1.n != s2.n or s1.levels != s2.levels:
         return False
-    code1, code2 = (_fold_merges(s.n, s.split[0], s.levels, lambda _: "*", _code) for s in (s1, s2))
-    return code1 == code2
+    return _code_of(s1.n, s1.split[0], s1.levels) == _code_of(s2.n, s2.split[0], s2.levels)
 
 
 def _bracket(level: Fraction, parts: list[tuple[int, str]]) -> tuple[int, str]:
@@ -273,15 +261,21 @@ def _bracket(level: Fraction, parts: list[tuple[int, str]]) -> tuple[int, str]:
     return parts[0][0], f"({rational_str(level)} {' '.join(text for _, text in parts)})"
 
 
+def _text_of(labels: Sequence[str], merges: Merges, levels: Sequence[Fraction]) -> str:
+    """The bracket text of the tree with these leaf labels and merges."""
+    return _fold_merges(len(labels), merges, levels, lambda point: (point, labels[point]), _bracket)[1]
+
+
 def format_dendrogram(d: Dendrogram) -> str:
     """Text form in nested brackets, e.g. ``(2 (1 a b) c)``.  Raises
-    MalformedTreeError as :func:`_fold` does."""
-    return _fold(d, lambda point: (point, d.labels[point]), _bracket)[1]
+    MalformedTreeError as :func:`_walk` does."""
+    levels, merges = _walk(d)
+    return _text_of(d.labels, merges, levels)
 
 
 def _space_text(space: FiniteUltrametricSpace) -> str:
     """:func:`format_dendrogram` of the space's merge tree, read off its merges."""
-    return _fold_merges(space.n, space.split[0], space.levels, lambda p: (p, space.labels[p]), _bracket)[1]
+    return _text_of(space.labels, space.split[0], space.levels)
 
 
 def _parse_pool(level_pool: Sequence[RationalLike]) -> tuple[Fraction, ...]:

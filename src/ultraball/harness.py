@@ -265,9 +265,9 @@ def _body_h5(space: FiniteUltrametricSpace, stream: Stream) -> str | None:
         return f"{len(balls)} balls, over the 2n-1 bound of {bound}"
     # The merges that `ultraball ballean` reads, and its ball list, in order.
     merges = space.split[0]
-    if _balls(space.n, merges) != [b.members for b in balls]:
+    if [members for members, _ in _balls(space.n, merges)] != [b.members for b in balls]:
         return "merge-tree node leaf sets differ from the ball table, in order"
-    if all(len(parts) == 2 for _, _, parts in merges) and len(balls) != bound:
+    if all(len(kids) == 2 for _, kids in merges) and len(balls) != bound:
         return f"binary merge tree but only {len(balls)} balls (expected {bound})"
     return None
 

@@ -22,7 +22,8 @@ reads a closed form off the pairs of balls.  The level-pool parse feeds the
 two generators after it, which build a merge tree and read the space off it,
 as the library did before it filled ranks while drawing.  The tree walks after them are
 the recursive ones, one interpreter frame per level, that iterative walks
-replaced.  The tail walks near the end are the ones repeated squaring
+replaced; the merge triples converter reads merges named by id back into
+the member tuples they named before.  The tail walks near the end are the ones repeated squaring
 replaced: they visit every term in turn.  The space-level membership and
 truncation routes after them are built on those walks and compare plain
 ``Fraction``s, where the library decides the order by bit lengths and
@@ -35,7 +36,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ultraball.ballean import (
     ballean_space,
@@ -687,6 +688,19 @@ def ballean_walk_reference(d: Dendrogram) -> tuple[list[tuple[tuple[int, ...], F
 
     walk(d.root)
     return merges, [(p,) for p in range(d.n)] + sorted((m for m, _, _ in merges), key=lambda m: (len(m), m))
+
+
+def merge_triples(n: int, merges: list) -> Iterator[tuple[tuple[int, ...], int, list[tuple[int, ...]]]]:
+    """The n-point merges named by id, in their order, as the triples merge
+    lists held before they named children by id: (members, rank, children's
+    members).  Each child's members leave the table once its parent takes
+    them, so a child named twice or before it is made raises KeyError, and a
+    deep tree read lazily holds one path of member tuples."""
+    members = {p: (p,) for p in range(n)}
+    for i, (k, kids) in enumerate(merges):
+        parts = [members.pop(c) for c in kids]
+        members[n + i] = tuple(sorted(chain(*parts)))
+        yield members[n + i], k, parts
 
 
 def canonical_code_reference(d: Dendrogram) -> str:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ballean_space_pairwise_reference, caterpillar, iterate_ballean_pairwise_reference
+from oracles import ballean_space_pairwise_reference, caterpillar, caterpillar_tree, iterate_ballean_pairwise_reference
 from ultraball.ballean import _ballean_tower, ballean_space, enumerate_ballean
 from ultraball.cli import _emit, build_parser, cli_main
 import ultraball
@@ -26,7 +26,18 @@ from ultraball.core import (
     space_from_json_dict,
     space_to_json_dict,
 )
-from ultraball.dendrogram import Dendrogram, Leaf, Merge, build_dendrogram, random_binary_space, random_space
+from ultraball.dendrogram import (
+    Dendrogram,
+    Leaf,
+    Merge,
+    ballean_tree,
+    build_dendrogram,
+    canonical_code,
+    dendrogram_to_space,
+    format_dendrogram,
+    random_binary_space,
+    random_space,
+)
 from ultraball.dlps import SAMPLE_MATRIX_CHARS, dlps_from_json_dict, dlps_sample
 from ultraball.harness import CHECKS
 
@@ -138,6 +149,24 @@ BALLEAN_INPUTS = [
     space_to_json_dict(equidistant_space(30, 1)),
     space_to_json_dict(random_space(7, 40, ("1", "3/2", "2", "3"))),
 ]
+
+
+def test_node_tree_routes_print_the_pinned_bytes():
+    # One sha256 over the code, text, space and ballean labels of each tree:
+    # the ballean inputs' trees, two ballean_tree levels above each, and a
+    # 400-deep caterpillar, pinned from the commit before merges named their
+    # children by id.
+    trees = []
+    for data in BALLEAN_INPUTS:
+        tree = build_dendrogram(space_from_json_dict(data))
+        trees += [tree, ballean_tree(tree), ballean_tree(ballean_tree(tree))]
+    trees.append(Dendrogram(caterpillar_tree(400), tuple(f"p{i}" for i in range(400))))
+    digest = hashlib.sha256()
+    for tree in trees:
+        text = [canonical_code(tree), format_dendrogram(tree), space_to_json_dict(dendrogram_to_space(tree)),
+                list(ballean_tree(tree).labels)]
+        digest.update(json.dumps(text).encode() + b"\n")
+    assert digest.hexdigest() == "28f8855df0950134be72203ba966e9a6853871c345755bb80364c20fff1562d3"
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -388,8 +417,8 @@ def test_ballean_towers_check_no_tree_they_build(tmp_path, monkeypatch, capsys):
     # The trees of `ballean --iterate` are merge trees by construction; a
     # hand-built tree passed to ballean_tree is still checked, and refused.
     checked = []
-    fold = dendrogram._fold
-    monkeypatch.setattr(dendrogram, "_fold", lambda d, *rest: checked.append(d) or fold(d, *rest))
+    walk = dendrogram._walk
+    monkeypatch.setattr(dendrogram, "_walk", lambda d: checked.append(d) or walk(d))
     path = tmp_path / "space.json"
     path.write_text(json.dumps(space_to_json_dict(random_binary_space(7, 48))))
     assert cli_main(["ballean", str(path), "--iterate", "3"]) == 0
@@ -743,6 +772,18 @@ def test_validate_string_labels_is_bad_params(tmp_path, capsys):
     assert cli_main(["validate", str(path)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "BadParamsError"
+
+
+def test_null_labels_are_bad_params_in_a_file_and_a_replay(tmp_path, capsys):
+    # Only a Python caller may leave labels out; a JSON space must list them.
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps({"labels": None, "matrix": [["0", "1"], ["1", "0"]]}))
+    assert cli_main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, json.loads(err)) == ("", {"error": "BadParamsError", "message": "labels must be a list, got NoneType"})
+    assert cli_main(["verify", "--trials", "1", "--checks", "H2", "--replay", str(path)]) == 1
+    message = "replay entry 0: labels must be a list, got NoneType"
+    assert json.loads(capsys.readouterr().err) == {"error": "BadParamsError", "message": message}
 
 
 def test_probe_q63_cli(capsys):

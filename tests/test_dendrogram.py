@@ -1,6 +1,7 @@
 import ast
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from operator import eq
 from pathlib import Path
@@ -13,6 +14,7 @@ from oracles import (
     brute_isometric,
     caterpillar,
     caterpillar_tree,
+    merge_triples,
     recursive_split_reference,
     splits_cleanly_reference,
 )
@@ -35,6 +37,7 @@ from ultraball.dendrogram import (
     Merge,
     _ballean_rows,
     _balls,
+    _space_text,
     _walk,
     are_isometric,
     ballean_tree,
@@ -222,7 +225,7 @@ def test_codes_agree_with_brute_force_search(s1, s2, n):
 def test_node_leaf_sets_equal_ball_member_sets():
     for seed in range(8):
         s = random_space(seed, 8, POOL)
-        assert _balls(s.n, s.split[0]) == [b.members for b in enumerate_ballean(s)]
+        assert [members for members, _ in _balls(s.n, s.split[0])] == [b.members for b in enumerate_ballean(s)]
         assert _balls(s.n, _walk(build_dendrogram(s))[1]) == _balls(s.n, s.split[0])
 
 
@@ -262,7 +265,7 @@ def test_random_binary_space_maximal_ballean():
     for seed in range(6):
         for n in (2, 5, 9):
             s = random_binary_space(seed, n)
-            assert all(len(parts) == 2 for _, _, parts in s.split[0])
+            assert all(len(parts) == 2 for _, _, parts in merge_triples(n, s.split[0]))
             assert len(enumerate_ballean(s)) == 2 * n - 1
 
 
@@ -309,7 +312,10 @@ def test_walks_handle_a_3000_deep_tree():
     assert space.levels == tuple(map(Fraction, range(n)))
     assert all(row == (i,) * i + (0,) + tuple(range(i + 1, n)) for i, row in enumerate(space.ranks))
     merges = _walk(d)[1]
-    assert all(len(parts) == 2 for _, _, parts in merges) and len(_balls(n, merges)) == 2 * n - 1
+    # Point k joins the points below it, at rank k; read lazily, one path of members at a time.
+    triples = enumerate(merge_triples(n, merges), 1)
+    assert all(t == (tuple(range(k + 1)), k, [tuple(range(k)), (k,)]) for k, t in triples)
+    assert len(_balls(n, merges)) == 2 * n - 1
     assert canonical_code(d).count("*") == n
     assert format_dendrogram(d).startswith("(3000 (2999 (2998 ")
     # One ballean: a tower's labels grow with the cube of the depth.
@@ -321,6 +327,52 @@ def test_walks_handle_a_3000_deep_tree():
     balls, rows = _ballean_rows(1000, merges, range(len(levels)))
     assert len(balls) == len(rows) == 2 * 1000 - 1 and levels == tuple(map(Fraction, range(1000)))
     assert rows[-1][:3] == (999, 999, 999) and rows[0][0] == 0
+
+
+def _peak(call):
+    """The result of ``call()`` and the most memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_walk_reads_a_3000_deep_tree_in_under_4_mb():
+    # Merges named by member tuples held 37.8 MB here: one tuple per subtree.
+    n = 3001
+    d = Dendrogram(caterpillar_tree(n), tuple(f"p{i}" for i in range(n)))
+    (levels, merges), peak = _peak(lambda: _walk(d))
+    assert merges[-1] == (n - 1, [2 * n - 3, n - 1]) and len(levels) == n
+    assert peak < 4_000_000
+
+
+def test_folds_hold_no_value_of_a_merged_subtree():
+    # Holding every subtree's code or text peaked at 9.3 and 12.7 MB here.
+    space = caterpillar(1500)
+    space.split
+    same, peak = _peak(lambda: are_isometric(space, space))
+    assert same and peak < 1_000_000
+    text, peak = _peak(lambda: _space_text(space))
+    assert text.startswith("(1499 (1498 ") and peak < 1_000_000
+
+
+def test_each_fold_route_goes_through_fold_merges(monkeypatch):
+    space = random_space(3, 12, POOL)
+    d = build_dendrogram(space)
+    fold, folds = dendrogram._fold_merges, []
+    monkeypatch.setattr(dendrogram, "_fold_merges", lambda *args: folds.append(args) or fold(*args))
+    routes = {
+        "canonical_code": lambda: canonical_code(d),
+        "are_isometric": lambda: are_isometric(space, space),
+        "format_dendrogram": lambda: format_dendrogram(d),
+        "_space_text": lambda: _space_text(space),
+        "_tree": lambda: dendrogram._tree(space.labels, space.split[0], space.levels),
+    }
+    for name, route in routes.items():
+        folds.clear()
+        route()
+        assert folds, name
 
 
 def _recursive_functions(source: str) -> list[str]:
@@ -378,8 +430,8 @@ def _node_readers(source: str) -> set[str]:
 
 
 def test_one_function_reads_a_node_tree():
-    # One walk checks and folds a hand-built tree; every tree routine calls it.
-    assert _node_readers(Path(dendrogram.__file__).read_text(encoding="utf-8")) == {"_fold"}
+    # One walk checks and reads a hand-built tree; every tree routine calls it.
+    assert _node_readers(Path(dendrogram.__file__).read_text(encoding="utf-8")) == {"_walk"}
     assert _node_readers("def f(d): return d.root\ndef g(n): return n.level\ndef h(point): return point") == {"f", "g"}
 
 

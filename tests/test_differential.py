@@ -33,6 +33,7 @@ from oracles import (
     body_h9_reference,
     body_h11_reference,
     ballean_walk_reference,
+    merge_triples,
     canonical_code_reference,
     dendrogram_to_space_reference,
     find_violation_reference,
@@ -89,7 +90,7 @@ from ultraball.dendrogram import (
     _ballean_rows,
     _balls,
     _bracket,
-    _code,
+    _code_of,
     _fold_merges,
     _parse_pool,
     _space_text,
@@ -720,10 +721,11 @@ def _assert_ballean_walk_matches(tree):
     """The merge walk, on a well-formed tree, against the recursive walk,
     the node leaf sets and the two-part test."""
     levels, merges = _walk(tree)
-    balls = _balls(tree.n, merges)
-    assert ([(m, levels[k], parts) for m, k, parts in merges], balls) == ballean_walk_reference(tree)
+    balls = [members for members, _ in _balls(tree.n, merges)]
+    triples = [(m, levels[k], parts) for m, k, parts in merge_triples(tree.n, merges)]
+    assert (triples, balls) == ballean_walk_reference(tree)
     assert set(balls) == node_leaf_sets_reference(tree)
-    assert all(len(parts) == 2 for _, _, parts in merges) == is_binary_reference(tree)
+    assert all(len(parts) == 2 for _, _, parts in triples) == is_binary_reference(tree)
 
 
 def test_tree_walks_match_the_recursive_walks_on_generated_trees():
@@ -1035,8 +1037,9 @@ def test_merge_list_cores_match_the_tree_routes(space):
     assert _walk(tree) == (space.levels, space.split[0])
     balls, levels, rows = _ballean_ranks(tree)
     assert _ballean_rows(space.n, space.split[0], range(len(levels))) == (balls, rows) and levels == space.levels
-    assert _balls(space.n, space.split[0]) == balls
-    assert _fold_merges(space.n, space.split[0], space.levels, lambda _: "*", _code) == canonical_code(tree)
+    assert [members for members, _ in _balls(space.n, space.split[0])] == balls
+    assert balls[space.n:] == sorted((m for m, _, _ in merge_triples(space.n, space.split[0])), key=lambda m: (len(m), m))
+    assert _code_of(space.n, space.split[0], space.levels) == canonical_code(tree)
     assert _space_text(space) == format_dendrogram(tree)
     labels, merges = space.labels, space.split[0]
     for _ in range(2):  # the towers of `ballean --iterate 2` and `3`
@@ -1045,14 +1048,39 @@ def test_merge_list_cores_match_the_tree_routes(space):
         assert labels == tree.labels and (levels, merges) == _walk(tree)
         balls, _, rows = _ballean_ranks(tree)
         assert _ballean_rows(len(labels), merges, range(len(levels))) == (balls, rows)
+        assert balls[len(labels):] == sorted((m for m, _, _ in merge_triples(len(labels), merges)), key=lambda m: (len(m), m))
+
+
+def _assert_id_merges(n, merges):
+    """The merge-list format on an n-point tree: a merge's children come
+    before it, every id but the root's, which comes last, is a child exactly
+    once, and a merge has two or more children, each at a rank below its own."""
+    kids = [c for _, children in merges for c in children]
+    assert all(c < n + i for i, (_, children) in enumerate(merges) for c in children)
+    assert sorted(kids) == list(range(n + len(merges) - 1))
+    rank = [0] * n + [k for k, _ in merges]
+    assert all(len(children) > 1 and all(rank[c] < k for c in children) for k, children in merges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(space=table_spaces())
+def test_split_walk_and_ballean_merges_keep_the_merge_list_format(space):
+    _assert_id_merges(space.n, space.split[0])
+    _assert_id_merges(space.n, _walk(build_dendrogram(space))[1])
+    labels, merges = space.labels, space.split[0]
+    for _ in range(2):
+        labels, merges = _ballean_merges(labels, merges)
+        _assert_id_merges(len(labels), merges)
+    with pytest.raises(AssertionError):  # a merge naming its parent, and the parent itself
+        _assert_id_merges(3, [(1, [0, 4]), (2, [3, 1, 2])])
 
 
 def _bumped(space, merge):
-    """The space with one merge's level moved halfway down to the largest
-    level inside it: still ultrametric, and its levels change unless the new
-    value is a level elsewhere."""
+    """The space with one merge, a triple of :func:`merge_triples`, at a level
+    halfway down to the largest level inside it: still ultrametric, and its
+    levels change unless the new value is a level elsewhere."""
     members, k, parts = merge
-    below = max((kk for m, kk, _ in space.split[0] if set(m) < set(members)), default=0)
+    below = max((kk for m, kk, _ in merge_triples(space.n, space.split[0]) if set(m) < set(members)), default=0)
     rows = [list(row) for row in space.dist]
     new = (space.levels[k] + space.levels[below]) / 2
     for xs, ys in combinations(parts, 2):
@@ -1068,7 +1096,7 @@ def test_isometry_by_levels_first_matches_the_code_comparison(space, data):
     perm = data.draw(st.permutations(range(space.n)))
     others = [space.restrict(perm)]
     if space.n > 1:
-        others.append(_bumped(space, data.draw(st.sampled_from(space.split[0]))))
+        others.append(_bumped(space, data.draw(st.sampled_from(list(merge_triples(space.n, space.split[0]))))))
     for other in others:
         codes = canonical_code(build_dendrogram(space)) == canonical_code(build_dendrogram(other))
         assert are_isometric(space, other) == codes == are_isometric(other, space)
@@ -1080,7 +1108,7 @@ def test_spaces_with_other_levels_form_no_code(monkeypatch):
     folds = []
     monkeypatch.setattr(dendrogram, "_fold_merges", lambda *args: folds.append(args) or _fold_merges(*args))
     space = random_binary_space(7, 48)
-    for merge in space.split[0]:
+    for merge in merge_triples(space.n, space.split[0]):
         assert not are_isometric(space, _bumped(space, merge))  # the new value is a fresh level
     assert folds == []
     assert are_isometric(space, space.restrict(range(47, -1, -1))) and len(folds) == 2

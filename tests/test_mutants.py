@@ -88,7 +88,7 @@ def _least_rank_for_diam(space, idx):
 
 def _balls_by_reversed_members(n, merges):
     balls = _balls(n, merges)
-    return balls[:n] + sorted(balls[n:], key=lambda m: (len(m), m[::-1]))
+    return balls[:n] + sorted(balls[n:], key=lambda ball: (len(ball[0]), ball[0][::-1]))
 
 
 def _one_rank_too_far(space, center, radius):
